@@ -6,7 +6,7 @@ same for the built-in states, or prints the classical-versus-entangled
 density-matrix comparison for the polarization pair.
 
 Exit codes: 0 success, 2 bad input (parse or validation failure), 3 numerical
-failure (eigensolver non-convergence).
+failure (LAPACK non-convergence, or a reconstruction residual above 1e-9).
 """
 
 from __future__ import annotations
@@ -122,18 +122,14 @@ class AnalysisReport:
         return doc
 
 
-def build_report(
-    state: BipartitePureState,
-    rank_threshold: float = 1e-10,
-    eigen_tol: float | None = None,
-) -> AnalysisReport:
+def build_report(state: BipartitePureState, rank_threshold: float = 1e-10) -> AnalysisReport:
     """Run the full analysis for one state.
 
     The eigenvalue list is padded with zeros up to the larger subsystem
     dimension, mirroring how the smaller reduced matrix can always be
     embedded in the bigger space.
     """
-    decomposition = schmidt_decompose(state, threshold=rank_threshold, eigen_tol=eigen_tol)
+    decomposition = schmidt_decompose(state, threshold=rank_threshold)
     rebuilt = reconstruct(decomposition)
     residual = float(np.max(np.abs(rebuilt - state.amplitudes)))
     if residual > RESIDUAL_LIMIT:
@@ -286,7 +282,7 @@ def _load_state_file(path: str, strict_norm: bool) -> BipartitePureState:
 
 
 def _emit_report(state: BipartitePureState, args) -> None:
-    report = build_report(state, rank_threshold=args.rank_threshold, eigen_tol=args.tolerance)
+    report = build_report(state, rank_threshold=args.rank_threshold)
     if args.format == "json":
         print(json.dumps(report.to_dict(include_modes=not args.no_modes), indent=2))
     else:
@@ -319,10 +315,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--format", choices=("table", "json"), default="table",
         help="output style: human-readable table or full-precision JSON",
-    )
-    sub.add_argument(
-        "--tolerance", type=float, default=1e-12, metavar="FLOAT",
-        help="eigensolver off-diagonal tolerance (default 1e-12)",
     )
     sub.add_argument(
         "--rank-threshold", type=float, default=1e-10, metavar="FLOAT",

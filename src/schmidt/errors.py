@@ -18,10 +18,11 @@ class ImpossibleOutcomeError(ValidationError):
 
 
 class ConvergenceError(SchmidtError):
-    """The eigensolver ran out of sweeps; ``residual`` is the largest
-    off-diagonal magnitude it was left with."""
+    """A numerical step failed: a LAPACK routine did not converge, or the
+    decomposition did not reproduce the state. ``residual`` is the
+    reconstruction residual in the second case and None in the first."""
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
 

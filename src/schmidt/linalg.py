@@ -1,15 +1,14 @@
 """Dense complex linear algebra for small Hermitian problems.
 
 Matrices are plain numpy arrays of complex128; scalars are ordinary Python or
-numpy complex numbers. The eigensolver is a cyclic Jacobi iteration
-specialised to Hermitian matrices: at the dimensions used here (tens, not
-thousands) it is simple, accurate to near machine precision, and yields
-naturally orthogonal eigenvectors even for clustered eigenvalues.
+numpy complex numbers. Eigensystems come from LAPACK through
+``np.linalg.eigh``; this module adds the package's conventions on top:
+descending eigenvalues, a deterministic phase for every eigenvector, input
+checks, and ``ConvergenceError`` in place of ``np.linalg.LinAlgError``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ from .errors import ConvergenceError, ShapeError, ValidationError
 
 # Inputs to hermitian_eigen may deviate from exact Hermiticity by at most this.
 HERMITICITY_ATOL = 1e-10
-MAX_SWEEPS = 100
 # Components at or below this magnitude are ignored when fixing eigenvector phases.
 PHASE_PIVOT = 1e-9
 
@@ -29,7 +27,8 @@ class EigenSystem:
 
     ``eigenvalues`` is sorted non-increasing; column ``s`` of ``eigenvectors``
     is the unit-norm eigenvector belonging to ``eigenvalues[s]``.  ``residual``
-    is the largest off-diagonal magnitude left when the iteration stopped.
+    is the largest off-diagonal magnitude of ``adj(V) H V``, measured on the
+    returned eigenvectors.
     """
 
     eigenvalues: np.ndarray
@@ -60,82 +59,31 @@ def mat_mul(a, b) -> np.ndarray:
     return a @ b
 
 
-def _max_offdiag(a: np.ndarray) -> float:
-    if a.shape[0] < 2:
-        return 0.0
-    return float(np.max(np.abs(a - np.diag(np.diag(a)))))
+def fix_phases(vecs: np.ndarray, partner: np.ndarray | None = None) -> None:
+    """Give each column of ``vecs`` its deterministic phase, in place.
 
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation: zero a[p, q] (and a[q, p]) by a unitary similarity.
-
-    The rotation is the real Jacobi angle for the 2x2 block combined with the
-    phase of a[p, q], so it stays unitary for complex Hermitian input.
+    Column ``s`` is multiplied by the unit phase that makes its first
+    component larger than PHASE_PIVOT in magnitude real and positive, which
+    makes non-degenerate vectors unique. Column ``s`` of ``partner`` (a
+    Schmidt mode paired with ``vecs[:, s]``) is multiplied by the same phase,
+    which leaves the product ``vecs[:, s] adj(partner[:, s])`` unchanged.
     """
-    apq = a[p, q]
-    r = abs(apq)
-    if r == 0.0:
-        return
-    diff = a[p, p].real - a[q, q].real
-    if abs(diff) * 1e-12 > r:
-        # Rotation angle is tiny; the exact formula would overflow in tau.
-        t = r / diff
-    else:
-        tau = diff / (2.0 * r)
-        # Smaller-magnitude root of t^2 + 2*tau*t - 1 = 0.
-        if tau >= 0.0:
-            t = 1.0 / (tau + math.hypot(tau, 1.0))
-        else:
-            t = 1.0 / (tau - math.hypot(tau, 1.0))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    # s * exp(-i*arg(apq)); component-wise float division stays finite even
-    # for denormal-scale entries, unlike complex division by r.
-    w = complex(s * (apq.real / r), -s * (apq.imag / r))
-
-    new_pp = a[p, p].real + t * r
-    new_qq = a[q, q].real - t * r
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + w * col_q
-    a[:, q] = -w.conjugate() * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + w.conjugate() * row_q
-    a[q, :] = -w * row_p + c * row_q
-
-    a[p, p] = new_pp
-    a[q, q] = new_qq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    vec_p = v[:, p].copy()
-    vec_q = v[:, q].copy()
-    v[:, p] = c * vec_p + w * vec_q
-    v[:, q] = -w.conjugate() * vec_p + c * vec_q
+    big = np.abs(vecs) > PHASE_PIVOT
+    found = big.any(axis=0)
+    pivots = vecs[big.argmax(axis=0), np.arange(vecs.shape[1])][found]
+    phases = np.ones(vecs.shape[1], dtype=complex)
+    phases[found] = pivots.conj() / np.abs(pivots)
+    vecs *= phases
+    if partner is not None:
+        partner *= phases
 
 
-def _fix_phases(vecs: np.ndarray) -> None:
-    # Rotate each column so its first component larger than PHASE_PIVOT in
-    # magnitude is real and positive; makes non-degenerate vectors unique.
-    for s in range(vecs.shape[1]):
-        big = np.flatnonzero(np.abs(vecs[:, s]) > PHASE_PIVOT)
-        if big.size:
-            pivot = vecs[big[0], s]
-            vecs[:, s] *= pivot.conjugate() / abs(pivot)
-
-
-def hermitian_eigen(h, tol: float | None = None, max_sweeps: int = MAX_SWEEPS) -> EigenSystem:
-    """Full eigensystem of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate every off-diagonal pair in turn until the largest
-    off-diagonal magnitude is at most ``tol`` (default ``1e-12 * max|h|``).
+def hermitian_eigen(h) -> EigenSystem:
+    """Full eigensystem of a Hermitian matrix, by LAPACK's ``np.linalg.eigh``.
 
     Raises ShapeError for non-square input, ValidationError when ``h``
     deviates from Hermiticity by more than ``HERMITICITY_ATOL``, and
-    ConvergenceError (carrying the residual) if ``max_sweeps`` sweeps
-    were not enough.
+    ConvergenceError if LAPACK does not converge.
     """
     a = _as_matrix(h)
     n, m = a.shape
@@ -149,30 +97,17 @@ def hermitian_eigen(h, tol: float | None = None, max_sweeps: int = MAX_SWEEPS) -
             f"matrix is not Hermitian: max |H - adj(H)| = {defect:.3e} "
             f"exceeds {HERMITICITY_ATOL:g}"
         )
-    if tol is None:
-        tol = 1e-12 * float(np.max(np.abs(a)))
 
-    a = (a + a.conj().T) / 2.0  # work on an exactly Hermitian copy
-    v = np.eye(n, dtype=complex)
-    residual = _max_offdiag(a)
-    sweeps = 0
-    while residual > tol:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"no convergence after {max_sweeps} sweeps, residual {residual:.3e}",
-                residual,
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _rotate(a, v, p, q)
-        sweeps += 1
-        residual = _max_offdiag(a)
-
-    values = np.diag(a).real.copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
-    _fix_phases(vectors)
+    a = (a + a.conj().T) / 2.0  # eigh reads one triangle; use both
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"np.linalg.eigh failed on the {n}x{n} matrix: {exc}") from exc
+    values = values[::-1].copy()
+    vectors = vectors[:, ::-1].copy()
+    fix_phases(vectors)
+    rotated = vectors.conj().T @ a @ vectors
+    residual = float(np.max(np.abs(rotated - np.diag(np.diag(rotated)))))
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, residual=residual)

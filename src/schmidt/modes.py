@@ -9,7 +9,10 @@ eigenvector of the other to give the single-sum Schmidt form
 
     |Psi> = sum_s sqrt(lambda_s) |F^s> (x) |Phi^s>.
 
-The state factorizes exactly when a single term survives.
+That form is the singular value decomposition C = U diag(s) adj(V): the
+Schmidt coefficients are the singular values, lambda_s = s_s^2, and the
+paired modes are the columns of U and V. The state factorizes exactly when a
+single term survives.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityMatrix
-from .errors import ShapeError, ValidationError
-from .linalg import adjoint, hermitian_eigen, mat_mul
+from .errors import ConvergenceError, ShapeError, ValidationError
+from .linalg import adjoint, fix_phases, mat_mul
+# Bound here so that perfbench/tracing.py can still wrap modes.hermitian_eigen.
+from .linalg import hermitian_eigen  # noqa: F401
 
 NORM_ATOL = 1e-9
 DEFAULT_RANK_THRESHOLD = 1e-10
@@ -92,11 +97,11 @@ class BipartitePureState:
 class SchmidtDecomposition:
     """Schmidt data of a two-party pure state.
 
-    ``lambdas`` holds every eigenvalue of the diagonalised (smaller) Gram
-    matrix in descending order; ``rank`` counts those above ``threshold``.
-    Column ``s`` of ``latin_modes`` / ``greek_modes`` is the paired mode
-    vector for ``lambdas[s]``; modes are only constructed for eigenvalues
-    above the threshold, where the 1/sqrt(lambda) pairing is well defined.
+    ``lambdas`` holds all min(latin_dim, greek_dim) squared singular values
+    of the amplitude matrix in descending order; ``rank`` counts those above
+    ``threshold``. Column ``s`` of ``latin_modes`` / ``greek_modes`` is the
+    paired mode vector for ``lambdas[s]``; modes are only kept for the
+    eigenvalues above the threshold.
     """
 
     lambdas: np.ndarray
@@ -129,34 +134,34 @@ def gram_greek(state: BipartitePureState) -> DensityMatrix:
 def schmidt_decompose(
     state: BipartitePureState,
     threshold: float = DEFAULT_RANK_THRESHOLD,
-    eigen_tol: float | None = None,
 ) -> SchmidtDecomposition:
-    """Diagonalise the smaller Gram matrix and pair up the Schmidt modes.
+    """Schmidt spectrum and paired modes from one SVD of the amplitude matrix.
 
-    The partner mode for each kept eigenvalue is adj(C) @ f / sqrt(lambda)
-    when the Latin side was diagonalised (C @ phi / sqrt(lambda) when the
-    Greek side was, ties going to Latin). Eigenvalues at or below
-    ``threshold`` keep their slot in ``lambdas`` but get no mode pair.
+    Eigenvalues at or below ``threshold`` keep their slot in ``lambdas`` but
+    get no mode pair. Each pair gets the phase that makes the first
+    significant component of the smaller side's mode (Latin on a tie) real
+    and positive. Raises ConvergenceError if LAPACK does not converge.
     """
     if threshold <= 0.0:
         raise ValidationError(f"rank threshold must be positive, got {threshold!r}")
     _require_normalized(state)
-    c = state.amplitudes
+    try:
+        # Thin factors: a full V of a 2 x 4096 state would hold 4096^2 entries.
+        u, s, vh = np.linalg.svd(state.amplitudes, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"np.linalg.svd failed on the {state.latin_dim}x{state.greek_dim} "
+            f"amplitude matrix: {exc}"
+        ) from exc
+    lambdas = s * s
+    rank = int(np.sum(lambdas > threshold))
+    latin_modes = u[:, :rank].copy()
+    greek_modes = vh[:rank].conj().T
     if state.latin_dim <= state.greek_dim:
-        eig = hermitian_eigen(mat_mul(c, adjoint(c)), tol=eigen_tol)
-        lambdas = eig.eigenvalues
-        rank = int(np.sum(lambdas > threshold))
-        scale = 1.0 / np.sqrt(lambdas[:rank])
-        latin_modes = eig.eigenvectors[:, :rank]
-        greek_modes = mat_mul(adjoint(c), latin_modes) * scale
+        fix_phases(latin_modes, greek_modes)
     else:
-        eig = hermitian_eigen(mat_mul(adjoint(c), c), tol=eigen_tol)
-        lambdas = eig.eigenvalues
-        rank = int(np.sum(lambdas > threshold))
-        scale = 1.0 / np.sqrt(lambdas[:rank])
-        greek_modes = eig.eigenvectors[:, :rank]
-        latin_modes = mat_mul(c, greek_modes) * scale
-    for array in (latin_modes, greek_modes):
+        fix_phases(greek_modes, latin_modes)
+    for array in (lambdas, latin_modes, greek_modes):
         array.setflags(write=False)
     return SchmidtDecomposition(
         lambdas=lambdas,

@@ -81,10 +81,16 @@ class TestAnalyze:
         assert code == 0
         assert "schmidt number K: 2" in out
 
-    def test_negative_tolerance_cannot_converge_exits_3(self, capsys):
-        code, _, err = run(capsys, "analyze", "--expr", PSI0, "--tolerance", "-1")
+    def test_lapack_failure_exits_3(self, capsys, monkeypatch):
+        def fail(a, full_matrices=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        code, out, err = run(capsys, "analyze", "--expr", PSI0)
         assert code == 3
-        assert "residual" in err
+        assert out == ""
+        assert "numerical error" in err
+        assert "np.linalg.svd" in err and "2x3" in err and "did not converge" in err
 
     def test_rank_threshold_flag_is_a_noise_floor(self, capsys):
         # a sane adjustment leaves the report unchanged

@@ -142,10 +142,21 @@ class TestHermitianEigen:
         with pytest.raises(ValidationError):
             hermitian_eigen(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-    def test_exhausted_sweeps_raise_with_residual(self):
-        with pytest.raises(ConvergenceError) as info:
-            hermitian_eigen(RHO_L0, max_sweeps=0)
-        assert info.value.residual == pytest.approx(5 / 12)
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match=r"eigh.*2x2.*did not converge") as info:
+            hermitian_eigen(RHO_L0)
+        assert info.value.residual is None
+
+    def test_residual_is_measured_offdiagonal(self):
+        eig = hermitian_eigen(RHO_G0)
+        rotated = eig.eigenvectors.conj().T @ RHO_G0 @ eig.eigenvectors
+        np.testing.assert_allclose(np.diag(rotated).real, eig.eigenvalues, atol=1e-15)
+        assert eig.residual == np.max(np.abs(rotated - np.diag(np.diag(rotated))))
+        assert eig.residual < 1e-15
 
     def test_zero_matrix(self):
         eig = hermitian_eigen(np.zeros((3, 3)))
