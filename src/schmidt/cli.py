@@ -38,18 +38,23 @@ EXIT_NUMERIC_ERROR = 3
 RESIDUAL_LIMIT = 1e-9
 
 
+def _complex_pairs(values) -> list:
+    """Complex entries of an array as nested lists of [re, im] float pairs."""
+    z = np.asarray(values, dtype=complex)
+    return np.stack((z.real, z.imag), axis=-1).tolist()
+
+
 def state_to_doc(state: BipartitePureState) -> dict:
     """Serialize a state to the schmidt-state-v1 schema.
 
     Amplitudes are stored at the original scale (``amplitudes * norm``) as
     [re, im] pairs, row-major over the Latin labels.
     """
-    scaled = np.asarray(state.amplitudes, dtype=complex) * state.norm
     return {
         "format": STATE_FORMAT,
         "latin_labels": list(state.latin_labels),
         "greek_labels": list(state.greek_labels),
-        "amplitudes": [[[z.real, z.imag] for z in row] for row in scaled],
+        "amplitudes": _complex_pairs(np.asarray(state.amplitudes) * state.norm),
     }
 
 
@@ -103,20 +108,15 @@ class AnalysisReport:
             "entangled": self.entangled,
         }
         if include_modes:
-            doc["latin_modes"] = [
-                {
-                    "eigenvalue": lam,
-                    "components": {label: [z.real, z.imag] for label, z in comps.items()},
-                }
-                for lam, comps in self.latin_modes
-            ]
-            doc["greek_modes"] = [
-                {
-                    "eigenvalue": lam,
-                    "components": {label: [z.real, z.imag] for label, z in comps.items()},
-                }
-                for lam, comps in self.greek_modes
-            ]
+            for key, modes in (("latin_modes", self.latin_modes),
+                               ("greek_modes", self.greek_modes)):
+                doc[key] = [
+                    {
+                        "eigenvalue": lam,
+                        "components": dict(zip(comps, _complex_pairs(list(comps.values())))),
+                    }
+                    for lam, comps in modes
+                ]
         doc["reconstruction_residual"] = self.reconstruction_residual
         doc["state"] = state_to_doc(self.state)
         return doc
@@ -213,10 +213,6 @@ def render_report(report: AnalysisReport, include_modes: bool = True) -> str:
     return "\n".join(lines)
 
 
-def _matrix_doc(m: np.ndarray) -> list:
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
 def _render_matrix(m: np.ndarray, indent: str = "  ") -> str:
     rows = []
     for row in np.asarray(m, dtype=complex):
@@ -235,10 +231,10 @@ def build_comparison() -> dict:
         prob, cond = conditional_state(rho, project_h, dims, labels=("H", "V"))
         out[name] = {
             "basis": list(rho.basis_labels),
-            "matrix": _matrix_doc(rho.matrix),
-            "reduced_A": _matrix_doc(partial_trace(rho, "A", dims, labels=("H", "V")).matrix),
-            "reduced_B": _matrix_doc(partial_trace(rho, "B", dims, labels=("H", "V")).matrix),
-            "conditional_on_H": {"probability": prob, "matrix": _matrix_doc(cond.matrix)},
+            "matrix": _complex_pairs(rho.matrix),
+            "reduced_A": _complex_pairs(partial_trace(rho, "A", dims, labels=("H", "V")).matrix),
+            "reduced_B": _complex_pairs(partial_trace(rho, "B", dims, labels=("H", "V")).matrix),
+            "conditional_on_H": {"probability": prob, "matrix": _complex_pairs(cond.matrix)},
         }
     return out
 

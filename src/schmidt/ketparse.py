@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import re
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,37 +38,49 @@ from .modes import BipartitePureState
 
 FORMAT_VERSION = "ket-v1"
 
+# One alternative per token kind, tried in this order; whitespace matches none
+# and is skipped by findall. The last alternative catches any other character
+# so that a lexical error keeps its place in the token list.
+_SYMBOLS = r"|><()+\-*/⊗"
 _TOKEN_RE = re.compile(
-    r"\s+"
-    r"|(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<sym>[|><()+\-*/⊗])"
+    rf"[{_SYMBOLS}]"
+    r"|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
+    r"|[A-Za-z][A-Za-z0-9_]*"
+    r"|\S"
 )
+# Characters that start a token; a token starting with anything else is a
+# lexical error.
+_TOKEN_START_RE = re.compile(rf"[{_SYMBOLS}\dA-Za-z]")
+_LETTERS = frozenset(string.ascii_letters)
+_END = ""  # sentinel after the last token; never equal to a real token
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number", "name", a single symbol, or "end"
-    text: str
-    pos: int  # 1-based character offset
+def _tokenize(text: str) -> list[str]:
+    """Token strings in text order, followed by the end sentinel.
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    index = 0
-    while index < len(text):
-        match = _TOKEN_RE.match(text, index)
-        if match is None:
-            raise ParseError(f"unexpected character {text[index]!r}", index + 1)
-        if match.lastgroup == "number":
-            tokens.append(_Token("number", match.group(), index + 1))
-        elif match.lastgroup == "name":
-            tokens.append(_Token("name", match.group(), index + 1))
-        elif match.lastgroup == "sym":
-            tokens.append(_Token(match.group(), match.group(), index + 1))
-        index = match.end()
-    tokens.append(_Token("end", "", len(text) + 1))
+    A token's kind follows from its first character: a decimal digit starts
+    a number, an ASCII letter a name, and a symbol stands for itself.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(_END)
     return tokens
+
+
+def _token_position(text: str, index: int) -> int:
+    """1-based character offset of token ``index``; past the last, len + 1."""
+    for count, match in enumerate(_TOKEN_RE.finditer(text)):
+        if count == index:
+            return match.start() + 1
+    return len(text) + 1
+
+
+class _SyntaxError(Exception):
+    """A rejected token, by index; parse_expression turns it into a ParseError."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.message = message
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -90,234 +103,245 @@ class KetExpression:
 
     def to_state(self, strict_norm: bool = False) -> BipartitePureState:
         """Distribute the tensor products into an amplitude matrix."""
-        latin: list[str] = []
-        greek: list[str] = []
+        latin: dict[str, int] = {}
+        greek: dict[str, int] = {}
         for term in self.terms:
             for _, label in term.latin:
-                if label not in latin:
-                    latin.append(label)
+                latin.setdefault(label, len(latin))
             for _, label in term.greek:
-                if label not in greek:
-                    greek.append(label)
-        overlap = set(latin) & set(greek)
+                greek.setdefault(label, len(greek))
+        overlap = latin.keys() & greek.keys()
         if overlap:
             raise ParseError(
                 f"label {sorted(overlap)[0]!r} appears on both sides of a tensor product", 1
             )
-        amps = np.zeros((len(latin), len(greek)), dtype=complex)
+        cols = len(greek)
+        # Summed as Python complex numbers in a row-major list: indexing a
+        # numpy matrix once per product would cost more than the product.
+        flat = [0j] * (len(latin) * cols)
         for term in self.terms:
             for lcoef, llabel in term.latin:
+                scaled = term.coefficient * lcoef
+                row = latin[llabel] * cols
                 for gcoef, glabel in term.greek:
-                    amps[latin.index(llabel), greek.index(glabel)] += (
-                        term.coefficient * lcoef * gcoef
-                    )
-        return BipartitePureState.from_amplitudes(latin, greek, amps, strict_norm)
+                    flat[row + greek[glabel]] += scaled * gcoef
+        amps = np.array(flat, dtype=complex).reshape(len(latin), cols)
+        return BipartitePureState.from_amplitudes(tuple(latin), tuple(greek), amps, strict_norm)
+
+
+def _found(token: str) -> str:
+    return repr(token) if token else "end of input"
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.index = 0
+    """Recursive descent over the token list.
+
+    Each method takes the index of its first token and returns its result
+    with the index just past what it consumed.
+    """
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
         self.latin_seen: set[str] = set()
         self.greek_seen: set[str] = set()
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
+    def expect(self, i: int, token: str, what: str) -> int:
+        if self.tokens[i] != token:
+            raise _SyntaxError(f"expected {what}, found {_found(self.tokens[i])}", i)
+        return i + 1
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        if tok.kind != "end":
-            self.index += 1
-        return tok
-
-    def accept(self, kind: str) -> _Token | None:
-        if self.peek().kind == kind:
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = repr(tok.text) if tok.kind != "end" else "end of input"
-            raise ParseError(f"expected {what}, found {found}", tok.pos)
-        return self.advance()
+    def number(self, i: int) -> float:
+        token = self.tokens[i]
+        if not token[:1].isdecimal():
+            raise _SyntaxError(f"expected a number, found {_found(token)}", i)
+        return float(token)
 
     # --- scalars ---------------------------------------------------------
 
-    def _number(self, what: str = "a number") -> float:
-        return float(self.expect("number", what).text)
+    def sqrt_call(self, i: int) -> tuple[float, int]:
+        # i is just past 'sqrt'
+        i = self.expect(i, "(", "'(' after sqrt")
+        value = self.number(i)
+        i = self.expect(i + 1, ")", "')' closing sqrt")
+        return math.sqrt(value), i
 
-    def _sqrt_call(self) -> float:
-        # 'sqrt' has already been consumed
-        self.expect("(", "'(' after sqrt")
-        value = self._number()
-        self.expect(")", "')' closing sqrt")
-        return math.sqrt(value)
-
-    def maybe_scalar(self) -> complex | None:
-        tok = self.peek()
-        if tok.kind == "number":
-            value = float(self.advance().text)
-            if self.accept("/"):
-                nxt = self.peek()
-                if nxt.kind == "number":
-                    divisor = self._number()
-                elif nxt.kind == "name" and nxt.text == "sqrt":
-                    self.advance()
-                    divisor = self._sqrt_call()
+    def coefficient(self, i: int) -> tuple[complex, int]:
+        """An optional scalar and the '*' after it; 1 when there is none."""
+        tokens = self.tokens
+        token = tokens[i]
+        real = None
+        if token[:1].isdecimal():
+            real = float(token)
+            i += 1
+            if tokens[i] == "/":
+                i += 1
+                divisor_at = i
+                if tokens[i][:1].isdecimal():
+                    divisor = float(tokens[i])
+                    i += 1
+                elif tokens[i] == "sqrt":
+                    divisor, i = self.sqrt_call(i + 1)
                 else:
-                    raise ParseError("expected a number or sqrt(...) after '/'", nxt.pos)
+                    raise _SyntaxError("expected a number or sqrt(...) after '/'", i)
                 if divisor == 0.0:
-                    raise ParseError("division by zero in a scalar", nxt.pos)
-                value /= divisor
-            if self.peek().kind == "name" and self.peek().text == "i":
-                self.advance()
-                return value * 1j
-            return complex(value)
-        if tok.kind == "name" and tok.text == "i":
-            self.advance()
-            return 1j
-        if tok.kind == "name" and tok.text == "sqrt":
-            self.advance()
-            value = self._sqrt_call()
-            if self.peek().kind == "name" and self.peek().text == "i":
-                self.advance()
-                return value * 1j
-            return complex(value)
-        if tok.kind == "(":
-            return self._maybe_paren_complex()
-        return None
+                    raise _SyntaxError("division by zero in a scalar", divisor_at)
+                real /= divisor
+        elif token == "sqrt":
+            real, i = self.sqrt_call(i + 1)
+        if real is not None:
+            if tokens[i] == "i":
+                value, i = real * 1j, i + 1
+            else:
+                value = complex(real)
+        elif token == "i":
+            value, i = 1j, i + 1
+        elif token == "(":
+            value, i = self.maybe_paren_complex(i)
+        else:
+            value = None
+        if value is None:
+            return 1 + 0j, i
+        if tokens[i] == "*":
+            i += 1
+        return value, i
 
-    def _maybe_paren_complex(self) -> complex | None:
-        # '(' real ('+'|'-') real? 'i' ')'  -- backtrack if it is not one.
-        saved = self.index
-        self.advance()  # '('
-        if self.peek().kind != "number":
-            self.index = saved
-            return None
-        real_part = float(self.advance().text)
-        sign_tok = self.peek()
-        if sign_tok.kind not in ("+", "-"):
-            self.index = saved
-            return None
-        self.advance()
-        sign = 1.0 if sign_tok.kind == "+" else -1.0
+    def maybe_paren_complex(self, i: int) -> tuple[complex | None, int]:
+        # '(' real ('+'|'-') real? 'i' ')'  -- (None, i) if it is not one.
+        tokens = self.tokens
+        j = i + 1
+        if not tokens[j][:1].isdecimal():
+            return None, i
+        real_part = float(tokens[j])
+        sign = tokens[j + 1]
+        if sign != "+" and sign != "-":
+            return None, i
+        j += 2
         imag_part = 1.0
-        if self.peek().kind == "number":
-            imag_part = float(self.advance().text)
-        if not (self.peek().kind == "name" and self.peek().text == "i"):
-            self.index = saved
-            return None
-        self.advance()
-        if self.peek().kind != ")":
-            self.index = saved
-            return None
-        self.advance()
-        return complex(real_part, sign * imag_part)
+        if tokens[j][:1].isdecimal():
+            imag_part = float(tokens[j])
+            j += 1
+        if tokens[j] != "i" or tokens[j + 1] != ")":
+            return None, i
+        return complex(real_part, imag_part if sign == "+" else -imag_part), j + 2
 
     # --- kets and factors ------------------------------------------------
 
-    def parse_ket(self) -> tuple[str, int]:
-        tok = self.expect("|", "'|' opening a ket")
-        label = self.expect("name", "a ket label").text
-        self.expect(">", "'>' closing the ket")
-        return label, tok.pos
+    def ket(self, i: int) -> tuple[str, int]:
+        tokens = self.tokens
+        if tokens[i] != "|":
+            raise _SyntaxError(f"expected '|' opening a ket, found {_found(tokens[i])}", i)
+        label = tokens[i + 1]
+        if label[:1] not in _LETTERS:
+            raise _SyntaxError(f"expected a ket label, found {_found(label)}", i + 1)
+        if tokens[i + 2] != ">":
+            raise _SyntaxError(
+                f"expected '>' closing the ket, found {_found(tokens[i + 2])}", i + 2
+            )
+        return label, i + 3
 
-    def parse_sterm(self, negate: bool) -> tuple[complex, str, int]:
-        coef = self.maybe_scalar()
-        if coef is not None:
-            self.accept("*")
-        else:
-            coef = 1 + 0j
-        label, pos = self.parse_ket()
-        return (-coef if negate else coef), label, pos
+    def factor(self, i: int) -> tuple[list[tuple[complex, str]], list[int], int]:
+        """Items (coefficient, label) of a ket or a parenthesized combination,
+        the token index of each item's ket, and the index after the factor."""
+        tokens = self.tokens
+        if tokens[i] == "|":
+            label, end = self.ket(i)
+            return [(1 + 0j, label)], [i], end
+        if tokens[i] != "(":
+            raise _SyntaxError(f"expected a ket or '(', found {_found(tokens[i])}", i)
+        i += 1
+        negate = tokens[i] == "-"
+        if negate:
+            i += 1
+        items, starts = [], []
+        while True:
+            coef, i = self.coefficient(i)
+            starts.append(i)
+            label, i = self.ket(i)
+            items.append((-coef if negate else coef, label))
+            sign = tokens[i]
+            if sign != "+" and sign != "-":
+                break
+            negate = sign == "-"
+            i += 1
+        return items, starts, self.expect(i, ")", "')' closing the combination")
 
-    def parse_linear(self) -> list[tuple[complex, str, int]]:
-        items = [self.parse_sterm(negate=self.accept("-") is not None)]
-        while self.peek().kind in ("+", "-"):
-            sign = self.advance().kind
-            items.append(self.parse_sterm(negate=sign == "-"))
-        return items
-
-    def parse_factor(self) -> list[tuple[complex, str, int]]:
-        tok = self.peek()
-        if tok.kind == "|":
-            label, pos = self.parse_ket()
-            return [(1 + 0j, label, pos)]
-        if tok.kind == "(":
-            self.advance()
-            items = self.parse_linear()
-            self.expect(")", "')' closing the combination")
-            return items
-        found = repr(tok.text) if tok.kind != "end" else "end of input"
-        raise ParseError(f"expected a ket or '(', found {found}", tok.pos)
-
-    def accept_tensor(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "⊗":
-            self.advance()
-            return True
-        if tok.kind == "name" and tok.text == "x":
-            self.advance()
-            return True
-        if (
-            tok.kind == "("
-            and self.peek(1).kind == "name"
-            and self.peek(1).text == "x"
-            and self.peek(2).kind == ")"
-        ):
-            self.index += 3
-            return True
-        return False
+    def accept_tensor(self, i: int) -> int:
+        """Index after a tensor operator at ``i``, or -1 if there is none."""
+        tokens = self.tokens
+        token = tokens[i]
+        if token == "⊗" or token == "x":
+            return i + 1
+        if token == "(" and tokens[i + 1] == "x" and tokens[i + 2] == ")":
+            return i + 3
+        return -1
 
     # --- terms and the whole state ----------------------------------------
 
-    def parse_term(self, negate: bool) -> KetTerm:
-        coef = self.maybe_scalar()
-        if coef is not None:
-            self.accept("*")
-        else:
-            coef = 1 + 0j
-        latin = self.parse_factor()
-        if not self.accept_tensor():
-            tok = self.peek()
-            found = repr(tok.text) if tok.kind != "end" else "end of input"
-            raise ParseError(f"expected a tensor operator '(x)', found {found}", tok.pos)
-        greek = self.parse_factor()
-        for _, label, pos in latin:
-            if label in self.greek_seen:
-                raise ParseError(
-                    f"label {label!r} appears on both sides of the tensor product", pos
-                )
-            self.latin_seen.add(label)
-        for _, label, pos in greek:
-            if label in self.latin_seen:
-                raise ParseError(
-                    f"label {label!r} appears on both sides of the tensor product", pos
-                )
-            self.greek_seen.add(label)
-        return KetTerm(
-            coefficient=-coef if negate else coef,
-            latin=tuple((c, l) for c, l, _ in latin),
-            greek=tuple((c, l) for c, l, _ in greek),
-        )
+    def check_sides(self, labels, starts, other_seen: set[str], seen: set[str]) -> None:
+        if not other_seen.isdisjoint(labels):
+            for label, start in zip(labels, starts):
+                if label in other_seen:
+                    raise _SyntaxError(
+                        f"label {label!r} appears on both sides of the tensor product",
+                        start,
+                    )
+        seen.update(labels)
 
-    def parse_state_expr(self) -> KetExpression:
-        terms = [self.parse_term(negate=self.accept("-") is not None)]
-        while self.peek().kind in ("+", "-"):
-            sign = self.advance().kind
-            terms.append(self.parse_term(negate=sign == "-"))
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    def term(self, i: int, negate: bool) -> tuple[KetTerm, int]:
+        coef, i = self.coefficient(i)
+        latin, latin_starts, i = self.factor(i)
+        after = self.accept_tensor(i)
+        if after < 0:
+            raise _SyntaxError(
+                f"expected a tensor operator '(x)', found {_found(self.tokens[i])}", i
+            )
+        greek, greek_starts, i = self.factor(after)
+        self.check_sides([l for _, l in latin], latin_starts, self.greek_seen, self.latin_seen)
+        self.check_sides([l for _, l in greek], greek_starts, self.latin_seen, self.greek_seen)
+        term = KetTerm(-coef if negate else coef, tuple(latin), tuple(greek))
+        return term, i
+
+    def state(self) -> KetExpression:
+        tokens = self.tokens
+        i = 0
+        negate = tokens[0] == "-"
+        if negate:
+            i = 1
+        terms = []
+        while True:
+            term, i = self.term(i, negate)
+            terms.append(term)
+            sign = tokens[i]
+            if sign != "+" and sign != "-":
+                break
+            negate = sign == "-"
+            i += 1
+        if tokens[i] != _END:
+            raise _SyntaxError(f"unexpected trailing input {tokens[i]!r}", i)
         return KetExpression(tuple(terms))
 
 
 def parse_expression(text: str) -> KetExpression:
-    """Parse ket-v1 text into its syntax tree without building the state."""
+    """Parse ket-v1 text into its syntax tree without building the state.
+
+    Cost is linear in the length of the text. A character outside the
+    grammar is reported ahead of any syntax error, wherever it appears.
+    """
     if not text.strip():
         raise ParseError("empty expression", 1)
-    return _Parser(text).parse_state_expr()
+    tokens = _tokenize(text)
+    try:
+        return _Parser(tokens).state()
+    except _SyntaxError as exc:
+        # A stray character can never be consumed, so any lexical error
+        # surfaces here as some syntax error; report the first one instead.
+        for index, token in enumerate(tokens[:-1]):
+            if not _TOKEN_START_RE.match(token):
+                message, failed_at = f"unexpected character {token!r}", index
+                break
+        else:
+            message, failed_at = exc.message, exc.index
+        raise ParseError(message, _token_position(text, failed_at)) from None
 
 
 def parse_state(text: str, strict_norm: bool = False) -> BipartitePureState:

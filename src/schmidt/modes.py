@@ -17,6 +17,7 @@ single term survives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,17 +73,41 @@ class BipartitePureState:
         """Build a state from raw coefficients, rescaling them to unit norm.
 
         With ``strict_norm`` the coefficients must already be normalized to
-        within 1e-9; otherwise the norm is simply recorded.
+        within 1e-9; otherwise the norm is simply recorded. Raises
+        ValidationError for a non-finite coefficient, naming its entry.
         """
+        latin_labels, greek_labels = tuple(latin_labels), tuple(greek_labels)
         amps = np.asarray(amplitudes, dtype=complex)
-        norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
+        finite = np.isfinite(amps)
+        if not finite.all():
+            where = tuple(int(k) for k in np.argwhere(~finite)[0])
+            entry = f"amplitude {where}"
+            if amps.shape == (len(latin_labels), len(greek_labels)):
+                entry += f" of |{latin_labels[where[0]]}>(x)|{greek_labels[where[1]]}>"
+            raise ValidationError(f"{entry} is not finite: {complex(amps[where])!r}")
+        peak = max(float(np.max(np.abs(amps.real), initial=0.0)),
+                   float(np.max(np.abs(amps.imag), initial=0.0)))
+        if peak == 0.0:
             raise ValidationError("cannot build a state from all-zero amplitudes")
+        # Scale by the power of two just below the largest |re| or |im| before
+        # taking the norm, so that squares of tiny or huge coefficients neither
+        # underflow nor overflow. ldexp scales exactly, so for coefficients
+        # that need no scaling every bit of the result is unchanged.
+        exponent = math.frexp(peak)[1] - 1
+        scaled = np.empty_like(amps)
+        scaled.real = np.ldexp(amps.real, -exponent)
+        scaled.imag = np.ldexp(amps.imag, -exponent)
+        scaled_norm = float(np.linalg.norm(scaled))
+        norm = scaled_norm * 2.0**exponent
+        if math.isinf(norm):
+            raise ValidationError(
+                f"amplitude norm {scaled_norm!r} * 2**{exponent} exceeds the float range"
+            )
         if strict_norm and abs(norm - 1.0) > NORM_ATOL:
             raise ValidationError(
                 f"strict normalization requested but the amplitude norm is {norm!r}"
             )
-        return cls(tuple(latin_labels), tuple(greek_labels), amps / norm, norm)
+        return cls(latin_labels, greek_labels, scaled / scaled_norm, norm)
 
     @property
     def latin_dim(self) -> int:

@@ -72,6 +72,17 @@ class TestAnalyze:
         assert out == ""
         assert "position" in err
 
+    def test_overflowing_coefficient_exits_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--expr", "1e999|a>(x)|b>")
+        assert code == 2
+        assert out == ""
+        assert "of |a>(x)|b> is not finite" in err
+
+    def test_tiny_coefficients_are_a_bell_state(self, capsys):
+        doc = run_json(capsys, "analyze", "--expr", "1e-200|a>(x)|b> + 1e-200|c>(x)|d>")
+        assert doc["schmidt_number"] == pytest.approx(2.0, abs=1e-12)
+        assert doc["normalization"] == pytest.approx(np.sqrt(2) * 1e-200, rel=1e-15)
+
     def test_strict_norm_rejects_scaled_expression(self, capsys):
         code, _, err = run(capsys, "analyze", "--expr", PSI0, "--strict-norm")
         assert code == 2
@@ -170,6 +181,16 @@ class TestFileInput:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "analyze", "--file", str(path))
         assert code == 2
+
+    def test_nan_amplitude_rejected(self, capsys, tmp_path):
+        # json.load accepts the bare NaN literal
+        path = tmp_path / "nan.json"
+        path.write_text('{"format": "schmidt-state-v1", "latin_labels": ["a", "b"], '
+                        '"greek_labels": ["c"], "amplitudes": [[[1, 0]], [[NaN, 0]]]}')
+        code, out, err = run(capsys, "analyze", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "(1, 0) of |b>(x)|c> is not finite: (nan+0j)" in err
 
     def test_invalid_json_rejected(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schmidt.catalog import EXPRESSIONS
@@ -107,6 +109,32 @@ class TestParseErrors:
         assert "@" in str(info.value)
         assert info.value.position == 10
 
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("|a>(x)", "expected a ket or '(', found end of input", 7),
+            ("|a>(x)|b> +", "expected a ket or '(', found end of input", 12),
+            ("2/|a>(x)|b>", "expected a number or sqrt(...) after '/'", 3),
+            ("sqrt 2|a>(x)|b>", "expected '(' after sqrt, found '2'", 6),
+            ("sqrt(2|a>(x)|b>", "expected ')' closing sqrt, found '|'", 7),
+            ("|a>(x)|1b>", "expected a ket label, found '1'", 8),
+            ("|a(x)|b>", "expected '>' closing the ket, found '('", 3),
+            ("(|a> + |b>(x)|c>", "expected ')' closing the combination, found '('", 11),
+            ("|a> |b>", "expected a tensor operator '(x)', found '|'", 5),
+            ("1/sqrt(0)|a>(x)|b>", "division by zero in a scalar", 3),
+            ("(|a> + |b>)(x)(|c> + |a>)",
+             "label 'a' appears on both sides of the tensor product", 22),
+            ("|a>(x)|b>)", "unexpected trailing input ')'", 10),
+            ("|a>(x)|b> + (1+2i|c>(x)|d>", "expected '|' opening a ket, found '+'", 15),
+            ("sq@rt(2)|a>(x)|b>", "unexpected character '@'", 3),
+        ],
+    )
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as info:
+            parse_state(text)
+        assert str(info.value) == f"{message} (position {position})"
+        assert info.value.position == position
+
     def test_unclosed_ket(self):
         with pytest.raises(ParseError) as info:
             parse_state("|a(x)|alpha>")
@@ -194,6 +222,25 @@ class TestFormat:
             assert np.max(np.abs(again.amplitudes - state.amplitudes)) < 1e-12
 
 
+    @pytest.mark.parametrize("rows,cols", [(2, 2048), (4, 256), (24, 25), (300, 2)])
+    def test_wide_states_round_trip_with_random_whitespace(self, rows, cols):
+        rng = np.random.default_rng(rows * cols)
+        amps = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        state = BipartitePureState.from_amplitudes(
+            tuple(f"m{i}" for i in range(rows)), tuple(f"s{j}" for j in range(cols)), amps
+        )
+        text = format_state(state)
+        # Split on ket-v1 token boundaries and rejoin with random whitespace.
+        pieces = re.findall(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|[A-Za-z][A-Za-z0-9_]*|\S", text)
+        gaps = rng.choice(["", " ", "  ", "\t", "\n"], size=len(pieces))
+        spaced = "".join(piece + gap for piece, gap in zip(pieces, gaps))
+        again = parse_state(spaced)
+        assert again.latin_labels == state.latin_labels
+        assert again.greek_labels == state.greek_labels
+        assert np.max(np.abs(again.amplitudes - state.amplitudes)) < 1e-12
+        assert np.array_equal(again.amplitudes, parse_state(text).amplitudes)
+
+
 class TestExpressionTree:
     def test_terms_carry_tensor_structure(self):
         expr = parse_expression("2(|a> + 3|b>)(x)|alpha>")
@@ -231,3 +278,29 @@ def test_random_spacing_never_changes_the_parse(seed):
     spaced = "".join(t + " " * rng.integers(0, 3) for t in tokens)
     state = parse_state(spaced)
     np.testing.assert_allclose(raw(state), [[2, 1], [1, -2]], atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["@", ".", "_", "é", "$", "\x00"]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_stray_character_is_reported_where_it_was_inserted(rows, cols, seed, char, where):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(rows, cols)) + 1j * rng.integers(-2, 3, size=(rows, cols))
+    state = BipartitePureState.from_amplitudes(
+        tuple(f"a{i}" for i in range(rows)), tuple(f"b{j}" for j in range(cols)), amps
+    )
+    text = format_state(state)
+    offset = round(where * len(text))
+    before = text[offset - 1] if offset else " "
+    # '.' continues a number and '_' a name; anywhere else they are stray.
+    assume(not (char == "." and before.isdigit()))
+    assume(not (char == "_" and (before.isalnum() or before == "_")))
+    with pytest.raises(ParseError) as info:
+        parse_state(text[:offset] + char + text[offset:])
+    assert info.value.position == offset + 1
+    assert f"unexpected character {char!r}" in str(info.value)

@@ -87,6 +87,31 @@ class TestBipartitePureState:
         with pytest.raises(ValueError):
             state.amplitudes[0, 0] = 5.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_amplitude_rejected_by_entry(self, bad):
+        with pytest.raises(ValidationError, match=r"\(1, 2\) of \|b>\(x\)\|gamma> is not finite"):
+            BipartitePureState.from_amplitudes(LATIN, GREEK, [[1, 0, 0], [0, 1, bad]])
+
+    @pytest.mark.parametrize("scale", [1e-200, 5e-324, 1e300])
+    def test_tiny_and_huge_amplitudes_are_a_valid_state(self, scale):
+        state = BipartitePureState.from_amplitudes(LATIN, ("alpha", "beta"),
+                                                   [[scale, 0], [0, scale]])
+        np.testing.assert_allclose(state.amplitudes, np.eye(2) / np.sqrt(2), atol=1e-15)
+        assert state.norm == pytest.approx(scale * np.sqrt(2), rel=1e-15)
+        assert schmidt_number(schmidt_decompose(state)) == pytest.approx(2.0, abs=1e-12)
+
+    def test_norm_beyond_the_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="exceeds the float range"):
+            BipartitePureState.from_amplitudes(("a", "b"), ("c",), [[1.5e308], [1.5e308]])
+
+    def test_scaling_changes_no_bit_of_an_ordinary_state(self):
+        rng = np.random.default_rng(7)
+        amps = (rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))) * 3.7
+        state = BipartitePureState.from_amplitudes(("a", "b", "c"), GREEK + ("d", "e"), amps)
+        norm = float(np.linalg.norm(amps))
+        assert state.norm == norm
+        assert np.array_equal(state.amplitudes, amps / norm)
+
 
 class TestGramMatrices:
     def test_latin_gram_of_demo_state(self):
