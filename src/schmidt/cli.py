@@ -19,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .density import conditional_state, partial_trace, pure_density
-from .errors import ConvergenceError, ParseError, SchmidtError, ValidationError
-from .ketparse import FORMAT_VERSION, format_state, parse_state
+from .density import NORM_ATOL, conditional_state, partial_trace, pure_density
+from .errors import ConvergenceError, SchmidtError, ValidationError
+from .ketparse import FORMAT_VERSION, format_state, join_signed, parse_state
 from .modes import (
+    DEFAULT_RANK_THRESHOLD,
     BipartitePureState,
+    SchmidtDecomposition,
     entanglement_entropy,
     is_entangled,
     reconstruct,
@@ -38,9 +40,8 @@ EXIT_NUMERIC_ERROR = 3
 RESIDUAL_LIMIT = 1e-9
 
 
-def _complex_pairs(values) -> list:
-    """Complex entries of an array as nested lists of [re, im] float pairs."""
-    z = np.asarray(values, dtype=complex)
+def _complex_pairs(z: np.ndarray) -> list:
+    """Entries of a complex array as nested lists of [re, im] float pairs."""
     return np.stack((z.real, z.imag), axis=-1).tolist()
 
 
@@ -58,6 +59,23 @@ def state_to_doc(state: BipartitePureState) -> dict:
     }
 
 
+def _amplitude_rows(rows) -> list[list[complex]]:
+    """Rows of [re, im] pairs as rows of complex numbers. An entry that is not
+    exactly two numbers raises ValueError naming its row and column."""
+    try:
+        return [[complex(re, im) for re, im in row] for row in rows]
+    except (TypeError, ValueError):
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                try:
+                    re, im = entry
+                    complex(re, im)
+                except (TypeError, ValueError):
+                    raise ValueError(f"amplitude entry at row {i}, column {j} is not "
+                                     f"an [re, im] pair of numbers: {entry!r}") from None
+        raise
+
+
 def state_from_doc(doc, strict_norm: bool = False) -> BipartitePureState:
     """Rebuild a state from a schmidt-state-v1 document (or a report holding one)."""
     if isinstance(doc, dict) and doc.get("format") != STATE_FORMAT:
@@ -69,38 +87,35 @@ def state_from_doc(doc, strict_norm: bool = False) -> BipartitePureState:
     try:
         latin = [str(l) for l in doc["latin_labels"]]
         greek = [str(g) for g in doc["greek_labels"]]
-        rows = doc["amplitudes"]
-        amps = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
+        amps = np.array(_amplitude_rows(doc["amplitudes"]), dtype=complex)
         if amps.ndim != 2:
             raise ValueError("amplitudes must be a rectangular matrix")
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {STATE_FORMAT} document: {exc}") from exc
     return BipartitePureState.from_amplitudes(latin, greek, amps, strict_norm)
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the CLI prints about one state."""
+    """Everything the CLI prints about one state, modes as the decomposition's columns."""
 
     expression: str
-    normalization: float
     lambdas: tuple[float, ...]
     schmidt_number: float
     entropy: float
-    rank: int
     entangled: bool
-    latin_modes: tuple[tuple[float, dict[str, complex]], ...]
-    greek_modes: tuple[tuple[float, dict[str, complex]], ...]
     reconstruction_residual: float
     state: BipartitePureState
+    decomposition: SchmidtDecomposition
+
+    @property
+    def rank(self) -> int:
+        return self.decomposition.rank
 
     def to_dict(self, include_modes: bool = True) -> dict:
         doc = {
             "input": {"format": FORMAT_VERSION, "expression": self.expression},
-            "normalization": self.normalization,
+            "normalization": self.state.norm,
             "lambdas": list(self.lambdas),
             "schmidt_number": self.schmidt_number,
             "entropy": self.entropy,
@@ -108,21 +123,20 @@ class AnalysisReport:
             "entangled": self.entangled,
         }
         if include_modes:
-            for key, modes in (("latin_modes", self.latin_modes),
-                               ("greek_modes", self.greek_modes)):
+            d = self.decomposition
+            for key, labels, modes in (("latin_modes", self.state.latin_labels, d.latin_modes),
+                                       ("greek_modes", self.state.greek_labels, d.greek_modes)):
                 doc[key] = [
-                    {
-                        "eigenvalue": lam,
-                        "components": dict(zip(comps, _complex_pairs(list(comps.values())))),
-                    }
-                    for lam, comps in modes
+                    {"eigenvalue": lam, "components": dict(zip(labels, column))}
+                    for lam, column in zip(d.lambdas.tolist(), _complex_pairs(modes.T))
                 ]
         doc["reconstruction_residual"] = self.reconstruction_residual
         doc["state"] = state_to_doc(self.state)
         return doc
 
 
-def build_report(state: BipartitePureState, rank_threshold: float = 1e-10) -> AnalysisReport:
+def build_report(state: BipartitePureState,
+                 rank_threshold: float = DEFAULT_RANK_THRESHOLD) -> AnalysisReport:
     """Run the full analysis for one state.
 
     The eigenvalue list is padded with zeros up to the larger subsystem
@@ -136,34 +150,17 @@ def build_report(state: BipartitePureState, rank_threshold: float = 1e-10) -> An
         raise ConvergenceError(
             f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}", residual
         )
-    padded = list(float(l) for l in decomposition.lambdas)
+    padded = decomposition.lambdas.tolist()
     padded += [0.0] * (max(state.latin_dim, state.greek_dim) - len(padded))
-    modes_latin = tuple(
-        (
-            float(decomposition.lambdas[s]),
-            dict(zip(state.latin_labels, decomposition.latin_modes[:, s])),
-        )
-        for s in range(decomposition.rank)
-    )
-    modes_greek = tuple(
-        (
-            float(decomposition.lambdas[s]),
-            dict(zip(state.greek_labels, decomposition.greek_modes[:, s])),
-        )
-        for s in range(decomposition.rank)
-    )
     return AnalysisReport(
         expression=format_state(state),
-        normalization=state.norm,
         lambdas=tuple(padded),
         schmidt_number=schmidt_number(decomposition),
         entropy=entanglement_entropy(decomposition),
-        rank=decomposition.rank,
         entangled=is_entangled(decomposition),
-        latin_modes=modes_latin,
-        greek_modes=modes_greek,
         reconstruction_residual=residual,
         state=state,
+        decomposition=decomposition,
     )
 
 
@@ -180,22 +177,18 @@ def _fmt_complex(z: complex, digits: int = 6) -> str:
     return f"({_fmt(z.real, digits)}{sign}{_fmt(abs(z.imag), digits)}i)"
 
 
-def _mode_line(components: dict[str, complex]) -> str:
-    parts = []
-    for label, z in components.items():
+def _mode_line(labels: tuple[str, ...], mode: np.ndarray) -> str:
+    pieces = []
+    for label, z in zip(labels, mode.tolist()):
         negative = z.real < 0.0 or (z.real == 0.0 and z.imag < 0.0)
-        text = f"{_fmt_complex(-z if negative else z)}|{label}>"
-        if not parts:
-            parts.append(("-" if negative else "") + text)
-        else:
-            parts.append((" - " if negative else " + ") + text)
-    return "".join(parts)
+        pieces.append((negative, f"{_fmt_complex(-z if negative else z)}|{label}>"))
+    return join_signed(pieces)
 
 
 def render_report(report: AnalysisReport, include_modes: bool = True) -> str:
     lines = [
         f"input ({FORMAT_VERSION}): {report.expression}",
-        f"normalization: {_fmt(report.normalization)}",
+        f"normalization: {_fmt(report.state.norm)}",
         "eigenvalues: " + ", ".join(_fmt(l) for l in report.lambdas),
         f"schmidt number K: {_fmt(report.schmidt_number)}",
         f"entanglement entropy: {_fmt(report.entropy)} bits",
@@ -203,25 +196,26 @@ def render_report(report: AnalysisReport, include_modes: bool = True) -> str:
         f"entangled: {'yes' if report.entangled else 'no'}",
     ]
     if include_modes:
-        for index, ((lam, latin), (_, greek)) in enumerate(
-            zip(report.latin_modes, report.greek_modes), start=1
+        state, d = report.state, report.decomposition
+        for index, (lam, latin, greek) in enumerate(
+            zip(d.lambdas, d.latin_modes.T, d.greek_modes.T), start=1
         ):
             lines.append(f"mode {index} (eigenvalue {_fmt(lam)}):")
-            lines.append(f"  A: {_mode_line(latin)}")
-            lines.append(f"  B: {_mode_line(greek)}")
+            lines.append(f"  A: {_mode_line(state.latin_labels, latin)}")
+            lines.append(f"  B: {_mode_line(state.greek_labels, greek)}")
     lines.append(f"reconstruction residual: {report.reconstruction_residual:.3e}")
     return "\n".join(lines)
 
 
 def _render_matrix(m: np.ndarray, indent: str = "  ") -> str:
-    rows = []
-    for row in np.asarray(m, dtype=complex):
-        rows.append(indent + "  ".join(f"{_fmt_complex(z):>8}" for z in row))
-    return "\n".join(rows)
+    return "\n".join(indent + "  ".join(f"{_fmt_complex(z):>8}" for z in row) for row in m)
 
 
 def build_comparison() -> dict:
-    """Classical mixture versus Bell state: same marginals, different coherences."""
+    """Classical mixture versus Bell state: same marginals, different coherences.
+
+    Matrices stay arrays; the JSON output writes them with ``_complex_pairs``.
+    """
     rho_cl = catalog.opposite_polarization_mixture()
     rho_qm = pure_density(catalog.bell_state("psi_plus"))
     dims = (2, 2)
@@ -231,33 +225,28 @@ def build_comparison() -> dict:
         prob, cond = conditional_state(rho, project_h, dims, labels=("H", "V"))
         out[name] = {
             "basis": list(rho.basis_labels),
-            "matrix": _complex_pairs(rho.matrix),
-            "reduced_A": _complex_pairs(partial_trace(rho, "A", dims, labels=("H", "V")).matrix),
-            "reduced_B": _complex_pairs(partial_trace(rho, "B", dims, labels=("H", "V")).matrix),
-            "conditional_on_H": {"probability": prob, "matrix": _complex_pairs(cond.matrix)},
+            "matrix": rho.matrix,
+            "reduced_A": partial_trace(rho, "A", dims, labels=("H", "V")).matrix,
+            "reduced_B": partial_trace(rho, "B", dims, labels=("H", "V")).matrix,
+            "conditional_on_H": {"probability": prob, "matrix": cond.matrix},
         }
     return out
 
 
 def render_comparison(doc: dict) -> str:
-    def matrix_of(entry):
-        return np.array([[complex(re, im) for re, im in row] for row in entry])
-
     lines = []
     titles = {"classical": "classical mixture rho_CL", "quantum": "Bell state rho_QM"}
     for name in ("classical", "quantum"):
         entry = doc[name]
-        lines.append(f"{titles[name]} (basis {', '.join(entry['basis'])}):")
-        lines.append(_render_matrix(matrix_of(entry["matrix"])))
-        lines.append("reduced on A:")
-        lines.append(_render_matrix(matrix_of(entry["reduced_A"])))
-        lines.append("reduced on B:")
-        lines.append(_render_matrix(matrix_of(entry["reduced_B"])))
         cond = entry["conditional_on_H"]
-        lines.append(
-            f"B conditioned on measuring A in |H> (probability {_fmt(cond['probability'])}):"
-        )
-        lines.append(_render_matrix(matrix_of(cond["matrix"])))
+        for title, matrix in (
+            (f"{titles[name]} (basis {', '.join(entry['basis'])}):", entry["matrix"]),
+            ("reduced on A:", entry["reduced_A"]),
+            ("reduced on B:", entry["reduced_B"]),
+            (f"B conditioned on measuring A in |H> (probability {_fmt(cond['probability'])}):",
+             cond["matrix"]),
+        ):
+            lines += [title, _render_matrix(matrix)]
         lines.append("")
     lines.append(
         "The reduced matrices and conditional outcomes agree; only the Bell state"
@@ -301,7 +290,7 @@ def _cmd_examples(args) -> int:
         return 0
     doc = build_comparison()
     if args.format == "json":
-        print(json.dumps({"comparison": doc}, indent=2))
+        print(json.dumps({"comparison": doc}, indent=2, default=_complex_pairs))
     else:
         print(render_comparison(doc))
     return 0
@@ -313,16 +302,15 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
         help="output style: human-readable table or full-precision JSON",
     )
     sub.add_argument(
-        "--rank-threshold", type=float, default=1e-10, metavar="FLOAT",
-        help="eigenvalues above this count toward the rank (default 1e-10)",
+        "--rank-threshold", type=float, default=DEFAULT_RANK_THRESHOLD, metavar="FLOAT",
+        help="eigenvalues above this count toward the rank (default %(default)g)",
     )
     sub.add_argument(
         "--strict-norm", action="store_true",
-        help="reject input whose amplitude norm differs from 1 by more than 1e-9",
+        help="reject input whose amplitude norm differs from 1 by more than "
+        + np.format_float_scientific(NORM_ATOL, trim="-", exp_digits=1),
     )
-    sub.add_argument(
-        "--no-modes", action="store_true", help="suppress eigenvector output"
-    )
+    sub.add_argument("--no-modes", action="store_true", help="suppress eigenvector output")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -357,7 +345,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
-    except (ParseError, SchmidtError) as exc:
+    except SchmidtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

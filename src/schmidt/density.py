@@ -14,12 +14,13 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, ShapeError, ValidationError
+from .linalg import HERMITICITY_ATOL
 
 if TYPE_CHECKING:  # pragma: no cover
     from .modes import BipartitePureState
 
-HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
+# States and projection vectors must have unit norm to within this.
 NORM_ATOL = 1e-9
 # Below this, a measurement outcome counts as impossible and cannot be
 # conditioned on.
@@ -74,13 +75,17 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def pure_density(state: BipartitePureState) -> DensityMatrix:
-    """Projector |Psi><Psi| of a normalized two-party pure state."""
-    amps = np.asarray(state.amplitudes, dtype=complex)
-    total = float(np.sum(np.abs(amps) ** 2))
+def require_normalized(state: BipartitePureState) -> None:
+    """Raise ValidationError unless sum |C|^2 is within NORM_ATOL of 1."""
+    total = float(np.sum(np.abs(np.asarray(state.amplitudes)) ** 2))
     if abs(total - 1.0) > NORM_ATOL:
         raise ValidationError(f"state is not normalized: sum |C|^2 = {total:.6g}")
-    vec = amps.reshape(-1)
+
+
+def pure_density(state: BipartitePureState) -> DensityMatrix:
+    """Projector |Psi><Psi| of a normalized two-party pure state."""
+    require_normalized(state)
+    vec = np.asarray(state.amplitudes, dtype=complex).reshape(-1)
     return DensityMatrix(
         np.outer(vec, vec.conj()),
         product_labels(state.latin_labels, state.greek_labels),

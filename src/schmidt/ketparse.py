@@ -133,6 +133,10 @@ def _found(token: str) -> str:
     return repr(token) if token else "end of input"
 
 
+def _overflow(text: str, index: int) -> _SyntaxError:
+    return _SyntaxError(f"scalar {text!r} overflows the float range", index)
+
+
 class _Parser:
     """Recursive descent over the token list.
 
@@ -154,7 +158,10 @@ class _Parser:
         token = self.tokens[i]
         if not token[:1].isdecimal():
             raise _SyntaxError(f"expected a number, found {_found(token)}", i)
-        return float(token)
+        value = float(token)
+        if value == math.inf:  # number tokens are unsigned
+            raise _overflow(token, i)
+        return value
 
     # --- scalars ---------------------------------------------------------
 
@@ -171,13 +178,13 @@ class _Parser:
         token = tokens[i]
         real = None
         if token[:1].isdecimal():
-            real = float(token)
-            i += 1
+            real = self.number(i)
+            start, i = i, i + 1
             if tokens[i] == "/":
                 i += 1
                 divisor_at = i
                 if tokens[i][:1].isdecimal():
-                    divisor = float(tokens[i])
+                    divisor = self.number(i)
                     i += 1
                 elif tokens[i] == "sqrt":
                     divisor, i = self.sqrt_call(i + 1)
@@ -186,6 +193,8 @@ class _Parser:
                 if divisor == 0.0:
                     raise _SyntaxError("division by zero in a scalar", divisor_at)
                 real /= divisor
+                if real == math.inf:
+                    raise _overflow("".join(tokens[start:i]), start)
         elif token == "sqrt":
             real, i = self.sqrt_call(i + 1)
         if real is not None:
@@ -222,6 +231,8 @@ class _Parser:
             j += 1
         if tokens[j] != "i" or tokens[j + 1] != ")":
             return None, i
+        if math.inf in (real_part, imag_part):
+            raise _overflow("".join(tokens[i:j + 2]), i)
         return complex(real_part, imag_part if sign == "+" else -imag_part), j + 2
 
     # --- kets and factors ------------------------------------------------
@@ -386,7 +397,8 @@ def _coefficient_text(coef: complex) -> tuple[bool, str]:
     return negative, f"({_format_real(coef.real)}{sign}{imag_text})"
 
 
-def _join_signed(pieces: list[tuple[bool, str]]) -> str:
+def join_signed(pieces: list[tuple[bool, str]]) -> str:
+    """Join (negative, text) terms into a sum like "-a + b - c"."""
     out = []
     for index, (negative, text) in enumerate(pieces):
         if index == 0:
@@ -420,5 +432,5 @@ def format_state(state: BipartitePureState) -> str:
             negative, text = pieces[0]
             groups.append((negative, f"{text}(x)|{greek_label}>"))
         else:
-            groups.append((False, f"({_join_signed(pieces)})(x)|{greek_label}>"))
-    return _join_signed(groups)
+            groups.append((False, f"({join_signed(pieces)})(x)|{greek_label}>"))
+    return join_signed(groups)

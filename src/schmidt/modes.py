@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix
+from .density import NORM_ATOL, DensityMatrix, require_normalized
 from .errors import ConvergenceError, ShapeError, ValidationError
 from .linalg import adjoint, fix_phases, mat_mul
 # Bound here so that perfbench/tracing.py can still wrap modes.hermitian_eigen.
 from .linalg import hermitian_eigen  # noqa: F401
 
-NORM_ATOL = 1e-9
 DEFAULT_RANK_THRESHOLD = 1e-10
 
 
@@ -136,22 +135,16 @@ class SchmidtDecomposition:
     threshold: float
 
 
-def _require_normalized(state: BipartitePureState) -> None:
-    total = float(np.sum(np.abs(np.asarray(state.amplitudes)) ** 2))
-    if abs(total - 1.0) > NORM_ATOL:
-        raise ValidationError(f"state is not normalized: sum |C|^2 = {total:.6g}")
-
-
 def gram_latin(state: BipartitePureState) -> DensityMatrix:
     """Reduced density matrix on the Latin side: C * adj(C)."""
-    _require_normalized(state)
+    require_normalized(state)
     c = state.amplitudes
     return DensityMatrix(mat_mul(c, adjoint(c)), state.latin_labels)
 
 
 def gram_greek(state: BipartitePureState) -> DensityMatrix:
     """Reduced density matrix on the Greek side: adj(C) * C."""
-    _require_normalized(state)
+    require_normalized(state)
     c = state.amplitudes
     return DensityMatrix(mat_mul(adjoint(c), c), state.greek_labels)
 
@@ -167,9 +160,9 @@ def schmidt_decompose(
     significant component of the smaller side's mode (Latin on a tie) real
     and positive. Raises ConvergenceError if LAPACK does not converge.
     """
-    if threshold <= 0.0:
-        raise ValidationError(f"rank threshold must be positive, got {threshold!r}")
-    _require_normalized(state)
+    if not 0.0 < threshold < math.inf:  # false for NaN too
+        raise ValidationError(f"rank threshold must be finite and positive, got {threshold!r}")
+    require_normalized(state)
     try:
         # Thin factors: a full V of a 2 x 4096 state would hold 4096^2 entries.
         u, s, vh = np.linalg.svd(state.amplitudes, full_matrices=False)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from schmidt import cli
-from schmidt.catalog import EXPRESSIONS
+from schmidt.catalog import EXPRESSIONS, bell_state, opposite_polarization_mixture
+from schmidt.density import conditional_state, partial_trace, pure_density
+from schmidt.modes import BipartitePureState, schmidt_decompose
 
 PSI0 = EXPRESSIONS["psi0"]
 
@@ -76,7 +78,7 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--expr", "1e999|a>(x)|b>")
         assert code == 2
         assert out == ""
-        assert "of |a>(x)|b> is not finite" in err
+        assert "scalar '1e999' overflows the float range (position 1)" in err
 
     def test_tiny_coefficients_are_a_bell_state(self, capsys):
         doc = run_json(capsys, "analyze", "--expr", "1e-200|a>(x)|b> + 1e-200|c>(x)|d>")
@@ -112,6 +114,13 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--expr", PSI0, "--rank-threshold", "0.5")
         assert code == 3
         assert "reconstruction residual" in err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_rank_threshold_exits_2(self, capsys, threshold):
+        code, out, err = run(capsys, "analyze", "--expr", PSI0, "--rank-threshold", threshold)
+        assert code == 2
+        assert out == ""
+        assert f"rank threshold must be finite and positive, got {threshold}" in err
 
 
 class TestFileInput:
@@ -182,6 +191,21 @@ class TestFileInput:
         code, _, err = run(capsys, "analyze", "--file", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("entry", [[1, 0, 5], [1], "10", None, [1, "0"]])
+    def test_amplitude_entry_must_be_a_pair_of_numbers(self, capsys, tmp_path, entry):
+        doc = {
+            "format": "schmidt-state-v1",
+            "latin_labels": ["a", "b"],
+            "greek_labels": ["c", "d"],
+            "amplitudes": [[[1, 0], [0, 0]], [[0, 0], entry]],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"entry at row 1, column 1 is not an [re, im] pair of numbers: {entry!r}" in err
+
     def test_nan_amplitude_rejected(self, capsys, tmp_path):
         # json.load accepts the bare NaN literal
         path = tmp_path / "nan.json"
@@ -242,3 +266,74 @@ class TestExamples:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "psi0" in err  # argparse lists the valid choices
+
+
+class TestReportMatchesTheLibrary:
+    """The CLI prints the library's arrays, without reordering or rounding them."""
+
+    LATIN = tuple(f"m{i}" for i in range(5))
+    GREEK = tuple(f"s{j}" for j in range(7))
+
+    @pytest.fixture
+    def state_file(self, tmp_path):
+        rng = np.random.default_rng(11)
+        amps = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+        state = BipartitePureState.from_amplitudes(self.LATIN, self.GREEK, amps)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(cli.state_to_doc(state)))
+        return str(path), schmidt_decompose(cli._load_state_file(str(path), False))
+
+    def test_json_modes_are_the_decomposition_columns(self, capsys, state_file):
+        path, d = state_file
+        doc = run_json(capsys, "analyze", "--file", path)
+        assert d.rank == 5
+        for key, labels, modes in (("latin_modes", self.LATIN, d.latin_modes),
+                                   ("greek_modes", self.GREEK, d.greek_modes)):
+            assert len(doc[key]) == d.rank
+            for s, mode in enumerate(doc[key]):
+                assert mode["eigenvalue"] == d.lambdas[s]
+                assert tuple(mode["components"]) == labels
+                column = [complex(re, im) for re, im in mode["components"].values()]
+                assert column == modes[:, s].tolist()
+
+    def test_table_mode_lines_render_the_decomposition_columns(self, capsys, state_file):
+        path, d = state_file
+        code, out, _ = run(capsys, "analyze", "--file", path)
+        assert code == 0
+
+        def line(labels, column):
+            text = ""
+            for label, z in zip(labels, column.tolist()):
+                negative = z.real < 0.0 or (z.real == 0.0 and z.imag < 0.0)
+                term = f"{cli._fmt_complex(-z if negative else z)}|{label}>"
+                if text:
+                    text += (" - " if negative else " + ") + term
+                else:
+                    text = ("-" if negative else "") + term
+            return text
+
+        expected = []
+        for s in range(d.rank):
+            expected.append(f"mode {s + 1} (eigenvalue {cli._fmt(d.lambdas[s])}):")
+            expected.append("  A: " + line(self.LATIN, d.latin_modes[:, s]))
+            expected.append("  B: " + line(self.GREEK, d.greek_modes[:, s]))
+        lines = out.splitlines()
+        start = lines.index(expected[0])
+        assert lines[start:start + 3 * d.rank] == expected
+
+    def test_bell_comparison_matrices_are_the_library_output(self, capsys):
+        doc = run_json(capsys, "examples", "bell")["comparison"]
+
+        def pairs(m):
+            return np.stack((m.real, m.imag), axis=-1).tolist()
+
+        dims, labels = (2, 2), ("H", "V")
+        for name, rho in (("classical", opposite_polarization_mixture()),
+                          ("quantum", pure_density(bell_state("psi_plus")))):
+            entry = doc[name]
+            prob, cond = conditional_state(rho, [1.0, 0.0], dims, labels=labels)
+            assert entry["basis"] == list(rho.basis_labels)
+            assert entry["matrix"] == pairs(rho.matrix)
+            assert entry["reduced_A"] == pairs(partial_trace(rho, "A", dims, labels=labels).matrix)
+            assert entry["reduced_B"] == pairs(partial_trace(rho, "B", dims, labels=labels).matrix)
+            assert entry["conditional_on_H"] == {"probability": prob, "matrix": pairs(cond.matrix)}

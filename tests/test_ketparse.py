@@ -127,6 +127,11 @@ class TestParseErrors:
             ("|a>(x)|b>)", "unexpected trailing input ')'", 10),
             ("|a>(x)|b> + (1+2i|c>(x)|d>", "expected '|' opening a ket, found '+'", 15),
             ("sq@rt(2)|a>(x)|b>", "unexpected character '@'", 3),
+            ("1e999|a>(x)|b>", "scalar '1e999' overflows the float range", 1),
+            ("1/1e999|a>(x)|b>", "scalar '1e999' overflows the float range", 3),
+            ("|a>(x)|b> + 1/1e-320|c>(x)|d>", "scalar '1/1e-320' overflows the float range", 13),
+            ("2/sqrt(1e400)|a>(x)|b>", "scalar '1e400' overflows the float range", 8),
+            ("|a>(x)(|b> - (2-1e999i)|c>)", "scalar '(2-1e999i)' overflows the float range", 14),
         ],
     )
     def test_error_message_and_position(self, text, message, position):

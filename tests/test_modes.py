@@ -216,6 +216,11 @@ class TestSchmidtDecompose:
         with pytest.raises(ValidationError):
             schmidt_decompose(demo_state(), threshold=0.0)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_threshold_must_be_finite(self, threshold):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            schmidt_decompose(demo_state(), threshold=threshold)
+
     def test_zero_norm_state_rejected(self):
         raw = BipartitePureState(("a",), ("b",), np.zeros((1, 1), dtype=complex))
         with pytest.raises(ValidationError):
