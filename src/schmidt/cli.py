@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -59,16 +60,24 @@ def state_to_doc(state: BipartitePureState) -> dict:
     }
 
 
-def _amplitude_rows(rows) -> list[list[complex]]:
-    """Rows of [re, im] pairs as rows of complex numbers. An entry that is not
+def _amplitude_matrix(rows) -> np.ndarray:
+    """Rows of [re, im] pairs as a complex matrix. An entry that is not
     exactly two numbers raises ValueError naming its row and column."""
     try:
-        return [[complex(re, im) for re, im in row] for row in rows]
+        amps = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+        # complex(True, False) is 1+0j. Only a part of exactly 0 or 1 can be a
+        # JSON boolean, so the entry types are scanned only when there is one.
+        if (np.isin(amps.view(float), (0.0, 1.0)).any()
+                and bool in map(type, chain.from_iterable(chain.from_iterable(rows)))):
+            raise TypeError("a boolean is not a number")
+        return amps
     except (TypeError, ValueError):
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
                 try:
                     re, im = entry
+                    if bool in (type(re), type(im)):
+                        raise TypeError("a boolean is not a number")
                     complex(re, im)
                 except (TypeError, ValueError):
                     raise ValueError(f"amplitude entry at row {i}, column {j} is not "
@@ -87,7 +96,7 @@ def state_from_doc(doc, strict_norm: bool = False) -> BipartitePureState:
     try:
         latin = [str(l) for l in doc["latin_labels"]]
         greek = [str(g) for g in doc["greek_labels"]]
-        amps = np.array(_amplitude_rows(doc["amplitudes"]), dtype=complex)
+        amps = _amplitude_matrix(doc["amplitudes"])
         if amps.ndim != 2:
             raise ValueError("amplitudes must be a rectangular matrix")
     except (KeyError, TypeError, ValueError) as exc:
@@ -164,17 +173,16 @@ def build_report(state: BipartitePureState,
     )
 
 
-def _fmt(value: float, digits: int = 6) -> str:
-    return f"{value:.{digits}g}"
+def _fmt(value: float) -> str:
+    return f"{value:.6g}"
 
 
-def _fmt_complex(z: complex, digits: int = 6) -> str:
+def _fmt_complex(z: complex) -> str:
     if z.imag == 0.0:
-        return _fmt(z.real, digits)
+        return f"{z.real:.6g}"
     if z.real == 0.0:
-        return _fmt(z.imag, digits) + "i"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"({_fmt(z.real, digits)}{sign}{_fmt(abs(z.imag), digits)}i)"
+        return f"{z.imag:.6g}i"
+    return f"({z.real:.6g}{z.imag:+.6g}i)"
 
 
 def _mode_line(labels: tuple[str, ...], mode: np.ndarray) -> str:
@@ -186,21 +194,23 @@ def _mode_line(labels: tuple[str, ...], mode: np.ndarray) -> str:
 
 
 def render_report(report: AnalysisReport, include_modes: bool = True) -> str:
+    state, d = report.state, report.decomposition
+    lambdas = [_fmt(lam) for lam in d.lambdas.tolist()]
+    lambdas += ["0"] * (len(report.lambdas) - len(lambdas))  # the padding zeros
     lines = [
         f"input ({FORMAT_VERSION}): {report.expression}",
         f"normalization: {_fmt(report.state.norm)}",
-        "eigenvalues: " + ", ".join(_fmt(l) for l in report.lambdas),
+        "eigenvalues: " + ", ".join(lambdas),
         f"schmidt number K: {_fmt(report.schmidt_number)}",
         f"entanglement entropy: {_fmt(report.entropy)} bits",
         f"rank: {report.rank}",
         f"entangled: {'yes' if report.entangled else 'no'}",
     ]
     if include_modes:
-        state, d = report.state, report.decomposition
         for index, (lam, latin, greek) in enumerate(
-            zip(d.lambdas, d.latin_modes.T, d.greek_modes.T), start=1
+            zip(lambdas, d.latin_modes.T, d.greek_modes.T), start=1
         ):
-            lines.append(f"mode {index} (eigenvalue {_fmt(lam)}):")
+            lines.append(f"mode {index} (eigenvalue {lam}):")
             lines.append(f"  A: {_mode_line(state.latin_labels, latin)}")
             lines.append(f"  B: {_mode_line(state.greek_labels, greek)}")
     lines.append(f"reconstruction residual: {report.reconstruction_residual:.3e}")

@@ -26,6 +26,7 @@ Only labels that match the LABEL rule survive a round trip.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 import string
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .modes import BipartitePureState
 
 FORMAT_VERSION = "ket-v1"
@@ -126,7 +127,25 @@ class KetExpression:
                 for gcoef, glabel in term.greek:
                     flat[row + greek[glabel]] += scaled * gcoef
         amps = np.array(flat, dtype=complex).reshape(len(latin), cols)
+        if not np.isfinite(amps).all():
+            self._check_products()
         return BipartitePureState.from_amplitudes(tuple(latin), tuple(greek), amps, strict_norm)
+
+    def _check_products(self) -> None:
+        """Raise for the first term whose product of finite scalars overflows.
+
+        A complex product turns the overflow into inf+nanj, a value the text
+        never held; an overflowing sum of finite products is reported by
+        ``from_amplitudes``.
+        """
+        for number, term in enumerate(self.terms, start=1):
+            for lcoef, llabel in term.latin:
+                for gcoef, glabel in term.greek:
+                    if not cmath.isfinite(term.coefficient * lcoef * gcoef):
+                        raise ValidationError(
+                            f"the coefficient product of term {number} at "
+                            f"|{llabel}>(x)|{glabel}> overflows the float range"
+                        )
 
 
 def _found(token: str) -> str:
@@ -368,33 +387,27 @@ def parse_state(text: str, strict_norm: bool = False) -> BipartitePureState:
 # --- formatting -----------------------------------------------------------
 
 
-def _format_real(value: float) -> str:
-    # 15 significant digits: coarse enough to collapse 1-ulp noise back to
-    # clean integers, fine enough to keep format -> parse drift below 1e-12.
-    return f"{value:.15g}"
-
-
 def _coefficient_text(coef: complex) -> tuple[bool, str]:
     """Split a coefficient into (negative?, printable magnitude part).
 
     The text omits a bare factor of 1, so callers can glue it straight onto
     a ket: "" -> |a>, "2" -> 2|a>, "i" -> i|a>, "(2+3i)" -> (2+3i)|a>.
     """
+    # 15 significant digits: coarse enough to collapse 1-ulp noise back to
+    # clean integers, fine enough to keep format -> parse drift below 1e-12.
     re_part, im_part = coef.real, coef.imag
     if im_part == 0.0:
-        negative = re_part < 0.0
         magnitude = abs(re_part)
-        return negative, "" if magnitude == 1.0 else _format_real(magnitude)
+        return re_part < 0.0, "" if magnitude == 1.0 else f"{magnitude:.15g}"
     if re_part == 0.0:
-        negative = im_part < 0.0
         magnitude = abs(im_part)
-        return negative, "i" if magnitude == 1.0 else _format_real(magnitude) + "i"
+        return im_part < 0.0, "i" if magnitude == 1.0 else f"{magnitude:.15g}i"
     negative = re_part < 0.0
     if negative:
-        coef = -coef
-    imag_text = "i" if abs(coef.imag) == 1.0 else _format_real(abs(coef.imag)) + "i"
-    sign = "+" if coef.imag > 0.0 else "-"
-    return negative, f"({_format_real(coef.real)}{sign}{imag_text})"
+        re_part, im_part = -re_part, -im_part
+    if abs(im_part) == 1.0:
+        return negative, f"({re_part:.15g}{'+' if im_part > 0.0 else '-'}i)"
+    return negative, f"({re_part:.15g}{im_part:+.15g}i)"
 
 
 def join_signed(pieces: list[tuple[bool, str]]) -> str:
@@ -416,16 +429,16 @@ def format_state(state: BipartitePureState) -> str:
     zeros included, so that parsing the result restores the exact basis
     order; later groups skip zero entries.
     """
-    amps = np.asarray(state.amplitudes, dtype=complex) * state.norm
+    columns = (np.asarray(state.amplitudes, dtype=complex) * state.norm).T.tolist()
+    kets = [f"|{label}>" for label in state.latin_labels]
     groups: list[tuple[bool, str]] = []
-    for j, greek_label in enumerate(state.greek_labels):
+    for j, (greek_label, column) in enumerate(zip(state.greek_labels, columns)):
         pieces: list[tuple[bool, str]] = []
-        for i, latin_label in enumerate(state.latin_labels):
-            coef = complex(amps[i, j])
+        for ket, coef in zip(kets, column):
             if j > 0 and coef == 0:
                 continue
             negative, text = _coefficient_text(coef)
-            pieces.append((negative, f"{text}|{latin_label}>"))
+            pieces.append((negative, text + ket))
         if not pieces:  # an all-zero column still has to name its Greek ket
             pieces = [(False, f"0|{state.latin_labels[0]}>")]
         if len(pieces) == 1:

@@ -80,6 +80,13 @@ class TestAnalyze:
         assert out == ""
         assert "scalar '1e999' overflows the float range (position 1)" in err
 
+    def test_overflowing_coefficient_product_exits_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--expr", "|c>(x)|d> + 1e200(1e200|a>)(x)|b>")
+        assert code == 2
+        assert out == ""
+        assert "coefficient product of term 2 at |a>(x)|b> overflows the float range" in err
+        assert "nan" not in err
+
     def test_tiny_coefficients_are_a_bell_state(self, capsys):
         doc = run_json(capsys, "analyze", "--expr", "1e-200|a>(x)|b> + 1e-200|c>(x)|d>")
         assert doc["schmidt_number"] == pytest.approx(2.0, abs=1e-12)
@@ -191,7 +198,8 @@ class TestFileInput:
         code, _, err = run(capsys, "analyze", "--file", str(path))
         assert code == 2
 
-    @pytest.mark.parametrize("entry", [[1, 0, 5], [1], "10", None, [1, "0"]])
+    @pytest.mark.parametrize("entry", [[1, 0, 5], [1], "10", None, [1, "0"], [True, False],
+                                       [1.0, False]])
     def test_amplitude_entry_must_be_a_pair_of_numbers(self, capsys, tmp_path, entry):
         doc = {
             "format": "schmidt-state-v1",
@@ -337,3 +345,36 @@ class TestReportMatchesTheLibrary:
             assert entry["reduced_A"] == pairs(partial_trace(rho, "A", dims, labels=labels).matrix)
             assert entry["reduced_B"] == pairs(partial_trace(rho, "B", dims, labels=labels).matrix)
             assert entry["conditional_on_H"] == {"probability": prob, "matrix": pairs(cond.matrix)}
+
+
+class TestTableText:
+    @pytest.mark.parametrize("z,number,line", [
+        (1, "1", "1|a> + 1|c>"),
+        (-1, "-1", "1|a> - 1|c>"),
+        (1j, "1i", "1|a> + 1i|c>"),
+        (-1j, "-1i", "1|a> - 1i|c>"),
+        (1 + 1j, "(1+1i)", "1|a> + (1+1i)|c>"),
+        (1 - 1j, "(1-1i)", "1|a> + (1-1i)|c>"),
+        (-1 + 1j, "(-1+1i)", "1|a> - (1-1i)|c>"),
+        (-1 - 1j, "(-1-1i)", "1|a> - (1+1i)|c>"),
+        (2 - 3j, "(2-3i)", "1|a> + (2-3i)|c>"),
+        (complex(-0.0, 2), "2i", "1|a> + 2i|c>"),
+        (complex(2, -0.0), "2", "1|a> + 2|c>"),
+        (complex(-0.0, 0.0), "-0", "1|a> + -0|c>"),
+        (1e-7, "1e-07", "1|a> + 1e-07|c>"),
+        (3e5 + 1e20j, "(300000+1e+20i)", "1|a> + (300000+1e+20i)|c>"),
+        (123456789.123456789, "1.23457e+08", "1|a> + 1.23457e+08|c>"),
+        (-2.5e-300j, "-2.5e-300i", "1|a> - 2.5e-300i|c>"),
+    ])
+    def test_complex_number_and_mode_line(self, z, number, line):
+        z = complex(z)
+        assert cli._fmt_complex(z) == number
+        assert cli._mode_line(("a", "c"), np.array([1, z])) == line
+
+    def test_padded_eigenvalue_line(self):
+        state = BipartitePureState.from_amplitudes(
+            ("a", "c"), ("b", "d", "e", "f", "g"), [[1, 0, 2, 0, 1], [0, 3, 0, 1j, 0]]
+        )
+        lines = cli.render_report(cli.build_report(state)).splitlines()
+        assert lines[2] == "eigenvalues: 0.625, 0.375, 0, 0, 0"
+        assert lines[7] == "mode 1 (eigenvalue 0.625):"

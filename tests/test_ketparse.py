@@ -210,6 +210,34 @@ class TestFormat:
         assert again.latin_labels == ("b", "a")
         np.testing.assert_allclose(again.amplitudes, state.amplitudes, atol=1e-12)
 
+    @pytest.mark.parametrize("coef,text", [
+        (1, "(|a> + |c>)(x)|b>"),
+        (-1, "(|a> - |c>)(x)|b>"),
+        (1j, "(|a> + i|c>)(x)|b>"),
+        (-1j, "(|a> - i|c>)(x)|b>"),
+        (1 + 1j, "(|a> + (1+i)|c>)(x)|b>"),
+        (1 - 1j, "(|a> + (1-i)|c>)(x)|b>"),
+        (-1 + 1j, "(|a> - (1-i)|c>)(x)|b>"),
+        (-1 - 1j, "(|a> - (1+i)|c>)(x)|b>"),
+        (2 - 3j, "(|a> + (2-3i)|c>)(x)|b>"),
+        (complex(-0.0, 2), "(|a> + 2i|c>)(x)|b>"),
+        (complex(2, -0.0), "(|a> + 2|c>)(x)|b>"),
+        (complex(-0.0, 0.0), "(|a> + 0|c>)(x)|b>"),
+        (1e-7, "(|a> + 1e-07|c>)(x)|b>"),
+        (3e5 + 1e20j, "(|a> + (300000+1e+20i)|c>)(x)|b>"),
+        (123456789.123456789, "(|a> + 123456789.123457|c>)(x)|b>"),
+        (-2.5e-300j, "(|a> - 2.5e-300i|c>)(x)|b>"),
+    ])
+    def test_coefficient_text(self, coef, text):
+        # A bare 1 is omitted, the sign goes first, a zero part (either sign)
+        # drops out, and other numbers keep 15 significant digits.
+        state = BipartitePureState(("a", "c"), ("b",), np.array([[1], [coef]]))
+        assert format_state(state) == text
+
+    def test_zero_entry_in_later_group_is_skipped(self):
+        state = BipartitePureState(("a", "c"), ("b", "d"), np.array([[1, 0], [2, -3j]]))
+        assert format_state(state) == "(|a> + 2|c>)(x)|b> - 3i|c>(x)|d>"
+
     def test_random_states_round_trip(self):
         rng = np.random.default_rng(512)
         for trial in range(120):
