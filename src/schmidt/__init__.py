@@ -28,13 +28,14 @@ from .errors import (
     ValidationError,
 )
 from .ketparse import KetExpression, KetTerm, format_state, parse_expression, parse_state
-from .linalg import EigenSystem, adjoint, hermitian_eigen, mat_mul
 from .modes import (
     BipartitePureState,
+    EigenSystem,
     SchmidtDecomposition,
     entanglement_entropy,
     gram_greek,
     gram_latin,
+    hermitian_eigen,
     is_entangled,
     reconstruct,
     schmidt_decompose,
@@ -56,7 +57,6 @@ __all__ = [
     "SchmidtError",
     "ShapeError",
     "ValidationError",
-    "adjoint",
     "classical_mixture",
     "conditional_state",
     "entanglement_entropy",
@@ -65,7 +65,6 @@ __all__ = [
     "gram_latin",
     "hermitian_eigen",
     "is_entangled",
-    "mat_mul",
     "parse_expression",
     "parse_state",
     "partial_trace",

@@ -179,7 +179,7 @@ def _fmt(value: float) -> str:
 
 def _fmt_complex(z: complex) -> str:
     if z.imag == 0.0:
-        return f"{z.real:.6g}"
+        return f"{z.real + 0.0:.6g}"  # + 0.0 turns -0.0 into 0.0
     if z.real == 0.0:
         return f"{z.imag:.6g}i"
     return f"({z.real:.6g}{z.imag:+.6g}i)"

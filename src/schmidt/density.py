@@ -14,12 +14,13 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, ShapeError, ValidationError
-from .linalg import HERMITICITY_ATOL
 
 if TYPE_CHECKING:  # pragma: no cover
     from .modes import BipartitePureState
 
 TRACE_ATOL = 1e-10
+# Density matrices and hermitian_eigen inputs may deviate from Hermiticity by this.
+HERMITICITY_ATOL = 1e-10
 # States and projection vectors must have unit norm to within this.
 NORM_ATOL = 1e-9
 # Below this, a measurement outcome counts as impossible and cannot be

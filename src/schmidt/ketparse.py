@@ -111,10 +111,12 @@ class KetExpression:
                 latin.setdefault(label, len(latin))
             for _, label in term.greek:
                 greek.setdefault(label, len(greek))
+        # parse_expression reports this with a position; a hand-built
+        # expression can still get here.
         overlap = latin.keys() & greek.keys()
         if overlap:
-            raise ParseError(
-                f"label {sorted(overlap)[0]!r} appears on both sides of a tensor product", 1
+            raise ValidationError(
+                f"label {sorted(overlap)[0]!r} appears on both sides of a tensor product"
             )
         cols = len(greek)
         # Summed as Python complex numbers in a row-major list: indexing a
@@ -128,15 +130,17 @@ class KetExpression:
                     flat[row + greek[glabel]] += scaled * gcoef
         amps = np.array(flat, dtype=complex).reshape(len(latin), cols)
         if not np.isfinite(amps).all():
-            self._check_products()
+            self._check_products(amps, tuple(latin), tuple(greek))
         return BipartitePureState.from_amplitudes(tuple(latin), tuple(greek), amps, strict_norm)
 
-    def _check_products(self) -> None:
-        """Raise for the first term whose product of finite scalars overflows.
+    def _check_products(self, amps: np.ndarray, latin: tuple[str, ...],
+                        greek: tuple[str, ...]) -> None:
+        """Raise for the first term whose product of finite scalars overflows,
+        or else for the first entry of ``amps`` whose finite products sum
+        beyond the float range.
 
-        A complex product turns the overflow into inf+nanj, a value the text
-        never held; an overflowing sum of finite products is reported by
-        ``from_amplitudes``.
+        The amplitude alone would show inf+nanj or inf, values the text never
+        held.
         """
         for number, term in enumerate(self.terms, start=1):
             for lcoef, llabel in term.latin:
@@ -146,6 +150,10 @@ class KetExpression:
                             f"the coefficient product of term {number} at "
                             f"|{llabel}>(x)|{glabel}> overflows the float range"
                         )
+        row, col = np.argwhere(~np.isfinite(amps))[0]
+        raise ValidationError(
+            f"the coefficients of |{latin[row]}>(x)|{greek[col]}> sum beyond the float range"
+        )
 
 
 def _found(token: str) -> str:

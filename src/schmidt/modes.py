@@ -13,6 +13,9 @@ That form is the singular value decomposition C = U diag(s) adj(V): the
 Schmidt coefficients are the singular values, lambda_s = s_s^2, and the
 paired modes are the columns of U and V. The state factorizes exactly when a
 single term survives.
+
+``gram_latin``/``gram_greek`` build the reduced density matrices, and
+``hermitian_eigen`` diagonalizes one with the modes' phase convention.
 """
 
 from __future__ import annotations
@@ -22,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import NORM_ATOL, DensityMatrix, require_normalized
+from .density import HERMITICITY_ATOL, NORM_ATOL, DensityMatrix, require_normalized
 from .errors import ConvergenceError, ShapeError, ValidationError
-from .linalg import adjoint, fix_phases, mat_mul
-# Bound here so that perfbench/tracing.py can still wrap modes.hermitian_eigen.
-from .linalg import hermitian_eigen  # noqa: F401
 
 DEFAULT_RANK_THRESHOLD = 1e-10
+# Components at or below this magnitude are ignored when fixing mode phases.
+PHASE_PIVOT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -135,18 +137,87 @@ class SchmidtDecomposition:
     threshold: float
 
 
+@dataclass(frozen=True)
+class EigenSystem:
+    """Eigendecomposition of a Hermitian matrix.
+
+    ``eigenvalues`` is sorted non-increasing; column ``s`` of ``eigenvectors``
+    is the unit-norm eigenvector belonging to ``eigenvalues[s]``.  ``residual``
+    is the largest off-diagonal magnitude of ``adj(V) H V``, measured on the
+    returned eigenvectors.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    residual: float
+
+
 def gram_latin(state: BipartitePureState) -> DensityMatrix:
     """Reduced density matrix on the Latin side: C * adj(C)."""
     require_normalized(state)
     c = state.amplitudes
-    return DensityMatrix(mat_mul(c, adjoint(c)), state.latin_labels)
+    return DensityMatrix(c @ c.conj().T, state.latin_labels)
 
 
 def gram_greek(state: BipartitePureState) -> DensityMatrix:
     """Reduced density matrix on the Greek side: adj(C) * C."""
     require_normalized(state)
     c = state.amplitudes
-    return DensityMatrix(mat_mul(adjoint(c), c), state.greek_labels)
+    return DensityMatrix(c.conj().T @ c, state.greek_labels)
+
+
+def hermitian_eigen(h) -> EigenSystem:
+    """Full eigensystem of a Hermitian matrix, by LAPACK's ``np.linalg.eigh``.
+
+    Raises ShapeError unless ``h`` is a square matrix, ValidationError when it
+    deviates from Hermiticity by more than ``HERMITICITY_ATOL``, and
+    ConvergenceError if LAPACK does not converge.
+    """
+    a = np.asarray(h, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"eigendecomposition needs a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if n == 0:
+        return EigenSystem(np.zeros(0), np.zeros((0, 0), dtype=complex), 0.0)
+    defect = float(np.max(np.abs(a - a.conj().T)))
+    if defect > HERMITICITY_ATOL:
+        raise ValidationError(
+            f"matrix is not Hermitian: max |H - adj(H)| = {defect:.3e} "
+            f"exceeds {HERMITICITY_ATOL:g}"
+        )
+
+    a = (a + a.conj().T) / 2.0  # eigh reads one triangle; use both
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"np.linalg.eigh failed on the {n}x{n} matrix: {exc}") from exc
+    values = values[::-1].copy()
+    vectors = vectors[:, ::-1].copy()
+    fix_phases(vectors)
+    rotated = vectors.conj().T @ a @ vectors
+    residual = float(np.max(np.abs(rotated - np.diag(np.diag(rotated)))))
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return EigenSystem(eigenvalues=values, eigenvectors=vectors, residual=residual)
+
+
+def fix_phases(vecs: np.ndarray, partner: np.ndarray | None = None) -> None:
+    """Give each column of ``vecs`` its deterministic phase, in place.
+
+    Column ``s`` is multiplied by the unit phase that makes its first
+    component larger than PHASE_PIVOT in magnitude real and positive, which
+    makes non-degenerate vectors unique. Column ``s`` of ``partner`` (a
+    Schmidt mode paired with ``vecs[:, s]``) is multiplied by the same phase,
+    which leaves the product ``vecs[:, s] adj(partner[:, s])`` unchanged.
+    """
+    big = np.abs(vecs) > PHASE_PIVOT
+    found = big.any(axis=0)
+    pivots = vecs[big.argmax(axis=0), np.arange(vecs.shape[1])][found]
+    phases = np.ones(vecs.shape[1], dtype=complex)
+    phases[found] = pivots.conj() / np.abs(pivots)
+    vecs *= phases
+    if partner is not None:
+        partner *= phases
 
 
 def schmidt_decompose(

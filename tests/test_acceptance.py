@@ -25,12 +25,12 @@ from schmidt.density import (
 )
 from schmidt.errors import ParseError, ValidationError
 from schmidt.ketparse import format_state, parse_state
-from schmidt.linalg import hermitian_eigen
 from schmidt.modes import (
     BipartitePureState,
     entanglement_entropy,
     gram_greek,
     gram_latin,
+    hermitian_eigen,
     reconstruct,
     schmidt_decompose,
     schmidt_number,

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +89,19 @@ class TestAnalyze:
         assert out == ""
         assert "coefficient product of term 2 at |a>(x)|b> overflows the float range" in err
         assert "nan" not in err
+
+    def test_overflowing_coefficient_sum_exits_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--expr", "1e308|a>(x)|b> + 1e308|a>(x)|b>")
+        assert code == 2
+        assert out == ""
+        assert "the coefficients of |a>(x)|b> sum beyond the float range" in err
+        assert "inf" not in err
+
+    def test_zero_mode_component_prints_without_sign(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--expr", "|a>(x)|b> + 2|a>(x)|d> + |c>(x)|e>")
+        assert code == 0
+        assert "  B: 0|b> + 0|d> + 1|e>" in out
+        assert "-0" not in out
 
     def test_tiny_coefficients_are_a_bell_state(self, capsys):
         doc = run_json(capsys, "analyze", "--expr", "1e-200|a>(x)|b> + 1e-200|c>(x)|d>")
@@ -360,7 +376,7 @@ class TestTableText:
         (2 - 3j, "(2-3i)", "1|a> + (2-3i)|c>"),
         (complex(-0.0, 2), "2i", "1|a> + 2i|c>"),
         (complex(2, -0.0), "2", "1|a> + 2|c>"),
-        (complex(-0.0, 0.0), "-0", "1|a> + -0|c>"),
+        (complex(-0.0, 0.0), "0", "1|a> + 0|c>"),
         (1e-7, "1e-07", "1|a> + 1e-07|c>"),
         (3e5 + 1e20j, "(300000+1e+20i)", "1|a> + (300000+1e+20i)|c>"),
         (123456789.123456789, "1.23457e+08", "1|a> + 1.23457e+08|c>"),
@@ -378,3 +394,26 @@ class TestTableText:
         lines = cli.render_report(cli.build_report(state)).splitlines()
         assert lines[2] == "eigenvalues: 0.625, 0.375, 0, 0, 0"
         assert lines[7] == "mode 1 (eigenvalue 0.625):"
+
+
+class TestReadme:
+    # A number with the sign in front of it; below 1e-12 in magnitude it is
+    # roundoff (or the reconstruction residual) and may differ between BLAS builds.
+    NUMBER = re.compile(r"(?:[-+] ?)?\b\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+    def mask_roundoff(self, line):
+        return self.NUMBER.sub(
+            lambda m: "~" if abs(float(m.group().replace(" ", ""))) < 1e-12 else m.group(), line
+        )
+
+    def test_cli_example_matches_the_output(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```text\n$ ", 1)[1].split("```", 1)[0]
+        command, *expected = block.splitlines()
+        program, *argv = shlex.split(command)
+        assert program == "schmidt"
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert [self.mask_roundoff(line) for line in out.splitlines()] == [
+            self.mask_roundoff(line) for line in expected
+        ]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from schmidt.catalog import EXPRESSIONS
 from schmidt.errors import ParseError, SchmidtError, ValidationError
-from schmidt.ketparse import format_state, parse_expression, parse_state
+from schmidt.ketparse import KetExpression, KetTerm, format_state, parse_expression, parse_state
 from schmidt.modes import BipartitePureState
 
 
@@ -282,6 +282,12 @@ class TestExpressionTree:
         assert term.coefficient == 2 + 0j
         assert term.latin == ((1 + 0j, "a"), (3 + 0j, "b"))
         assert term.greek == ((1 + 0j, "alpha"),)
+
+    def test_hand_built_label_on_both_sides_is_a_validation_error(self):
+        expr = KetExpression((KetTerm(1 + 0j, ((1 + 0j, "a"),), ((1 + 0j, "a"),)),))
+        with pytest.raises(ValidationError) as info:
+            expr.to_state()
+        assert str(info.value) == "label 'a' appears on both sides of a tensor product"
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from schmidt.errors import ConvergenceError, ShapeError, ValidationError
-from schmidt.linalg import adjoint, hermitian_eigen, mat_mul
+from schmidt.modes import hermitian_eigen
 
-# The 2x3 amplitude matrix of the barely-entangled demo state, and the
-# reduced matrices it produces.
-C0 = np.array([[2, 1, 1], [1, 2, 1]], dtype=complex) / np.sqrt(12.0)
+# The reduced matrices of the barely-entangled demo state, whose 2x3
+# amplitude matrix is [[2, 1, 1], [1, 2, 1]] / sqrt(12).
 RHO_L0 = np.array([[6, 5], [5, 6]], dtype=complex) / 12.0
 RHO_G0 = np.array([[5, 4, 3], [4, 5, 3], [3, 3, 2]], dtype=complex) / 12.0
 
@@ -39,44 +38,6 @@ def char_roots_3x3(a):
     )
     roots = np.roots([-1.0, tr, -minors, det])
     return np.sort(roots.real)[::-1]
-
-
-class TestAdjoint:
-    def test_on_rectangular_demo_matrix(self):
-        expected = np.array([[2, 1], [1, 2], [1, 1]], dtype=complex) / np.sqrt(12.0)
-        np.testing.assert_allclose(adjoint(C0), expected, atol=1e-15)
-
-    def test_real_scalar_is_self_adjoint(self):
-        np.testing.assert_array_equal(adjoint([[3.5]]), [[3.5]])
-
-    def test_conjugates_imaginary_entries(self):
-        np.testing.assert_array_equal(adjoint([[1j]]), [[-1j]])
-
-    def test_involution(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-        np.testing.assert_array_equal(adjoint(adjoint(m)), m)
-
-    def test_rejects_vectors(self):
-        with pytest.raises(ShapeError):
-            adjoint([1, 2, 3])
-
-
-class TestMatMul:
-    def test_latin_gram_of_demo_matrix(self):
-        np.testing.assert_allclose(mat_mul(C0, adjoint(C0)), RHO_L0, atol=1e-15)
-
-    def test_greek_gram_of_demo_matrix(self):
-        np.testing.assert_allclose(mat_mul(adjoint(C0), C0), RHO_G0, atol=1e-15)
-
-    def test_identity_is_neutral(self):
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        np.testing.assert_array_equal(mat_mul(np.eye(4), m), m)
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"2x3.*3x1|2x3 by 2x1"):
-            mat_mul(np.zeros((2, 3)), np.zeros((2, 1)))
 
 
 class TestHermitianEigen:
@@ -169,8 +130,8 @@ class TestSpectralProperties:
         for rows, cols in [(2, 3), (3, 2), (4, 6), (5, 5), (1, 4)]:
             m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
             m /= np.linalg.norm(m)
-            small = hermitian_eigen(mat_mul(m, adjoint(m))).eigenvalues
-            large = hermitian_eigen(mat_mul(adjoint(m), m)).eigenvalues
+            small = hermitian_eigen(m @ m.conj().T).eigenvalues
+            large = hermitian_eigen(m.conj().T @ m).eigenvalues
             if len(small) > len(large):
                 small, large = large, small
             common = len(small)
@@ -182,7 +143,7 @@ class TestSpectralProperties:
         for _ in range(20):
             m = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
             m /= np.linalg.norm(m)
-            eig = hermitian_eigen(mat_mul(m, adjoint(m)))
+            eig = hermitian_eigen(m @ m.conj().T)
             assert np.all(eig.eigenvalues >= -1e-12)
 
     def test_reassembly_reproduces_input(self):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from schmidt.errors import ShapeError, ValidationError
-from schmidt.linalg import hermitian_eigen
 from schmidt.modes import (
     BipartitePureState,
     SchmidtDecomposition,
     entanglement_entropy,
     gram_greek,
     gram_latin,
+    hermitian_eigen,
     is_entangled,
     reconstruct,
     schmidt_decompose,
