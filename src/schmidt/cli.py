@@ -85,8 +85,11 @@ def _amplitude_matrix(rows) -> np.ndarray:
         raise
 
 
-def state_from_doc(doc, strict_norm: bool = False) -> BipartitePureState:
-    """Rebuild a state from a schmidt-state-v1 document (or a report holding one)."""
+def state_from_doc(doc) -> BipartitePureState:
+    """Rebuild a state from a schmidt-state-v1 document (or a report holding one).
+
+    Each side's labels must be a JSON array of strings.
+    """
     if isinstance(doc, dict) and doc.get("format") != STATE_FORMAT:
         nested = doc.get("state")
         if isinstance(nested, dict):
@@ -94,14 +97,19 @@ def state_from_doc(doc, strict_norm: bool = False) -> BipartitePureState:
     if not isinstance(doc, dict) or doc.get("format") != STATE_FORMAT:
         raise ValidationError(f"not a {STATE_FORMAT} document")
     try:
-        latin = [str(l) for l in doc["latin_labels"]]
-        greek = [str(g) for g in doc["greek_labels"]]
+        latin, greek = doc["latin_labels"], doc["greek_labels"]
+        for key, labels in (("latin_labels", latin), ("greek_labels", greek)):
+            if not isinstance(labels, list):
+                raise TypeError(f"{key} is not an array of strings: {labels!r}")
+            for index, label in enumerate(labels):
+                if not isinstance(label, str):
+                    raise TypeError(f"{key}[{index}] is not a string: {label!r}")
         amps = _amplitude_matrix(doc["amplitudes"])
         if amps.ndim != 2:
             raise ValueError("amplitudes must be a rectangular matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {STATE_FORMAT} document: {exc}") from exc
-    return BipartitePureState.from_amplitudes(latin, greek, amps, strict_norm)
+    return BipartitePureState.from_amplitudes(latin, greek, amps)
 
 
 @dataclass(frozen=True)
@@ -265,18 +273,24 @@ def render_comparison(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _load_state_file(path: str, strict_norm: bool) -> BipartitePureState:
+def _load_state_file(path: str) -> BipartitePureState:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer with
+    # more digits than int() accepts; deep nesting exhausts the parser's stack.
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    return state_from_doc(doc, strict_norm)
+    return state_from_doc(doc)
 
 
 def _emit_report(state: BipartitePureState, args) -> None:
+    if args.unit_norm and abs(state.norm - 1.0) > NORM_ATOL:
+        raise ValidationError(
+            f"strict normalization requested but the amplitude norm is {state.norm!r}"
+        )
     report = build_report(state, rank_threshold=args.rank_threshold)
     if args.format == "json":
         print(json.dumps(report.to_dict(include_modes=not args.no_modes), indent=2))
@@ -286,16 +300,16 @@ def _emit_report(state: BipartitePureState, args) -> None:
 
 def _cmd_analyze(args) -> int:
     if args.expr is not None:
-        state = parse_state(args.expr, strict_norm=args.strict_norm)
+        state = parse_state(args.expr)
     else:
-        state = _load_state_file(args.file, args.strict_norm)
+        state = _load_state_file(args.file)
     _emit_report(state, args)
     return 0
 
 
 def _cmd_examples(args) -> int:
     if args.name in catalog.EXPRESSIONS:
-        state = parse_state(catalog.EXPRESSIONS[args.name], strict_norm=args.strict_norm)
+        state = parse_state(catalog.EXPRESSIONS[args.name])
         _emit_report(state, args)
         return 0
     doc = build_comparison()
@@ -316,7 +330,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
         help="eigenvalues above this count toward the rank (default %(default)g)",
     )
     sub.add_argument(
-        "--strict-norm", action="store_true",
+        "--strict-norm", action="store_true", dest="unit_norm",
         help="reject input whose amplitude norm differs from 1 by more than "
         + np.format_float_scientific(NORM_ATOL, trim="-", exp_digits=1),
     )

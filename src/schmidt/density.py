@@ -53,7 +53,8 @@ class DensityMatrix:
     basis_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        # A copy, so that freezing it below leaves the caller's array writable.
+        m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"density matrix must be square, got shape {m.shape}")
         labels = tuple(self.basis_labels) or tuple(str(i) for i in range(m.shape[0]))
@@ -76,16 +77,8 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def require_normalized(state: BipartitePureState) -> None:
-    """Raise ValidationError unless sum |C|^2 is within NORM_ATOL of 1."""
-    total = float(np.sum(np.abs(np.asarray(state.amplitudes)) ** 2))
-    if abs(total - 1.0) > NORM_ATOL:
-        raise ValidationError(f"state is not normalized: sum |C|^2 = {total:.6g}")
-
-
 def pure_density(state: BipartitePureState) -> DensityMatrix:
     """Projector |Psi><Psi| of a normalized two-party pure state."""
-    require_normalized(state)
     vec = np.asarray(state.amplitudes, dtype=complex).reshape(-1)
     return DensityMatrix(
         np.outer(vec, vec.conj()),
@@ -109,9 +102,6 @@ def classical_mixture(
     weights = [float(w) for w, _, _ in terms]
     if min(weights) < -OUTCOME_ATOL:
         raise ValidationError(f"mixture weights must be non-negative, got {min(weights)!r}")
-    total = sum(weights)
-    if abs(total - 1.0) > TRACE_ATOL:
-        raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
     latin = tuple(latin_basis) if latin_basis is not None else tuple(sorted({a for _, a, _ in terms}))
     greek = tuple(greek_basis) if greek_basis is not None else tuple(sorted({b for _, _, b in terms}))
     gdim = len(greek)

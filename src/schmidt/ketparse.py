@@ -102,7 +102,7 @@ class KetExpression:
 
     terms: tuple[KetTerm, ...]
 
-    def to_state(self, strict_norm: bool = False) -> BipartitePureState:
+    def to_state(self) -> BipartitePureState:
         """Distribute the tensor products into an amplitude matrix."""
         latin: dict[str, int] = {}
         greek: dict[str, int] = {}
@@ -131,7 +131,7 @@ class KetExpression:
         amps = np.array(flat, dtype=complex).reshape(len(latin), cols)
         if not np.isfinite(amps).all():
             self._check_products(amps, tuple(latin), tuple(greek))
-        return BipartitePureState.from_amplitudes(tuple(latin), tuple(greek), amps, strict_norm)
+        return BipartitePureState.from_amplitudes(tuple(latin), tuple(greek), amps)
 
     def _check_products(self, amps: np.ndarray, latin: tuple[str, ...],
                         greek: tuple[str, ...]) -> None:
@@ -382,14 +382,14 @@ def parse_expression(text: str) -> KetExpression:
         raise ParseError(message, _token_position(text, failed_at)) from None
 
 
-def parse_state(text: str, strict_norm: bool = False) -> BipartitePureState:
+def parse_state(text: str) -> BipartitePureState:
     """Parse ket-v1 text into a BipartitePureState.
 
     The amplitude matrix is assembled by distributing every tensor product;
     bases are ordered by first appearance. The overall scale of the
     expression is recorded as the state's ``norm``, not discarded.
     """
-    return parse_expression(text).to_state(strict_norm)
+    return parse_expression(text).to_state()
 
 
 # --- formatting -----------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import HERMITICITY_ATOL, NORM_ATOL, DensityMatrix, require_normalized
+from .density import HERMITICITY_ATOL, NORM_ATOL, DensityMatrix
 from .errors import ConvergenceError, ShapeError, ValidationError
 
 DEFAULT_RANK_THRESHOLD = 1e-10
@@ -51,7 +51,8 @@ class BipartitePureState:
     def __post_init__(self):
         latin = tuple(self.latin_labels)
         greek = tuple(self.greek_labels)
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        # A copy, so that freezing it below leaves the caller's array writable.
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 2:
             raise ShapeError(f"amplitudes must be a 2-d matrix, got shape {amps.shape}")
         if amps.shape != (len(latin), len(greek)):
@@ -69,13 +70,11 @@ class BipartitePureState:
         object.__setattr__(self, "norm", float(self.norm))
 
     @classmethod
-    def from_amplitudes(cls, latin_labels, greek_labels, amplitudes,
-                        strict_norm: bool = False) -> "BipartitePureState":
+    def from_amplitudes(cls, latin_labels, greek_labels, amplitudes) -> "BipartitePureState":
         """Build a state from raw coefficients, rescaling them to unit norm.
 
-        With ``strict_norm`` the coefficients must already be normalized to
-        within 1e-9; otherwise the norm is simply recorded. Raises
-        ValidationError for a non-finite coefficient, naming its entry.
+        The original norm is recorded as ``norm``. Raises ValidationError for
+        a non-finite coefficient, naming its entry.
         """
         latin_labels, greek_labels = tuple(latin_labels), tuple(greek_labels)
         amps = np.asarray(amplitudes, dtype=complex)
@@ -104,10 +103,6 @@ class BipartitePureState:
             raise ValidationError(
                 f"amplitude norm {scaled_norm!r} * 2**{exponent} exceeds the float range"
             )
-        if strict_norm and abs(norm - 1.0) > NORM_ATOL:
-            raise ValidationError(
-                f"strict normalization requested but the amplitude norm is {norm!r}"
-            )
         return cls(latin_labels, greek_labels, scaled / scaled_norm, norm)
 
     @property
@@ -125,16 +120,15 @@ class SchmidtDecomposition:
 
     ``lambdas`` holds all min(latin_dim, greek_dim) squared singular values
     of the amplitude matrix in descending order; ``rank`` counts those above
-    ``threshold``. Column ``s`` of ``latin_modes`` / ``greek_modes`` is the
-    paired mode vector for ``lambdas[s]``; modes are only kept for the
-    eigenvalues above the threshold.
+    the rank threshold, so they are ``lambdas[:rank]``. Column ``s`` of
+    ``latin_modes`` / ``greek_modes`` is the paired mode vector for
+    ``lambdas[s]``; modes are only kept for those ``rank`` eigenvalues.
     """
 
     lambdas: np.ndarray
     latin_modes: np.ndarray
     greek_modes: np.ndarray
     rank: int
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -154,14 +148,12 @@ class EigenSystem:
 
 def gram_latin(state: BipartitePureState) -> DensityMatrix:
     """Reduced density matrix on the Latin side: C * adj(C)."""
-    require_normalized(state)
     c = state.amplitudes
     return DensityMatrix(c @ c.conj().T, state.latin_labels)
 
 
 def gram_greek(state: BipartitePureState) -> DensityMatrix:
     """Reduced density matrix on the Greek side: adj(C) * C."""
-    require_normalized(state)
     c = state.amplitudes
     return DensityMatrix(c.conj().T @ c, state.greek_labels)
 
@@ -233,7 +225,9 @@ def schmidt_decompose(
     """
     if not 0.0 < threshold < math.inf:  # false for NaN too
         raise ValidationError(f"rank threshold must be finite and positive, got {threshold!r}")
-    require_normalized(state)
+    total = float(np.sum(np.abs(state.amplitudes) ** 2))
+    if abs(total - 1.0) > NORM_ATOL:
+        raise ValidationError(f"state is not normalized: sum |C|^2 = {total:.6g}")
     try:
         # Thin factors: a full V of a 2 x 4096 state would hold 4096^2 entries.
         u, s, vh = np.linalg.svd(state.amplitudes, full_matrices=False)
@@ -257,7 +251,6 @@ def schmidt_decompose(
         latin_modes=latin_modes,
         greek_modes=greek_modes,
         rank=rank,
-        threshold=float(threshold),
     )
 
 
@@ -274,12 +267,11 @@ def schmidt_number(decomposition: SchmidtDecomposition) -> float:
 def entanglement_entropy(decomposition: SchmidtDecomposition) -> float:
     """Von Neumann entropy of either reduced state, in bits.
 
-    Computed as -sum(lambda * log2(lambda)) over the eigenvalues above the
-    decomposition's threshold; zero exactly when a single mode carries
+    Computed as -sum(lambda * log2(lambda)) over the ``rank`` eigenvalues
+    above the rank threshold; zero exactly when a single mode carries
     everything.
     """
-    lam = np.asarray(decomposition.lambdas, dtype=float)
-    lam = lam[lam > decomposition.threshold]
+    lam = np.asarray(decomposition.lambdas, dtype=float)[:decomposition.rank]
     if lam.size == 0:
         return 0.0
     entropy = float(-np.sum(lam * np.log2(lam)))
@@ -292,30 +284,20 @@ def is_entangled(decomposition: SchmidtDecomposition) -> bool:
     return decomposition.rank >= 2
 
 
-def reconstruct(
-    decomposition: SchmidtDecomposition,
-    dims: tuple[int, int] | None = None,
-) -> np.ndarray:
+def reconstruct(decomposition: SchmidtDecomposition) -> np.ndarray:
     """Rebuild the amplitude matrix, C = sum_s sqrt(lambda_s) F^s adj(Phi^s).
 
-    ``dims`` (latin_dim, greek_dim) is checked against the stored modes when
-    given. Raises ValidationError if mode pairs are missing for eigenvalues
-    above the threshold.
+    Raises ValidationError unless there is one mode pair for each of the
+    ``rank`` leading eigenvalues.
     """
-    lam = np.asarray(decomposition.lambdas, dtype=float)
-    above = int(np.sum(lam > decomposition.threshold))
+    rank = decomposition.rank
+    lam = np.asarray(decomposition.lambdas, dtype=float)[:rank]
     f = np.asarray(decomposition.latin_modes, dtype=complex)
     g = np.asarray(decomposition.greek_modes, dtype=complex)
     if f.ndim != 2 or g.ndim != 2:
         raise ShapeError("mode arrays must be 2-d (one column per mode)")
-    if f.shape[1] != above or g.shape[1] != above:
+    if f.shape[1] != rank or g.shape[1] != rank:
         raise ValidationError(
-            f"{above} eigenvalues above threshold but {f.shape[1]} Latin and "
-            f"{g.shape[1]} Greek modes are present"
+            f"rank is {rank} but {f.shape[1]} Latin and {g.shape[1]} Greek modes are present"
         )
-    if dims is not None and dims != (f.shape[0], g.shape[0]):
-        raise ShapeError(
-            f"requested dims {dims[0]}x{dims[1]} but modes live in "
-            f"{f.shape[0]}x{g.shape[0]}"
-        )
-    return (f * np.sqrt(lam[:above])) @ g.conj().T
+    return (f * np.sqrt(lam)) @ g.conj().T

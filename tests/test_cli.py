@@ -108,7 +108,7 @@ class TestAnalyze:
         assert doc["schmidt_number"] == pytest.approx(2.0, abs=1e-12)
         assert doc["normalization"] == pytest.approx(np.sqrt(2) * 1e-200, rel=1e-15)
 
-    def test_strict_norm_rejects_scaled_expression(self, capsys):
+    def test_strict_norm_rejects_scaled_expression(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "--expr", PSI0, "--strict-norm")
         assert code == 2
         assert "norm" in err
@@ -116,6 +116,21 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--expr", normalized, "--strict-norm")
         assert code == 0
         assert "schmidt number K: 2" in out
+        # the file and example paths go through the same check
+        path = tmp_path / "psi0.json"
+        path.write_text(json.dumps(cli.state_to_doc(cli.parse_state(PSI0))))
+        for argv in (("analyze", "--file", str(path)), ("examples", "psi0")):
+            code, out, err = run(capsys, *argv, "--strict-norm")
+            assert code == 2
+            assert out == ""
+            assert err == ("error: strict normalization requested but the amplitude norm "
+                           f"is {float(np.sqrt(12.0))!r}\n")
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+        # an input error that the strict check would also report comes first
+        code, _, err = run(capsys, "analyze", "--expr", "0|a>(x)|b>", "--strict-norm")
+        assert code == 2
+        assert "all-zero amplitudes" in err
 
     def test_lapack_failure_exits_3(self, capsys, monkeypatch):
         def fail(a, full_matrices=True):
@@ -230,6 +245,42 @@ class TestFileInput:
         assert out == ""
         assert f"entry at row 1, column 1 is not an [re, im] pair of numbers: {entry!r}" in err
 
+    @pytest.mark.parametrize("labels,message", [
+        ("ab", "latin_labels is not an array of strings: 'ab'"),
+        (None, "latin_labels is not an array of strings: None"),
+        ({"x": 1}, "latin_labels is not an array of strings: {'x': 1}"),
+        (["a", None], "latin_labels[1] is not a string: None"),
+        (["a", {"x": 1}], "latin_labels[1] is not a string: {'x': 1}"),
+        ([1, "b"], "latin_labels[0] is not a string: 1"),
+    ], ids=["string", "null", "object", "null-entry", "object-entry", "number-entry"])
+    def test_labels_must_be_arrays_of_strings(self, capsys, tmp_path, labels, message):
+        for side, other in (("latin", "greek"), ("greek", "latin")):
+            doc = {
+                "format": "schmidt-state-v1",
+                f"{side}_labels": labels,
+                f"{other}_labels": ["c", "d"],
+                "amplitudes": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+            }
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "analyze", "--file", str(path))
+            assert code == 2
+            assert out == ""
+            assert message.replace("latin", side) in err
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",  # not UTF-8
+        b"[" * 100000,  # nested deeper than the JSON parser's recursion allows
+        b"[" + b"1" * 5000 + b"]",  # more digits than int() converts
+    ], ids=["not-utf8", "deep-nesting", "long-integer"])
+    def test_unreadable_json_rejected(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "analyze", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"error: {path} is not valid JSON: " in err
+
     def test_nan_amplitude_rejected(self, capsys, tmp_path):
         # json.load accepts the bare NaN literal
         path = tmp_path / "nan.json"
@@ -305,7 +356,7 @@ class TestReportMatchesTheLibrary:
         state = BipartitePureState.from_amplitudes(self.LATIN, self.GREEK, amps)
         path = tmp_path / "state.json"
         path.write_text(json.dumps(cli.state_to_doc(state)))
-        return str(path), schmidt_decompose(cli._load_state_file(str(path), False))
+        return str(path), schmidt_decompose(cli._load_state_file(str(path)))
 
     def test_json_modes_are_the_decomposition_columns(self, capsys, state_file):
         path, d = state_file
@@ -397,6 +448,8 @@ class TestTableText:
 
 
 class TestReadme:
+    README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
     # A number with the sign in front of it; below 1e-12 in magnitude it is
     # roundoff (or the reconstruction residual) and may differ between BLAS builds.
     NUMBER = re.compile(r"(?:[-+] ?)?\b\d+(?:\.\d*)?(?:e[-+]?\d+)?")
@@ -407,8 +460,7 @@ class TestReadme:
         )
 
     def test_cli_example_matches_the_output(self, capsys):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        block = readme.split("```text\n$ ", 1)[1].split("```", 1)[0]
+        block = self.README.split("```text\n$ ", 1)[1].split("```", 1)[0]
         command, *expected = block.splitlines()
         program, *argv = shlex.split(command)
         assert program == "schmidt"
@@ -417,3 +469,10 @@ class TestReadme:
         assert [self.mask_roundoff(line) for line in out.splitlines()] == [
             self.mask_roundoff(line) for line in expected
         ]
+
+    def test_python_examples_run(self):
+        blocks = re.findall(r"```python\n(.*?)```", self.README, re.DOTALL)
+        assert len(blocks) >= 2
+        namespace = {}  # later blocks use names the earlier ones define
+        for number, block in enumerate(blocks, start=1):
+            exec(compile(block, f"README.md python block {number}", "exec"), namespace)

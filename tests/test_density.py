@@ -43,6 +43,14 @@ class TestDensityMatrixType:
         with pytest.raises(ShapeError):
             DensityMatrix(np.eye(2) / 2, ("only-one",))
 
+    def test_constructor_leaves_the_callers_array_writable(self):
+        m = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix(m)
+        assert m.flags.writeable
+        assert not rho.matrix.flags.writeable
+        m[0, 0] = 1.0
+        assert rho.matrix[0, 0] == 0.5
+
     def test_default_labels(self):
         rho = DensityMatrix(np.eye(2) / 2)
         assert rho.basis_labels == ("0", "1")

@@ -169,11 +169,6 @@ class TestParseErrors:
         with pytest.raises(ValidationError):
             parse_state("0|a>(x)|b>")
 
-    def test_strict_norm_propagates(self):
-        with pytest.raises(ValidationError):
-            parse_state("2|a>(x)|b>", strict_norm=True)
-        parse_state("|a>(x)|b>", strict_norm=True)
-
 
 class TestFormat:
     def test_demo_expressions_format_canonically(self):
