@@ -62,7 +62,8 @@ def state_to_doc(state: BipartitePureState) -> dict:
 
 def _amplitude_matrix(rows) -> np.ndarray:
     """Rows of [re, im] pairs as a complex matrix. An entry that is not
-    exactly two numbers raises ValueError naming its row and column."""
+    exactly two numbers, or holds an integer beyond the float range, raises
+    ValueError naming its row and column."""
     try:
         amps = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
         # complex(True, False) is 1+0j. Only a part of exactly 0 or 1 can be a
@@ -71,7 +72,7 @@ def _amplitude_matrix(rows) -> np.ndarray:
                 and bool in map(type, chain.from_iterable(chain.from_iterable(rows)))):
             raise TypeError("a boolean is not a number")
         return amps
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
                 try:
@@ -79,6 +80,9 @@ def _amplitude_matrix(rows) -> np.ndarray:
                     if bool in (type(re), type(im)):
                         raise TypeError("a boolean is not a number")
                     complex(re, im)
+                except OverflowError:  # a JSON integer such as 10**330
+                    raise ValueError(f"amplitude entry at row {i}, column {j} "
+                                     "overflows the float range") from None
                 except (TypeError, ValueError):
                     raise ValueError(f"amplitude entry at row {i}, column {j} is not "
                                      f"an [re, im] pair of numbers: {entry!r}") from None
@@ -291,7 +295,8 @@ def _emit_report(state: BipartitePureState, args) -> None:
         raise ValidationError(
             f"strict normalization requested but the amplitude norm is {state.norm!r}"
         )
-    report = build_report(state, rank_threshold=args.rank_threshold)
+    threshold = DEFAULT_RANK_THRESHOLD if args.rank_threshold is None else args.rank_threshold
+    report = build_report(state, rank_threshold=threshold)
     if args.format == "json":
         print(json.dumps(report.to_dict(include_modes=not args.no_modes), indent=2))
     else:
@@ -312,6 +317,11 @@ def _cmd_examples(args) -> int:
         state = parse_state(catalog.EXPRESSIONS[args.name])
         _emit_report(state, args)
         return 0
+    for flag, given in (("--rank-threshold", args.rank_threshold is not None),
+                        ("--strict-norm", args.unit_norm), ("--no-modes", args.no_modes)):
+        if given:
+            raise ValidationError(f"examples {args.name} prints a density-matrix "
+                                  f"comparison and does not use {flag}")
     doc = build_comparison()
     if args.format == "json":
         print(json.dumps({"comparison": doc}, indent=2, default=_complex_pairs))
@@ -326,8 +336,8 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
         help="output style: human-readable table or full-precision JSON",
     )
     sub.add_argument(
-        "--rank-threshold", type=float, default=DEFAULT_RANK_THRESHOLD, metavar="FLOAT",
-        help="eigenvalues above this count toward the rank (default %(default)g)",
+        "--rank-threshold", type=float, metavar="FLOAT",
+        help=f"eigenvalues above this count toward the rank (default {DEFAULT_RANK_THRESHOLD:g})",
     )
     sub.add_argument(
         "--strict-norm", action="store_true", dest="unit_norm",

@@ -281,6 +281,21 @@ class TestFileInput:
         assert out == ""
         assert f"error: {path} is not valid JSON: " in err
 
+    @pytest.mark.parametrize("entry", [[10**330, 0], [0, -10**330]], ids=["real", "imag"])
+    def test_integer_beyond_float_range_rejected(self, capsys, tmp_path, entry):
+        doc = {
+            "format": "schmidt-state-v1",
+            "latin_labels": ["a", "b"],
+            "greek_labels": ["c", "d"],
+            "amplitudes": [[[1, 0], [0, 0]], [[0, 0], entry]],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "amplitude entry at row 1, column 1 overflows the float range" in err
+
     def test_nan_amplitude_rejected(self, capsys, tmp_path):
         # json.load accepts the bare NaN literal
         path = tmp_path / "nan.json"
@@ -334,6 +349,17 @@ class TestExamples:
         code, out, _ = run(capsys, "examples", "classical")
         assert code == 0
         assert "rho_CL" in out and "rho_QM" in out
+
+    @pytest.mark.parametrize("name", ["bell", "classical"])
+    @pytest.mark.parametrize("flags", [["--rank-threshold", "nan"], ["--rank-threshold", "-1"],
+                                       ["--rank-threshold", "1e-10"], ["--strict-norm"],
+                                       ["--no-modes"]], ids=lambda flags: " ".join(flags))
+    def test_comparison_rejects_report_flags(self, capsys, name, flags):
+        for format_ in ("table", "json"):
+            code, out, err = run(capsys, "examples", name, *flags, "--format", format_)
+            assert code == 2
+            assert out == ""
+            assert f"does not use {flags[0]}" in err
 
     def test_unknown_example_name_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from schmidt import ketparse
 from schmidt.catalog import EXPRESSIONS
 from schmidt.errors import ParseError, SchmidtError, ValidationError
 from schmidt.ketparse import KetExpression, KetTerm, format_state, parse_expression, parse_state
@@ -132,6 +133,23 @@ class TestParseErrors:
             ("|a>(x)|b> + 1/1e-320|c>(x)|d>", "scalar '1/1e-320' overflows the float range", 13),
             ("2/sqrt(1e400)|a>(x)|b>", "scalar '1e400' overflows the float range", 8),
             ("|a>(x)(|b> - (2-1e999i)|c>)", "scalar '(2-1e999i)' overflows the float range", 14),
+            # Compound tokens ('|a>', '(1+2i)', '(x)') in places where the
+            # grammar does not read them whole.
+            ("(x)|a>(x)|b>", "expected '|' opening a ket, found 'x'", 2),
+            ("sqrt(1+2i)|a>(x)|b>", "expected ')' closing sqrt, found '+'", 7),
+            ("1/(1+2i)|a>(x)|b>", "expected a number or sqrt(...) after '/'", 3),
+            ("|a>(x)|b> |c>", "unexpected trailing input '|'", 11),
+            ("(1e999+2i)|a>(x)|b>", "scalar '(1e999+2i)' overflows the float range", 1),
+            ("|a>(x)(1+2i)", "expected '|' opening a ket, found '+'", 9),
+            ("|a>(1+2i)|b>", "expected a tensor operator '(x)', found '('", 4),
+            ("|a>(x)(x)|b>", "expected '|' opening a ket, found 'x'", 8),
+            ("(1+2i)(x)|b>", "expected '|' opening a ket, found 'x'", 8),
+            ("2(1+2i)|a>(x)|b>", "expected '|' opening a ket, found '+'", 4),
+            ("sqrt(x)|a>(x)|b>", "expected a number, found 'x'", 6),
+            ("| a >( x )", "expected a ket or '(', found end of input", 11),
+            ("|a>(x)|b>(x)|c>", "unexpected trailing input '('", 10),
+            ("|a>(x)(|b> + ( x )|c>)", "expected '|' opening a ket, found '('", 14),
+            ("( 1 + 2i )|a>(x)( 1e999 - i )|b>", "scalar '1e999' overflows the float range", 19),
         ],
     )
     def test_error_message_and_position(self, text, message, position):
@@ -338,3 +356,112 @@ def test_stray_character_is_reported_where_it_was_inserted(rows, cols, seed, cha
         parse_state(text[:offset] + char + text[offset:])
     assert info.value.position == offset + 1
     assert f"unexpected character {char!r}" in str(info.value)
+
+
+# --- compound tokens ---------------------------------------------------------
+# parse_expression reads a ket, a '(re±im i)' scalar and '(x)' as one token
+# each, and parses text it rejects again from the plain tokens. Both passes
+# must agree on every text: the same expression, or the same error.
+
+_GAPS = st.sampled_from(["", "", "", " ", "  ", "\t", "\n", "\u00a0"])
+_NUMBERS = st.sampled_from(
+    ["0", "1", "2", "2.5", "10.", "0.125", "1.5e-3", "3E+2", "1e999", "1e-320", "٣"]
+)
+# Disjoint pools for the two sides, so that most written texts are valid.
+_LATIN = st.sampled_from(["a", "b", "x", "sqrt"])
+_GREEK = st.sampled_from(["alpha", "b_1", "i", "c"])
+
+
+@st.composite
+def _scalar(draw):
+    num, sign = draw(_NUMBERS), draw(st.sampled_from(["+", "-"]))
+    forms = [
+        [], [num], [num, "i"], ["i"], [num, "/", draw(_NUMBERS)],
+        [num, "/", "sqrt", "(", draw(_NUMBERS), ")"], ["sqrt", "(", num, ")"],
+        ["(", num, sign, draw(_NUMBERS), "i", ")"], ["(", num, sign, "i", ")"],
+    ]
+    form = draw(st.sampled_from(forms))
+    return form + ["*"] if form and draw(st.booleans()) else form
+
+
+@st.composite
+def _factor(draw, labels):
+    if draw(st.booleans()):
+        return ["|", draw(labels), ">"]
+    tokens = ["("] + (["-"] if draw(st.booleans()) else [])
+    for index in range(draw(st.integers(1, 3))):
+        if index:
+            tokens.append(draw(st.sampled_from(["+", "-"])))
+        tokens += draw(_scalar()) + ["|", draw(labels), ">"]
+    return tokens + [")"]
+
+
+_TENSORS = st.sampled_from([["(", "x", ")"], ["x"], ["⊗"]])
+_COMPOUNDS = st.sampled_from([["|", "a", ">"], ["(", "1", "+", "2", "i", ")"], ["(", "x", ")"]])
+
+
+@st.composite
+def _written_text(draw, misplace=False):
+    """Hand-written ket-v1 with every scalar form and whitespace anywhere
+    between plain tokens, so inside kets, scalars and '( x )' too. With
+    ``misplace`` one of its pieces is replaced, so that a ket, a
+    scalar or '(x)' may stand where the grammar does not read it whole."""
+    pieces = [["-"]] if draw(st.booleans()) else []
+    for index in range(draw(st.integers(1, 3))):
+        if index:
+            pieces.append([draw(st.sampled_from(["+", "-"]))])
+        pieces += [draw(_scalar()), draw(_factor(_LATIN)), draw(_TENSORS),
+                   draw(_factor(_GREEK))]
+    if misplace:
+        pieces[draw(st.sampled_from(range(len(pieces))))] = draw(_COMPOUNDS)
+    return "".join(token + draw(_GAPS) for piece in pieces for token in piece)
+
+
+@st.composite
+def _canonical_text(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e-7, 3e20]),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    amps = np.array(draw(st.lists(st.builds(complex, parts, parts),
+                                  min_size=rows * cols, max_size=rows * cols)))
+    assume(np.any(amps != 0))
+    state = BipartitePureState(tuple(f"m{i}" for i in range(rows)),
+                               tuple(f"s{j}" for j in range(cols)),
+                               amps.reshape(rows, cols))
+    return format_state(state)
+
+
+@st.composite
+def _mutated(draw, texts):
+    text = draw(texts)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert", "delete", "repeat"]))
+        if kind == "insert":
+            text = text[:at] + draw(st.sampled_from("0123456789.+-*/()|><xie_ ⊗@")) + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            end = draw(st.integers(at, min(at + 8, len(text))))
+            text = text[:end] + text[at:end] + text[end:]
+    return text
+
+
+def _outcome(parse, text):
+    # repr tells -0.0 from 0.0, so equal outcomes mean bit-equal coefficients
+    try:
+        return repr(parse(text))
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_written_text(), _written_text(misplace=True), _canonical_text(),
+                 _mutated(st.one_of(_written_text(), _canonical_text()))))
+def test_compound_tokens_parse_as_the_plain_tokens(text):
+    assume(text.strip())
+    plain = _outcome(ketparse._parse_plain, text)
+    assert _outcome(parse_expression, text) == plain
+    if isinstance(plain, str):  # valid text never needs the second pass
+        compound = ketparse._Parser(ketparse._tokenize(text, ketparse._COMPOUND_TOKEN))
+        assert repr(compound.state()) == plain
