@@ -6,13 +6,15 @@ same for the built-in states, or prints the classical-versus-entangled
 density-matrix comparison for the polarization pair.
 
 Exit codes: 0 success, 2 bad input (parse or validation failure), 3 numerical
-failure (LAPACK non-convergence, or a reconstruction residual above 1e-9).
+failure (LAPACK non-convergence, or a reconstruction residual above 1e-9),
+141 stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -37,6 +39,7 @@ from .modes import (
 STATE_FORMAT = "schmidt-state-v1"
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a program SIGPIPE ended
 # Reports are only emitted when the decomposition reproduces the state this well.
 RESIDUAL_LIMIT = 1e-9
 
@@ -61,9 +64,10 @@ def state_to_doc(state: BipartitePureState) -> dict:
 
 
 def _amplitude_matrix(rows) -> np.ndarray:
-    """Rows of [re, im] pairs as a complex matrix. An entry that is not
-    exactly two numbers, or holds an integer beyond the float range, raises
-    ValueError naming its row and column."""
+    """Rows of [re, im] pairs as a complex matrix. Raises ValueError unless
+    ``rows`` is an array of arrays, naming a row whose length differs from
+    row 0's, and an entry that is not exactly two numbers or holds an integer
+    beyond the float range by its row and column."""
     try:
         amps = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
         # complex(True, False) is 1+0j. Only a part of exactly 0 or 1 can be a
@@ -73,7 +77,14 @@ def _amplitude_matrix(rows) -> np.ndarray:
             raise TypeError("a boolean is not a number")
         return amps
     except (TypeError, ValueError, OverflowError):
+        try:
+            lengths = [len(row) for row in rows]
+        except TypeError:
+            raise ValueError("amplitudes must be an array of rows") from None
         for i, row in enumerate(rows):
+            if lengths[i] != lengths[0]:
+                raise ValueError(f"amplitude row {i} has length {lengths[i]}, "
+                                 f"row 0 has length {lengths[0]}") from None
             for j, entry in enumerate(row):
                 try:
                     re, im = entry
@@ -304,10 +315,7 @@ def _emit_report(state: BipartitePureState, args) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    if args.expr is not None:
-        state = parse_state(args.expr)
-    else:
-        state = _load_state_file(args.file)
+    state = parse_state(args.expr) if args.expr is not None else _load_state_file(args.file)
     _emit_report(state, args)
     return 0
 
@@ -375,7 +383,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone (`schmidt ... | head -1`): drop the rest quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except ConvergenceError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR

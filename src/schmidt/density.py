@@ -63,10 +63,10 @@ class DensityMatrix:
                 f"{len(labels)} basis labels for a {m.shape[0]}-dimensional matrix"
             )
         defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if defect > HERMITICITY_ATOL:
+        if not defect <= HERMITICITY_ATOL:  # false for NaN too
             raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
         tr = complex(np.trace(m)).real if m.size else 0.0
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if not abs(tr - 1.0) <= TRACE_ATOL:  # false for NaN too
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -100,8 +100,9 @@ def classical_mixture(
     if not terms:
         raise ValidationError("a classical mixture needs at least one term")
     weights = [float(w) for w, _, _ in terms]
-    if min(weights) < -OUTCOME_ATOL:
-        raise ValidationError(f"mixture weights must be non-negative, got {min(weights)!r}")
+    for w in weights:
+        if not w >= -OUTCOME_ATOL:  # false for NaN too
+            raise ValidationError(f"mixture weights must be non-negative, got {w!r}")
     latin = tuple(latin_basis) if latin_basis is not None else tuple(sorted({a for _, a, _ in terms}))
     greek = tuple(greek_basis) if greek_basis is not None else tuple(sorted({b for _, _, b in terms}))
     gdim = len(greek)
@@ -171,7 +172,7 @@ def conditional_state(
     if p.size != latin_dim:
         raise ShapeError(f"projection vector has {p.size} components, expected {latin_dim}")
     norm = float(np.linalg.norm(p))
-    if abs(norm - 1.0) > NORM_ATOL:
+    if not abs(norm - 1.0) <= NORM_ATOL:  # false for NaN too
         raise ValidationError(f"projection vector must have unit norm, got {norm:.6g}")
     t = _reshape_bipartite(rho, dims)
     reduced = np.einsum("i,iajb,j->ab", p.conj(), t, p)

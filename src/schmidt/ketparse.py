@@ -18,6 +18,12 @@ disjoint. Basis order is first appearance in the text. Whitespace between
 tokens never matters. Reals may carry an exponent (``1.5e-3``), and a leading
 '-' on a state or parenthesized combination works as in ordinary arithmetic.
 
+``parse_state`` reports the first error in this order: a character outside
+the grammar, wherever it stands; a syntax error or a scalar that overflows the
+float range; a ket whose label already stood on the other side of the tensor
+product; a coefficient product or sum that overflows. ``parse_expression``
+checks the first two, ``KetExpression.to_state`` the last two.
+
 ``format_state`` emits canonical text in this grammar: one parenthesized
 Latin combination per Greek basis ket, Greek kets in basis order, integer
 coefficients printed as integers and all others with 15 significant digits.
@@ -78,14 +84,6 @@ def _tokenize(text: str, pattern: str = _TOKEN) -> list[str]:
     return tokens
 
 
-def _token_position(text: str, index: int) -> int:
-    """1-based character offset of token ``index``; past the last, len + 1."""
-    for count, match in enumerate(re.finditer(_TOKEN, text)):
-        if count == index:
-            return match.start() + 1
-    return len(text) + 1
-
-
 class _SyntaxError(Exception):
     """A rejected token, by index; parse_expression turns it into a ParseError."""
 
@@ -95,12 +93,18 @@ class _SyntaxError(Exception):
         self.index = index
 
 
+class _TwoSidedLabel(ValidationError):
+    """A label on both sides; ``ket`` counts the kets before it in text order."""
+
+    def __init__(self, label: str, ket: int):
+        super().__init__(f"label {label!r} appears on both sides of a tensor product")
+        self.label, self.ket = label, ket
+
+
 @dataclass(frozen=True)
 class KetTerm:
-    """One tensor-product term: coefficient * (Latin combo) (x) (Greek combo).
-
-    Each side is a tuple of (coefficient, label) pairs.
-    """
+    """One term, coefficient * (Latin combo) (x) (Greek combo), each combo a
+    tuple of (coefficient, label) pairs."""
 
     coefficient: complex
     latin: tuple[tuple[complex, str], ...]
@@ -122,13 +126,15 @@ class KetExpression:
                 latin.setdefault(label, len(latin))
             for _, label in term.greek:
                 greek.setdefault(label, len(greek))
-        # parse_expression reports this with a position; a hand-built
-        # expression can still get here.
-        overlap = latin.keys() & greek.keys()
-        if overlap:
-            raise ValidationError(
-                f"label {sorted(overlap)[0]!r} appears on both sides of a tensor product"
-            )
+        if not latin.keys().isdisjoint(greek):
+            # the first ket, in text order, whose label already stood on the other side
+            seen: tuple[set[str], set[str]] = (set(), set())
+            kets = ((side, label) for term in self.terms
+                    for side, items in enumerate((term.latin, term.greek)) for _, label in items)
+            for number, (side, label) in enumerate(kets):
+                if label in seen[1 - side]:
+                    raise _TwoSidedLabel(label, number)
+                seen[side].add(label)
         cols = len(greek)
         # Summed as Python complex numbers in a row-major list: indexing a
         # numpy matrix once per product would cost more than the product.
@@ -184,8 +190,6 @@ class _Parser:
 
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
-        self.latin_seen: set[str] = set()
-        self.greek_seen: set[str] = set()
 
     def expect(self, i: int, token: str, what: str) -> int:
         if self.tokens[i] != token:
@@ -305,23 +309,20 @@ class _Parser:
             )
         return label, i + 3
 
-    def factor(self, i: int) -> tuple[list[tuple[complex, str]], list[int], int]:
+    def factor(self, i: int) -> tuple[list[tuple[complex, str]], int]:
         """Items (coefficient, label) of a ket or a parenthesized combination,
-        the token index of each item's ket, and the index after the factor."""
+        and the index after the factor."""
         tokens = self.tokens
         if tokens[i][:1] == "|":
             label, end = self.ket(i)
-            return [(1 + 0j, label)], [i], end
+            return [(1 + 0j, label)], end
         if tokens[i] != "(":
             raise _SyntaxError(f"expected a ket or '(', found {_found(tokens[i])}", i)
-        i += 1
-        negate = tokens[i] == "-"
-        if negate:
-            i += 1
-        items, starts = [], []
+        negate = tokens[i + 1] == "-"
+        i += 2 if negate else 1
+        items = []
         while True:
             coef, i = self.coefficient(i)
-            starts.append(i)
             label, i = self.ket(i)
             items.append((-coef if negate else coef, label))
             sign = tokens[i]
@@ -329,56 +330,29 @@ class _Parser:
                 break
             negate = sign == "-"
             i += 1
-        return items, starts, self.expect(i, ")", "')' closing the combination")
+        return items, self.expect(i, ")", "')' closing the combination")
 
-    def accept_tensor(self, i: int) -> int:
-        """Index after a tensor operator at ``i``, or -1 if there is none."""
-        tokens = self.tokens
-        token = tokens[i]
-        if token == "⊗" or token == "x":
-            return i + 1
-        if token == "(" and tokens[i + 1] == "x" and tokens[i + 2] == ")":
-            return i + 3
-        if token[:1] == "(" and "x" in token:  # a compound '(x)'
-            return i + 1
-        return -1
-
-    # --- terms and the whole state ----------------------------------------
-
-    def check_sides(self, labels, starts, other_seen: set[str], seen: set[str]) -> None:
-        if not other_seen.isdisjoint(labels):
-            for label, start in zip(labels, starts):
-                if label in other_seen:
-                    raise _SyntaxError(
-                        f"label {label!r} appears on both sides of the tensor product",
-                        start,
-                    )
-        seen.update(labels)
-
-    def term(self, i: int, negate: bool) -> tuple[KetTerm, int]:
-        coef, i = self.coefficient(i)
-        latin, latin_starts, i = self.factor(i)
-        after = self.accept_tensor(i)
-        if after < 0:
-            raise _SyntaxError(
-                f"expected a tensor operator '(x)', found {_found(self.tokens[i])}", i
-            )
-        greek, greek_starts, i = self.factor(after)
-        self.check_sides([l for _, l in latin], latin_starts, self.greek_seen, self.latin_seen)
-        self.check_sides([l for _, l in greek], greek_starts, self.latin_seen, self.greek_seen)
-        term = KetTerm(-coef if negate else coef, tuple(latin), tuple(greek))
-        return term, i
+    # --- the whole state ----------------------------------------------------
 
     def state(self) -> KetExpression:
+        """The sum of terms, each a coefficient, a factor, a tensor operator
+        and a factor."""
         tokens = self.tokens
-        i = 0
         negate = tokens[0] == "-"
-        if negate:
-            i = 1
+        i = 1 if negate else 0
         terms = []
         while True:
-            term, i = self.term(i, negate)
-            terms.append(term)
+            coef, i = self.coefficient(i)
+            latin, i = self.factor(i)
+            token = tokens[i]
+            if token == "⊗" or token == "x" or (token[:1] == "(" and "x" in token):
+                i += 1  # '⊗', 'x' or a compound '(x)' token
+            elif token == "(" and tokens[i + 1] == "x" and tokens[i + 2] == ")":
+                i += 3
+            else:
+                raise _SyntaxError(f"expected a tensor operator '(x)', found {_found(token)}", i)
+            greek, i = self.factor(i)
+            terms.append(KetTerm(-coef if negate else coef, tuple(latin), tuple(greek)))
             sign = tokens[i]
             if sign != "+" and sign != "-":
                 break
@@ -393,7 +367,9 @@ def parse_expression(text: str) -> KetExpression:
     """Parse ket-v1 text into its syntax tree without building the state.
 
     Cost is linear in the length of the text. A character outside the
-    grammar is reported ahead of any syntax error, wherever it appears.
+    grammar is reported ahead of any syntax error, wherever it appears. The
+    label sides are not checked: a label on both sides of the tensor product
+    is an error of ``KetExpression.to_state``.
     """
     if not text.strip():
         raise ParseError("empty expression", 1)
@@ -416,14 +392,15 @@ def _parse_plain(text: str) -> KetExpression:
     except _SyntaxError as exc:
         # A stray character can never be consumed, so any lexical error
         # surfaces here as some syntax error; report the first one instead.
+        message, failed_at = exc.message, exc.index
         token_start = re.compile(_TOKEN_START)
         for index, token in enumerate(tokens[:-1]):
             if not token_start.match(token):
                 message, failed_at = f"unexpected character {token!r}", index
                 break
-        else:
-            message, failed_at = exc.message, exc.index
-        raise ParseError(message, _token_position(text, failed_at)) from None
+        # 1-based character offset of each token; the end sentinel's is len + 1
+        starts = [match.start() + 1 for match in re.finditer(_TOKEN, text)] + [len(text) + 1]
+        raise ParseError(message, starts[failed_at]) from None
 
 
 def parse_state(text: str) -> BipartitePureState:
@@ -433,7 +410,14 @@ def parse_state(text: str) -> BipartitePureState:
     bases are ordered by first appearance. The overall scale of the
     expression is recorded as the state's ``norm``, not discarded.
     """
-    return parse_expression(text).to_state()
+    expression = parse_expression(text)
+    try:
+        return expression.to_state()
+    except _TwoSidedLabel as exc:
+        # In text that parses, '|' only opens a ket.
+        bars = [at for at, char in enumerate(text, start=1) if char == "|"]
+        raise ParseError(f"label {exc.label!r} appears on both sides of the tensor product",
+                         bars[exc.ket]) from None
 
 
 # --- formatting -----------------------------------------------------------

@@ -172,7 +172,7 @@ def hermitian_eigen(h) -> EigenSystem:
     if n == 0:
         return EigenSystem(np.zeros(0), np.zeros((0, 0), dtype=complex), 0.0)
     defect = float(np.max(np.abs(a - a.conj().T)))
-    if defect > HERMITICITY_ATOL:
+    if not defect <= HERMITICITY_ATOL:  # false for NaN too
         raise ValidationError(
             f"matrix is not Hermitian: max |H - adj(H)| = {defect:.3e} "
             f"exceeds {HERMITICITY_ATOL:g}"
@@ -226,7 +226,7 @@ def schmidt_decompose(
     if not 0.0 < threshold < math.inf:  # false for NaN too
         raise ValidationError(f"rank threshold must be finite and positive, got {threshold!r}")
     total = float(np.sum(np.abs(state.amplitudes) ** 2))
-    if abs(total - 1.0) > NORM_ATOL:
+    if not abs(total - 1.0) <= NORM_ATOL:  # false for NaN too
         raise ValidationError(f"state is not normalized: sum |C|^2 = {total:.6g}")
     try:
         # Thin factors: a full V of a 2 x 4096 state would hold 4096^2 entries.

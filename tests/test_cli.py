@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +299,25 @@ class TestFileInput:
         assert out == ""
         assert "amplitude entry at row 1, column 1 overflows the float range" in err
 
+    @pytest.mark.parametrize("amplitudes,message", [
+        ([[[1, 0]], [[1, 0], [2, 0]]], "amplitude row 1 has length 2, row 0 has length 1"),
+        ([[[1, 0], [2, 0]], [[1, 0], [2, 0]], [[1, 0]]],
+         "amplitude row 2 has length 1, row 0 has length 2"),
+        (5, "amplitudes must be an array of rows"),
+        ([5, 6], "amplitudes must be an array of rows"),
+        (None, "amplitudes must be an array of rows"),
+    ], ids=["ragged", "ragged-last", "number", "array-of-numbers", "null"])
+    def test_malformed_amplitude_rows_rejected(self, capsys, tmp_path, amplitudes, message):
+        # The amplitudes are read before their shape is checked against the labels.
+        doc = {"format": "schmidt-state-v1", "latin_labels": ["a", "b"],
+               "greek_labels": ["c", "d"], "amplitudes": amplitudes}
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: malformed schmidt-state-v1 document: {message}\n"
+
     def test_nan_amplitude_rejected(self, capsys, tmp_path):
         # json.load accepts the bare NaN literal
         path = tmp_path / "nan.json"
@@ -360,6 +382,21 @@ class TestExamples:
             assert code == 2
             assert out == ""
             assert f"does not use {flags[0]}" in err
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_quietly(self, unbuffered):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        child = subprocess.Popen([sys.executable, "-m", "schmidt.cli", "examples", "psi0"],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()  # before the child can write its report
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
+        assert err == b""
 
     def test_unknown_example_name_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -37,6 +37,10 @@ class TestDensityMatrixType:
         with pytest.raises(ValidationError, match="trace"):
             DensityMatrix(np.eye(2))
 
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            DensityMatrix(np.full((2, 2), np.nan))
+
     def test_validates_shape_and_labels(self):
         with pytest.raises(ShapeError):
             DensityMatrix(np.zeros((2, 3)))
@@ -112,6 +116,12 @@ class TestClassicalMixture:
             classical_mixture([(1.5, "H", "V"), (-0.5, "V", "H")])
         with pytest.raises(ValidationError):
             classical_mixture([])
+
+    @pytest.mark.parametrize("terms", [[(np.nan, "H", "V")],
+                                       [(0.5, "H", "V"), (np.nan, "V", "H")]])
+    def test_nan_weight_rejected(self, terms):
+        with pytest.raises(ValidationError, match="weights must be non-negative, got nan"):
+            classical_mixture(terms)
 
     def test_explicit_basis_order(self):
         rho = classical_mixture(
@@ -189,6 +199,11 @@ class TestConditionalState:
         rho = pure_density(bell_state())
         with pytest.raises(ValidationError):
             conditional_state(rho, [1.0, 1.0], (2, 2))
+
+    def test_nan_projector_rejected(self):
+        rho = pure_density(bell_state())
+        with pytest.raises(ValidationError, match="unit norm, got nan"):
+            conditional_state(rho, [np.nan, 0.0], (2, 2))
 
     def test_projector_dimension_checked(self):
         rho = pure_density(bell_state())

@@ -150,6 +150,10 @@ class TestParseErrors:
             ("|a>(x)|b>(x)|c>", "unexpected trailing input '('", 10),
             ("|a>(x)(|b> + ( x )|c>)", "expected '|' opening a ket, found '('", 14),
             ("( 1 + 2i )|a>(x)( 1e999 - i )|b>", "scalar '1e999' overflows the float range", 19),
+            # Label sides are checked after the syntax of the whole text.
+            ("|a>(x)|b> + |b>(x)|c>",
+             "label 'b' appears on both sides of the tensor product", 13),
+            ("|a>(x)|a> +", "expected a ket or '(', found end of input", 12),
         ],
     )
     def test_error_message_and_position(self, text, message, position):
@@ -298,6 +302,13 @@ class TestExpressionTree:
 
     def test_hand_built_label_on_both_sides_is_a_validation_error(self):
         expr = KetExpression((KetTerm(1 + 0j, ((1 + 0j, "a"),), ((1 + 0j, "a"),)),))
+        with pytest.raises(ValidationError) as info:
+            expr.to_state()
+        assert str(info.value) == "label 'a' appears on both sides of a tensor product"
+
+    def test_parse_expression_does_not_check_sides(self):
+        expr = parse_expression("|a>(x)|a>")
+        assert expr == KetExpression((KetTerm(1 + 0j, ((1 + 0j, "a"),), ((1 + 0j, "a"),)),))
         with pytest.raises(ValidationError) as info:
             expr.to_state()
         assert str(info.value) == "label 'a' appears on both sides of a tensor product"

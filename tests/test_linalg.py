@@ -103,6 +103,10 @@ class TestHermitianEigen:
         with pytest.raises(ValidationError):
             hermitian_eigen(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_nan_matrix_raises_validation_error(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            hermitian_eigen(np.full((2, 2), np.nan))
+
     def test_lapack_failure_raises_convergence_error(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

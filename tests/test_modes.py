@@ -228,6 +228,12 @@ class TestSchmidtDecompose:
         with pytest.raises(ValidationError):
             schmidt_decompose(raw)
 
+    def test_nan_state_is_not_normalized(self):
+        # Built directly, so from_amplitudes' finiteness check is bypassed.
+        raw = BipartitePureState(("a",), ("b",), np.full((1, 1), np.nan, dtype=complex))
+        with pytest.raises(ValidationError, match="state is not normalized"):
+            schmidt_decompose(raw)
+
 
 class TestMeasures:
     def test_schmidt_numbers_of_the_fixture_family(self):

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 
 from schmidt.cli import build_report
 from schmidt.errors import ConvergenceError
@@ -79,6 +80,21 @@ def test_double_gaussian_matches_closed_form_at_d400(ratio):
     k_exact = (ratio + 1.0 / ratio) / 2.0
     assert abs(schmidt_number(d) - k_exact) <= 1e-10 * k_exact
     np.testing.assert_allclose(d.lambdas, exact, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d,ratio", [(400, 3.0), (800, 6.0)])
+def test_double_gaussian_modes_are_hermite_functions(d, ratio):
+    # With ab = 1 the n-th mode on either side is the Hermite function
+    # H_n(x) exp(-x^2/2). The phase convention makes a mode's first significant
+    # component, at the left edge where H_n has the sign (-1)^n, positive.
+    decomposition = schmidt_decompose(double_gaussian_state(d, ratio))
+    half_width = 5.0 * math.sqrt(ratio)
+    for modes, size in ((decomposition.latin_modes, d), (decomposition.greek_modes, d + 1)):
+        x = np.linspace(-half_width, half_width, size)
+        for n in range(10):
+            h = hermval(x, [0] * n + [1]) * np.exp(-x * x / 2.0)
+            h /= np.linalg.norm(h)
+            assert abs(1.0 - (-1) ** n * np.vdot(h, modes[:, n])) <= 1e-13
 
 
 class TestRankFloorRefusal:
