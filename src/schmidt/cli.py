@@ -8,11 +8,18 @@ density-matrix comparison for the polarization pair.
 Exit codes: 0 success, 2 bad input (parse or validation failure), 3 numerical
 failure (LAPACK non-convergence, or a reconstruction residual above 1e-9),
 141 stdout closed by its reader before the output was written.
+
+``main(argv)`` runs one command and returns its exit code; tests and other
+in-process callers use it. ``run()`` is the process entry point (the
+``schmidt`` console script and ``python -m schmidt.cli``): it freezes the
+heap built by the imports with ``gc.freeze()``, so the collections at
+interpreter exit skip it, and exits with ``main()``'s code.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -68,6 +75,9 @@ def _amplitude_matrix(rows) -> np.ndarray:
     ``rows`` is an array of arrays, naming a row whose length differs from
     row 0's, and an entry that is not exactly two numbers or holds an integer
     beyond the float range by its row and column."""
+    # A JSON string or object iterates too, as characters or keys.
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError("amplitudes must be an array of rows")
     try:
         amps = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
         # complex(True, False) is 1+0j. Only a part of exactly 0 or 1 can be a
@@ -77,10 +87,7 @@ def _amplitude_matrix(rows) -> np.ndarray:
             raise TypeError("a boolean is not a number")
         return amps
     except (TypeError, ValueError, OverflowError):
-        try:
-            lengths = [len(row) for row in rows]
-        except TypeError:
-            raise ValueError("amplitudes must be an array of rows") from None
+        lengths = [len(row) for row in rows]
         for i, row in enumerate(rows):
             if lengths[i] != lengths[0]:
                 raise ValueError(f"amplitude row {i} has length {lengths[i]}, "
@@ -398,5 +405,17 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point: ``sys.exit(main())`` after ``gc.freeze()``.
+
+    Everything the imports left on the heap moves to the permanent
+    generation, which the collections during and at the end of the process
+    skip. Freezing is for a process that ends after one command, so it is
+    here and not in ``main``, which would pin its caller's heap.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -29,6 +29,15 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def child_env(**extra):
+    """The environment of a child Python that imports this checkout's package."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
+
+
 class TestAnalyze:
     def test_demo_expression_table(self, capsys):
         code, out, err = run(capsys, "analyze", "--expr", PSI0)
@@ -306,7 +315,12 @@ class TestFileInput:
         (5, "amplitudes must be an array of rows"),
         ([5, 6], "amplitudes must be an array of rows"),
         (None, "amplitudes must be an array of rows"),
-    ], ids=["ragged", "ragged-last", "number", "array-of-numbers", "null"])
+        ("ab", "amplitudes must be an array of rows"),
+        (["ab", "cd"], "amplitudes must be an array of rows"),
+        ({"x": 1}, "amplitudes must be an array of rows"),
+        ([""], "amplitudes must be an array of rows"),
+    ], ids=["ragged", "ragged-last", "number", "array-of-numbers", "null", "string",
+            "array-of-strings", "object", "array-of-empty-string"])
     def test_malformed_amplitude_rows_rejected(self, capsys, tmp_path, amplitudes, message):
         # The amplitudes are read before their shape is checked against the labels.
         doc = {"format": "schmidt-state-v1", "latin_labels": ["a", "b"],
@@ -385,11 +399,7 @@ class TestExamples:
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_closed_stdout_exits_quietly(self, unbuffered):
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        package_root = str(Path(cli.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        env = child_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
         child = subprocess.Popen([sys.executable, "-m", "schmidt.cli", "examples", "psi0"],
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         child.stdout.close()  # before the child can write its report
@@ -404,6 +414,53 @@ class TestExamples:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "psi0" in err  # argparse lists the valid choices
+
+
+class TestProcessEntry:
+    """``run()``, the entry of ``python -m schmidt.cli`` and the console script."""
+
+    @pytest.mark.parametrize("argv,expected_code", [
+        (["examples", "psi0"], 0),
+        (["examples", "psi0", "--format", "json"], 0),
+        (["analyze", "--expr", "|a>(x)|b> + |b>(x)|c>"], 2),
+        (["examples", "psi0", "--rank-threshold", "0.5"], 3),
+        (["examples", "psi9"], 2),
+        (["--help"], 0),
+    ], ids=["table", "json", "bad-expr", "numeric-error", "argparse-error", "help"])
+    def test_module_run_matches_main(self, capsys, monkeypatch, argv, expected_code):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal width
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse exits on --help and on a bad choice
+            code = exc.code
+        captured = capsys.readouterr()
+        child = subprocess.run([sys.executable, "-m", "schmidt.cli", *argv], capture_output=True,
+                               text=True, env=child_env(COLUMNS="80"), timeout=60)
+        assert code == expected_code
+        assert (child.returncode, child.stdout, child.stderr) == (code, captured.out, captured.err)
+
+    def test_atexit_handlers_run_after_the_freeze(self):
+        # run() ends through sys.exit, not os._exit, so atexit handlers (coverage's,
+        # for one) still run, and they see the heap frozen.
+        script = ("import atexit, gc, sys\n"
+                  "atexit.register(lambda: print('freeze count', gc.get_freeze_count(),"
+                  " file=sys.stderr))\n"
+                  "from schmidt import cli\n"
+                  "sys.argv[1:] = ['examples', 'psi0', '--no-modes']\n"
+                  "cli.run()\n")
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=child_env(), timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.startswith("input (ket-v1): ")
+        label, _, count = child.stderr.strip().rpartition(" ")
+        assert label == "freeze count"
+        assert int(count) > 0
+
+    def test_console_script_is_run(self):
+        # Read as text: tomllib is not in Python 3.10.
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip() == 'schmidt = "schmidt.cli:run"'
 
 
 class TestReportMatchesTheLibrary:
