@@ -258,16 +258,15 @@ def build_comparison() -> dict:
     """
     rho_cl = catalog.opposite_polarization_mixture()
     rho_qm = pure_density(catalog.bell_state("psi_plus"))
-    dims = (2, 2)
     project_h = [1.0, 0.0]
     out = {}
     for name, rho in (("classical", rho_cl), ("quantum", rho_qm)):
-        prob, cond = conditional_state(rho, project_h, dims, labels=("H", "V"))
+        prob, cond = conditional_state(rho, project_h)
         out[name] = {
             "basis": list(rho.basis_labels),
             "matrix": rho.matrix,
-            "reduced_A": partial_trace(rho, "A", dims, labels=("H", "V")).matrix,
-            "reduced_B": partial_trace(rho, "B", dims, labels=("H", "V")).matrix,
+            "reduced_A": partial_trace(rho, "A").matrix,
+            "reduced_B": partial_trace(rho, "B").matrix,
             "conditional_on_H": {"probability": prob, "matrix": cond.matrix},
         }
     return out

@@ -4,6 +4,10 @@ partial traces, purity, and post-measurement conditional states.
 Product-basis convention: the composite index of |n> (x) |nu> is
 ``n * greek_dim + nu`` (row-major), so two-qubit bases ordered H, V on each
 side produce the composite order HH, HV, VH, VV.
+
+``pure_density`` and ``classical_mixture`` record the Latin and Greek bases
+in ``DensityMatrix.parts``; ``partial_trace`` and ``conditional_state`` read
+the split and the labels of their result from there.
 """
 
 from __future__ import annotations
@@ -45,19 +49,32 @@ def product_labels(latin_labels: Sequence[str], greek_labels: Sequence[str]) -> 
 class DensityMatrix:
     """Square, Hermitian, unit-trace matrix with labelled basis rows.
 
-    Hermiticity and trace are checked at construction; positive
-    semidefiniteness is a documented invariant left to the producer.
+    ``parts`` holds the Latin and Greek bases of a two-party matrix and is
+    empty for a one-party one; when given, the basis labels are their
+    ``product_labels``. Hermiticity and trace are checked at construction;
+    positive semidefiniteness is a documented invariant left to the producer.
     """
 
     matrix: np.ndarray
     basis_labels: tuple[str, ...] = field(default=())
+    parts: tuple[tuple[str, ...], ...] = field(default=())
 
     def __post_init__(self):
         # A copy, so that freezing it below leaves the caller's array writable.
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"density matrix must be square, got shape {m.shape}")
-        labels = tuple(self.basis_labels) or tuple(str(i) for i in range(m.shape[0]))
+        labels = tuple(self.basis_labels)
+        parts = tuple(tuple(part) for part in self.parts)
+        if parts:
+            if len(parts) != 2:
+                raise ShapeError(f"a two-party matrix needs 2 parts, got {len(parts)}")
+            product = product_labels(*parts)
+            if labels and labels != product:
+                raise ShapeError(f"basis labels {labels} are not the parts' product {product}")
+            labels = product
+        labels = labels or tuple(str(i) for i in range(m.shape[0]))
+        # Also catches parts whose sizes do not multiply to the dimension.
         if len(labels) != m.shape[0]:
             raise ShapeError(
                 f"{len(labels)} basis labels for a {m.shape[0]}-dimensional matrix"
@@ -71,6 +88,7 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "basis_labels", labels)
+        object.__setattr__(self, "parts", parts)
 
     @property
     def dim(self) -> int:
@@ -81,8 +99,7 @@ def pure_density(state: BipartitePureState) -> DensityMatrix:
     """Projector |Psi><Psi| of a normalized two-party pure state."""
     vec = np.asarray(state.amplitudes, dtype=complex).reshape(-1)
     return DensityMatrix(
-        np.outer(vec, vec.conj()),
-        product_labels(state.latin_labels, state.greek_labels),
+        np.outer(vec, vec.conj()), parts=(state.latin_labels, state.greek_labels)
     )
 
 
@@ -114,39 +131,32 @@ def classical_mixture(
             raise ValidationError(f"label {b!r} is not in the Greek basis {greek}")
         idx = latin.index(a) * gdim + greek.index(b)
         m[idx, idx] += w
-    return DensityMatrix(m, product_labels(latin, greek))
+    return DensityMatrix(m, parts=(latin, greek))
 
 
-def _reshape_bipartite(rho: DensityMatrix, dims: tuple[int, int]) -> np.ndarray:
-    latin_dim, greek_dim = dims
-    n = rho.dim
-    if n != latin_dim * greek_dim:
+def _two_party(rho: DensityMatrix, what: str) -> np.ndarray:
+    """``rho.matrix`` as a (latin, greek, latin, greek) tensor."""
+    if not rho.parts:
         raise ShapeError(
-            f"density matrix is {n}x{n} but dims {latin_dim}x{greek_dim} "
-            f"imply {latin_dim * greek_dim}x{latin_dim * greek_dim}"
+            f"{what} needs a two-party density matrix, as built by pure_density "
+            "or classical_mixture"
         )
+    latin_dim, greek_dim = (len(part) for part in rho.parts)
     return rho.matrix.reshape(latin_dim, greek_dim, latin_dim, greek_dim)
 
 
-def partial_trace(
-    rho: DensityMatrix,
-    keep: str,
-    dims: tuple[int, int],
-    labels: Sequence[str] | None = None,
-) -> DensityMatrix:
-    """Reduced density matrix on one subsystem of a bipartite state.
+def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
+    """Reduced density matrix on one subsystem of a two-party state.
 
     ``keep`` is "A" (Latin side, rows of the amplitude matrix) or "B"
-    (Greek side); ``dims`` is (latin_dim, greek_dim).
+    (Greek side); the result is labelled with the kept side's basis.
     """
-    t = _reshape_bipartite(rho, dims)
+    t = _two_party(rho, "a partial trace")
     if keep == "A":
-        reduced = np.trace(t, axis1=1, axis2=3)
-    elif keep == "B":
-        reduced = np.trace(t, axis1=0, axis2=2)
-    else:
-        raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
-    return DensityMatrix(reduced, tuple(labels) if labels is not None else ())
+        return DensityMatrix(np.trace(t, axis1=1, axis2=3), rho.parts[0])
+    if keep == "B":
+        return DensityMatrix(np.trace(t, axis1=0, axis2=2), rho.parts[1])
+    raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -155,26 +165,21 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.vdot(rho.matrix, rho.matrix).real)
 
 
-def conditional_state(
-    rho: DensityMatrix,
-    projector_on_a,
-    dims: tuple[int, int],
-    labels: Sequence[str] | None = None,
-) -> tuple[float, DensityMatrix]:
+def conditional_state(rho: DensityMatrix, projector_on_a) -> tuple[float, DensityMatrix]:
     """State of subsystem B after projecting subsystem A onto a unit vector.
 
-    Returns ``(probability, state)``. Raises ImpossibleOutcomeError when the
-    outcome probability is below ``OUTCOME_ATOL``, i.e. the measurement can
-    essentially never give this result.
+    Returns ``(probability, state)``, the state labelled with the Greek
+    basis. Raises ImpossibleOutcomeError when the outcome probability is
+    below ``OUTCOME_ATOL``, i.e. the measurement can essentially never give
+    this result.
     """
+    t = _two_party(rho, "a conditional state")
     p = np.asarray(projector_on_a, dtype=complex).reshape(-1)
-    latin_dim, greek_dim = dims
-    if p.size != latin_dim:
-        raise ShapeError(f"projection vector has {p.size} components, expected {latin_dim}")
+    if p.size != t.shape[0]:
+        raise ShapeError(f"projection vector has {p.size} components, expected {t.shape[0]}")
     norm = float(np.linalg.norm(p))
     if not abs(norm - 1.0) <= NORM_ATOL:  # false for NaN too
         raise ValidationError(f"projection vector must have unit norm, got {norm:.6g}")
-    t = _reshape_bipartite(rho, dims)
     reduced = np.einsum("i,iajb,j->ab", p.conj(), t, p)
     probability = float(np.trace(reduced).real)
     if probability < OUTCOME_ATOL:
@@ -182,6 +187,4 @@ def conditional_state(
             f"outcome probability {probability:.3e} is below {OUTCOME_ATOL:g}; "
             "cannot condition on it"
         )
-    return probability, DensityMatrix(
-        reduced / probability, tuple(labels) if labels is not None else ()
-    )
+    return probability, DensityMatrix(reduced / probability, rho.parts[1])

@@ -35,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +66,6 @@ _COMPOUND_TOKEN = (
 # Characters that start a token; a token starting with anything else is a
 # lexical error.
 _TOKEN_START = rf"[{_SYMBOLS}\dA-Za-z]"
-_LETTERS = frozenset(string.ascii_letters)
 _END = ""  # sentinel after the last token; never equal to a real token
 
 
@@ -301,7 +299,7 @@ class _Parser:
         if token != "|":
             raise _SyntaxError(f"expected '|' opening a ket, found {_found(tokens[i])}", i)
         label = tokens[i + 1]
-        if label[:1] not in _LETTERS:
+        if not (label[:1].isascii() and label[:1].isalpha()):  # the end sentinel too
             raise _SyntaxError(f"expected a ket label, found {_found(label)}", i + 1)
         if tokens[i + 2] != ">":
             raise _SyntaxError(

@@ -73,18 +73,17 @@ class BipartitePureState:
     def from_amplitudes(cls, latin_labels, greek_labels, amplitudes) -> "BipartitePureState":
         """Build a state from raw coefficients, rescaling them to unit norm.
 
-        The original norm is recorded as ``norm``. Raises ValidationError for
-        a non-finite coefficient, naming its entry.
+        The original norm is recorded as ``norm``. The shape and labels are
+        checked first, so a non-finite coefficient's ValidationError names its
+        ket.
         """
-        latin_labels, greek_labels = tuple(latin_labels), tuple(greek_labels)
-        amps = np.asarray(amplitudes, dtype=complex)
+        raw = cls(latin_labels, greek_labels, amplitudes)
+        latin_labels, greek_labels, amps = raw.latin_labels, raw.greek_labels, raw.amplitudes
         finite = np.isfinite(amps)
         if not finite.all():
-            where = tuple(int(k) for k in np.argwhere(~finite)[0])
-            entry = f"amplitude {where}"
-            if amps.shape == (len(latin_labels), len(greek_labels)):
-                entry += f" of |{latin_labels[where[0]]}>(x)|{greek_labels[where[1]]}>"
-            raise ValidationError(f"{entry} is not finite: {complex(amps[where])!r}")
+            i, j = (int(k) for k in np.argwhere(~finite)[0])
+            raise ValidationError(f"amplitude {(i, j)} of |{latin_labels[i]}>(x)|"
+                                  f"{greek_labels[j]}> is not finite: {complex(amps[i, j])!r}")
         peak = max(float(np.max(np.abs(amps.real), initial=0.0)),
                    float(np.max(np.abs(amps.imag), initial=0.0)))
         if peak == 0.0:
@@ -272,8 +271,6 @@ def entanglement_entropy(decomposition: SchmidtDecomposition) -> float:
     everything.
     """
     lam = np.asarray(decomposition.lambdas, dtype=float)[:decomposition.rank]
-    if lam.size == 0:
-        return 0.0
     entropy = float(-np.sum(lam * np.log2(lam)))
     # Roundoff can push a lone eigenvalue of 1 to a -1e-16 entropy.
     return entropy if entropy > 0.0 else 0.0

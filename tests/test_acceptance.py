@@ -129,7 +129,7 @@ def test_c06_bell_suite():
         assert entanglement_entropy(d) == pytest.approx(1.0, abs=1e-9)
         rho = pure_density(state)
         for keep in ("A", "B"):
-            reduced = partial_trace(rho, keep, (2, 2))
+            reduced = partial_trace(rho, keep)
             assert np.max(np.abs(reduced.matrix - np.eye(2) / 2)) < 1e-10
 
 
@@ -143,7 +143,7 @@ def test_c07_classical_vs_quantum():
     np.testing.assert_allclose(rho_qm.matrix, expected_qm, atol=1e-12)
 
     for rho in (rho_cl, rho_qm):
-        prob, cond = conditional_state(rho, [1.0, 0.0], (2, 2))
+        prob, cond = conditional_state(rho, [1.0, 0.0])
         assert prob == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(cond.matrix, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
 

@@ -319,8 +319,9 @@ class TestFileInput:
         (["ab", "cd"], "amplitudes must be an array of rows"),
         ({"x": 1}, "amplitudes must be an array of rows"),
         ([""], "amplitudes must be an array of rows"),
+        ([], "amplitudes must be a rectangular matrix"),
     ], ids=["ragged", "ragged-last", "number", "array-of-numbers", "null", "string",
-            "array-of-strings", "object", "array-of-empty-string"])
+            "array-of-strings", "object", "array-of-empty-string", "empty"])
     def test_malformed_amplitude_rows_rejected(self, capsys, tmp_path, amplitudes, message):
         # The amplitudes are read before their shape is checked against the labels.
         doc = {"format": "schmidt-state-v1", "latin_labels": ["a", "b"],
@@ -331,6 +332,20 @@ class TestFileInput:
         assert code == 2
         assert out == ""
         assert err == f"error: malformed schmidt-state-v1 document: {message}\n"
+
+    @pytest.mark.parametrize("amplitudes,message", [
+        ([[]], "amplitude matrix is 1x0 but there are 2 Latin and 2 Greek labels"),
+        ([[[0, 0]]], "amplitude matrix is 1x1 but there are 2 Latin and 2 Greek labels"),
+    ], ids=["empty-row", "one-zero-entry"])
+    def test_shape_checked_before_values(self, capsys, tmp_path, amplitudes, message):
+        doc = {"format": "schmidt-state-v1", "latin_labels": ["a", "b"],
+               "greek_labels": ["c", "d"], "amplitudes": amplitudes}
+        path = tmp_path / "mis-shaped.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_nan_amplitude_rejected(self, capsys, tmp_path):
         # json.load accepts the bare NaN literal
@@ -522,15 +537,14 @@ class TestReportMatchesTheLibrary:
         def pairs(m):
             return np.stack((m.real, m.imag), axis=-1).tolist()
 
-        dims, labels = (2, 2), ("H", "V")
         for name, rho in (("classical", opposite_polarization_mixture()),
                           ("quantum", pure_density(bell_state("psi_plus")))):
             entry = doc[name]
-            prob, cond = conditional_state(rho, [1.0, 0.0], dims, labels=labels)
+            prob, cond = conditional_state(rho, [1.0, 0.0])
             assert entry["basis"] == list(rho.basis_labels)
             assert entry["matrix"] == pairs(rho.matrix)
-            assert entry["reduced_A"] == pairs(partial_trace(rho, "A", dims, labels=labels).matrix)
-            assert entry["reduced_B"] == pairs(partial_trace(rho, "B", dims, labels=labels).matrix)
+            assert entry["reduced_A"] == pairs(partial_trace(rho, "A").matrix)
+            assert entry["reduced_B"] == pairs(partial_trace(rho, "B").matrix)
             assert entry["conditional_on_H"] == {"probability": prob, "matrix": pairs(cond.matrix)}
 
 

@@ -10,12 +10,15 @@ from schmidt.density import (
     pure_density,
     purity,
 )
+from schmidt.catalog import EXPRESSIONS, example_state
 from schmidt.errors import ImpossibleOutcomeError, ShapeError, ValidationError
 from schmidt.modes import BipartitePureState, gram_greek, gram_latin, schmidt_number, schmidt_decompose
 
 RHO_CL = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
 RHO_QM = np.zeros((4, 4), dtype=complex)
 RHO_QM[1:3, 1:3] = 0.5
+NEEDS_TWO_PARTIES = ("needs a two-party density matrix, "
+                     "as built by pure_density or classical_mixture")
 
 
 def bell_state():
@@ -59,6 +62,24 @@ class TestDensityMatrixType:
         rho = DensityMatrix(np.eye(2) / 2)
         assert rho.basis_labels == ("0", "1")
 
+    def test_parts_give_the_basis_labels(self):
+        rho = DensityMatrix(np.eye(4) / 4, parts=(["H", "V"], ("H", "V")))
+        assert rho.parts == (("H", "V"), ("H", "V"))
+        assert rho.basis_labels == ("HH", "HV", "VH", "VV")
+        assert DensityMatrix(np.eye(4) / 4, rho.basis_labels, rho.parts).parts == rho.parts
+        assert DensityMatrix(np.eye(2) / 2).parts == ()
+
+    @pytest.mark.parametrize("labels,parts,message", [
+        ((), (("H", "V"),), "needs 2 parts, got 1"),
+        ((), (("H", "V"), ("H", "V"), ("H",)), "needs 2 parts, got 3"),
+        ((), (("a", "b", "c"), ("x", "y")), "6 basis labels for a 4-dimensional matrix"),
+        ((), (("a",), ("x", "y")), "2 basis labels for a 4-dimensional matrix"),
+        (("HH", "HV", "VV", "VH"), (("H", "V"), ("H", "V")), "not the parts' product"),
+    ], ids=["one-part", "three-parts", "sizes-too-large", "sizes-too-small", "labels"])
+    def test_inconsistent_parts_rejected(self, labels, parts, message):
+        with pytest.raises(ShapeError, match=message):
+            DensityMatrix(np.eye(4) / 4, labels, parts)
+
     def test_product_labels(self):
         assert product_labels(("H", "V"), ("H", "V")) == ("HH", "HV", "VH", "VV")
         assert product_labels(("a",), ("alpha", "beta")) == ("a,alpha", "a,beta")
@@ -81,12 +102,17 @@ class TestPureDensity:
         assert purity(pure_density(demo_state())) == pytest.approx(1.0, abs=1e-10)
 
     def test_partial_traces_match_gram_matrices(self):
-        state = demo_state()
-        rho = pure_density(state)
-        reduced_a = partial_trace(rho, "A", (2, 3))
-        reduced_b = partial_trace(rho, "B", (2, 3))
-        assert np.max(np.abs(reduced_a.matrix - gram_latin(state).matrix)) < 1e-10
-        assert np.max(np.abs(reduced_b.matrix - gram_greek(state).matrix)) < 1e-10
+        for state in [demo_state()] + [example_state(name) for name in sorted(EXPRESSIONS)]:
+            rho = pure_density(state)
+            assert rho.parts == (state.latin_labels, state.greek_labels)
+            reduced_a, reduced_b = partial_trace(rho, "A"), partial_trace(rho, "B")
+            latin, greek = gram_latin(state), gram_greek(state)
+            assert np.max(np.abs(reduced_a.matrix - latin.matrix)) < 1e-10
+            # Tr_A |Psi><Psi| is C^T conj(C), the transpose of the Gram product
+            # adj(C) C; the two differ only for complex amplitudes (psi3).
+            assert np.max(np.abs(reduced_b.matrix - greek.matrix.T)) < 1e-10
+            assert reduced_a.basis_labels == latin.basis_labels
+            assert reduced_b.basis_labels == greek.basis_labels
 
     def test_unnormalized_state_rejected(self):
         raw = BipartitePureState(("a",), ("b",), np.array([[2.0 + 0j]]))
@@ -128,34 +154,36 @@ class TestClassicalMixture:
             [(1.0, "H", "V")], latin_basis=("V", "H"), greek_basis=("V", "H")
         )
         np.testing.assert_allclose(rho.matrix, np.diag([0.0, 0.0, 1.0, 0.0]), atol=1e-15)
+        assert rho.parts == (("V", "H"), ("V", "H"))
 
 
 class TestPartialTrace:
     def test_bell_reduces_to_maximal_mixture_on_both_sides(self):
         rho = pure_density(bell_state())
         for keep in ("A", "B"):
-            reduced = partial_trace(rho, keep, (2, 2), labels=("H", "V"))
+            reduced = partial_trace(rho, keep)
             np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-10)
+            assert reduced.basis_labels == ("H", "V")
 
     def test_classical_mixture_reduces_identically(self):
         rho = classical_mixture([(0.5, "H", "V"), (0.5, "V", "H")])
-        reduced = partial_trace(rho, "A", (2, 2))
+        reduced = partial_trace(rho, "A")
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-10)
 
     def test_trace_is_preserved(self):
         rho = pure_density(demo_state())
-        reduced = partial_trace(rho, "B", (2, 3))
+        reduced = partial_trace(rho, "B")
         assert np.trace(reduced.matrix).real == pytest.approx(1.0, abs=1e-12)
 
-    def test_dimension_mismatch_rejected(self):
-        rho = pure_density(bell_state())
-        with pytest.raises(ShapeError):
-            partial_trace(rho, "A", (2, 3))
+    @pytest.mark.parametrize("keep", ["A", "B"])
+    def test_one_party_matrix_rejected(self, keep):
+        with pytest.raises(ShapeError, match=f"a partial trace {NEEDS_TWO_PARTIES}"):
+            partial_trace(DensityMatrix(np.eye(4) / 4), keep)
 
     def test_bad_keep_flag_rejected(self):
         rho = pure_density(bell_state())
         with pytest.raises(ValidationError):
-            partial_trace(rho, "C", (2, 2))
+            partial_trace(rho, "C")
 
 
 class TestPurity:
@@ -176,39 +204,47 @@ class TestPurity:
 
 class TestConditionalState:
     def test_entangled_and_classical_agree_on_projection(self):
-        dims = (2, 2)
         for rho in (pure_density(bell_state()),
                     classical_mixture([(0.5, "H", "V"), (0.5, "V", "H")])):
-            prob, cond = conditional_state(rho, [1.0, 0.0], dims, labels=("H", "V"))
+            prob, cond = conditional_state(rho, [1.0, 0.0])
             assert prob == pytest.approx(0.5, abs=1e-12)
             np.testing.assert_allclose(cond.matrix, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
+            assert cond.basis_labels == ("H", "V")
+
+    def test_result_is_labelled_with_the_greek_basis(self):
+        _, cond = conditional_state(pure_density(demo_state()), [1.0, 0.0])
+        assert cond.basis_labels == ("alpha", "beta", "gamma")
+
+    def test_one_party_matrix_rejected(self):
+        with pytest.raises(ShapeError, match=f"a conditional state {NEEDS_TWO_PARTIES}"):
+            conditional_state(DensityMatrix(np.eye(4) / 4), [1.0, 0.0])
 
     def test_orthogonal_projection_is_impossible(self):
         state = BipartitePureState.from_amplitudes(("a", "b"), ("alpha",), [[1.0], [0.0]])
         rho = pure_density(state)
         with pytest.raises(ImpossibleOutcomeError):
-            conditional_state(rho, [0.0, 1.0], (2, 1))
+            conditional_state(rho, [0.0, 1.0])
 
     def test_probabilities_over_a_basis_sum_to_one(self):
         rho = pure_density(demo_state())
         basis = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        total = sum(conditional_state(rho, v, (2, 3))[0] for v in basis)
+        total = sum(conditional_state(rho, v)[0] for v in basis)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_projector_must_be_normalized(self):
         rho = pure_density(bell_state())
         with pytest.raises(ValidationError):
-            conditional_state(rho, [1.0, 1.0], (2, 2))
+            conditional_state(rho, [1.0, 1.0])
 
     def test_nan_projector_rejected(self):
         rho = pure_density(bell_state())
         with pytest.raises(ValidationError, match="unit norm, got nan"):
-            conditional_state(rho, [np.nan, 0.0], (2, 2))
+            conditional_state(rho, [np.nan, 0.0])
 
     def test_projector_dimension_checked(self):
         rho = pure_density(bell_state())
         with pytest.raises(ShapeError):
-            conditional_state(rho, [1.0, 0.0, 0.0], (2, 2))
+            conditional_state(rho, [1.0, 0.0, 0.0])
 
 
 def test_coherence_difference_sits_in_mixed_particle_positions():

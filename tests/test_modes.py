@@ -259,6 +259,14 @@ class TestMeasures:
         state = BipartitePureState.from_amplitudes(("a",), ("alpha",), [[1.0]])
         assert entanglement_entropy(schmidt_decompose(state)) == 0.0
 
+    def test_rank_zero_has_zero_entropy(self):
+        # Both Bell eigenvalues, 0.5, sit below the threshold: no term survives.
+        d = schmidt_decompose(bell_state(), threshold=0.9)
+        assert d.rank == 0
+        entropy = entanglement_entropy(d)
+        assert entropy == 0.0 and not np.signbit(entropy)
+        assert not is_entangled(d)
+
     def test_entropy_of_demo_state(self):
         expected = -(11 / 12) * np.log2(11 / 12) - (1 / 12) * np.log2(1 / 12)
         assert entanglement_entropy(schmidt_decompose(demo_state())) == pytest.approx(
