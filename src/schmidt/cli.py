@@ -187,7 +187,7 @@ def build_report(state: BipartitePureState,
     residual = float(np.max(np.abs(rebuilt - state.amplitudes)))
     if residual > RESIDUAL_LIMIT:
         raise ConvergenceError(
-            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}", residual
+            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}"
         )
     padded = decomposition.lambdas.tolist()
     padded += [0.0] * (max(state.latin_dim, state.greek_dim) - len(padded))

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
 TRACE_ATOL = 1e-10
 # Density matrices and hermitian_eigen inputs may deviate from Hermiticity by this.
 HERMITICITY_ATOL = 1e-10
-# States and projection vectors must have unit norm to within this.
+# --strict-norm input and projection vectors must have unit norm to within this.
 NORM_ATOL = 1e-9
 # Below this, a measurement outcome counts as impossible and cannot be
 # conditioned on.
@@ -96,7 +96,7 @@ class DensityMatrix:
 
 
 def pure_density(state: BipartitePureState) -> DensityMatrix:
-    """Projector |Psi><Psi| of a normalized two-party pure state."""
+    """Projector |Psi><Psi| of a two-party pure state (unit-norm by construction)."""
     vec = np.asarray(state.amplitudes, dtype=complex).reshape(-1)
     return DensityMatrix(
         np.outer(vec, vec.conj()), parts=(state.latin_labels, state.greek_labels)

@@ -19,12 +19,7 @@ class ImpossibleOutcomeError(ValidationError):
 
 class ConvergenceError(SchmidtError):
     """A numerical step failed: a LAPACK routine did not converge, or the
-    decomposition did not reproduce the state. ``residual`` is the
-    reconstruction residual in the second case and None in the first."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    decomposition did not reproduce the state."""
 
 
 class ParseError(SchmidtError):

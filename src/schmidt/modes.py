@@ -2,17 +2,19 @@
 
 A pure state of systems A and B, |Psi> = sum_{n,nu} C(n,nu) |n> (x) |nu>, is
 described here by its rectangular amplitude matrix C, rows indexed by the
-Latin (A-side) basis and columns by the Greek (B-side) basis. The two reduced
-density matrices are the Gram products C*adj(C) and adj(C)*C; they share
-their non-zero spectrum, and each eigenvector of one side pairs with an
+Latin (A-side) basis and columns by the Greek (B-side) basis. The reduced
+density matrices Tr_B |Psi><Psi| = C adj(C) and Tr_A |Psi><Psi| = C^T conj(C)
+share their non-zero spectrum, and each eigenvector of one side pairs with an
 eigenvector of the other to give the single-sum Schmidt form
 
     |Psi> = sum_s sqrt(lambda_s) |F^s> (x) |Phi^s>.
 
 That form is the singular value decomposition C = U diag(s) adj(V): the
-Schmidt coefficients are the singular values, lambda_s = s_s^2, and the
-paired modes are the columns of U and V. The state factorizes exactly when a
-single term survives.
+Schmidt coefficients are the singular values, lambda_s = s_s^2, F^s is
+column s of U and Phi^s the complex conjugate of column s of V. The Greek
+modes are stored as V's columns, so for complex amplitudes they are the
+conjugates of the kets Phi^s. The state factorizes exactly when a single
+term survives.
 
 ``gram_latin``/``gram_greek`` build the reduced density matrices, and
 ``hermitian_eigen`` diagonalizes one with the modes' phase convention.
@@ -21,11 +23,11 @@ single term survives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import HERMITICITY_ATOL, NORM_ATOL, DensityMatrix
+from .density import HERMITICITY_ATOL, DensityMatrix
 from .errors import ConvergenceError, ShapeError, ValidationError
 
 DEFAULT_RANK_THRESHOLD = 1e-10
@@ -35,23 +37,25 @@ PHASE_PIVOT = 1e-9
 
 @dataclass(frozen=True)
 class BipartitePureState:
-    """Two-party pure state in a fixed product basis.
+    """Two-party pure state in a fixed product basis, unit-norm by construction.
 
     ``amplitudes[i, j]`` multiplies ``|latin_labels[i]> (x) |greek_labels[j]>``.
-    ``norm`` records the Euclidean norm of the coefficients the state was
-    built from; ``from_amplitudes`` rescales to unit norm and keeps the
-    original norm here, so the raw coefficients are ``amplitudes * norm``.
+    The constructor takes raw coefficients. It checks the shape, that the
+    labels on each side are unique and, naming the ket, that every coefficient
+    is finite; it stores them rescaled to unit norm and read-only. ``norm`` is
+    derived, not passed: the Euclidean norm of the coefficients given, so the
+    raw coefficients are ``amplitudes * norm``.
     """
 
     latin_labels: tuple[str, ...]
     greek_labels: tuple[str, ...]
     amplitudes: np.ndarray
-    norm: float = 1.0
+    norm: float = field(init=False)
 
     def __post_init__(self):
         latin = tuple(self.latin_labels)
         greek = tuple(self.greek_labels)
-        # A copy, so that freezing it below leaves the caller's array writable.
+        # A copy, so that scaling and freezing it below leave the caller's array alone.
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 2:
             raise ShapeError(f"amplitudes must be a 2-d matrix, got shape {amps.shape}")
@@ -63,27 +67,11 @@ class BipartitePureState:
         for side, labels in (("Latin", latin), ("Greek", greek)):
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"{side} labels are not unique: {labels}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "latin_labels", latin)
-        object.__setattr__(self, "greek_labels", greek)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "norm", float(self.norm))
-
-    @classmethod
-    def from_amplitudes(cls, latin_labels, greek_labels, amplitudes) -> "BipartitePureState":
-        """Build a state from raw coefficients, rescaling them to unit norm.
-
-        The original norm is recorded as ``norm``. The shape and labels are
-        checked first, so a non-finite coefficient's ValidationError names its
-        ket.
-        """
-        raw = cls(latin_labels, greek_labels, amplitudes)
-        latin_labels, greek_labels, amps = raw.latin_labels, raw.greek_labels, raw.amplitudes
         finite = np.isfinite(amps)
         if not finite.all():
             i, j = (int(k) for k in np.argwhere(~finite)[0])
-            raise ValidationError(f"amplitude {(i, j)} of |{latin_labels[i]}>(x)|"
-                                  f"{greek_labels[j]}> is not finite: {complex(amps[i, j])!r}")
+            raise ValidationError(f"amplitude {(i, j)} of |{latin[i]}>(x)|"
+                                  f"{greek[j]}> is not finite: {complex(amps[i, j])!r}")
         peak = max(float(np.max(np.abs(amps.real), initial=0.0)),
                    float(np.max(np.abs(amps.imag), initial=0.0)))
         if peak == 0.0:
@@ -93,16 +81,26 @@ class BipartitePureState:
         # underflow nor overflow. ldexp scales exactly, so for coefficients
         # that need no scaling every bit of the result is unchanged.
         exponent = math.frexp(peak)[1] - 1
-        scaled = np.empty_like(amps)
-        scaled.real = np.ldexp(amps.real, -exponent)
-        scaled.imag = np.ldexp(amps.imag, -exponent)
-        scaled_norm = float(np.linalg.norm(scaled))
+        np.ldexp(amps.real, -exponent, out=amps.real)
+        np.ldexp(amps.imag, -exponent, out=amps.imag)
+        scaled_norm = float(np.linalg.norm(amps))
         norm = scaled_norm * 2.0**exponent
         if math.isinf(norm):
             raise ValidationError(
                 f"amplitude norm {scaled_norm!r} * 2**{exponent} exceeds the float range"
             )
-        return cls(latin_labels, greek_labels, scaled / scaled_norm, norm)
+        amps /= scaled_norm
+        amps.setflags(write=False)
+        object.__setattr__(self, "latin_labels", latin)
+        object.__setattr__(self, "greek_labels", greek)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "norm", norm)
+
+    @classmethod
+    def from_amplitudes(cls, latin_labels, greek_labels, amplitudes) -> "BipartitePureState":
+        """Same as ``cls(latin_labels, greek_labels, amplitudes)``: the named
+        entry that the ket parser, the file reader and the catalog use."""
+        return cls(latin_labels, greek_labels, amplitudes)
 
     @property
     def latin_dim(self) -> int:
@@ -122,6 +120,8 @@ class SchmidtDecomposition:
     the rank threshold, so they are ``lambdas[:rank]``. Column ``s`` of
     ``latin_modes`` / ``greek_modes`` is the paired mode vector for
     ``lambdas[s]``; modes are only kept for those ``rank`` eigenvalues.
+    The Latin modes are the Schmidt kets F^s; the Greek modes are the columns
+    of V in C = U diag(s) adj(V), the complex conjugates of the kets Phi^s.
     """
 
     lambdas: np.ndarray
@@ -146,15 +146,15 @@ class EigenSystem:
 
 
 def gram_latin(state: BipartitePureState) -> DensityMatrix:
-    """Reduced density matrix on the Latin side: C * adj(C)."""
+    """Reduced density matrix on the Latin side: Tr_B |Psi><Psi| = C adj(C)."""
     c = state.amplitudes
     return DensityMatrix(c @ c.conj().T, state.latin_labels)
 
 
 def gram_greek(state: BipartitePureState) -> DensityMatrix:
-    """Reduced density matrix on the Greek side: adj(C) * C."""
+    """Reduced density matrix on the Greek side: Tr_A |Psi><Psi| = C^T conj(C)."""
     c = state.amplitudes
-    return DensityMatrix(c.conj().T @ c, state.greek_labels)
+    return DensityMatrix(c.T @ c.conj(), state.greek_labels)
 
 
 def hermitian_eigen(h) -> EigenSystem:
@@ -220,13 +220,12 @@ def schmidt_decompose(
     Eigenvalues at or below ``threshold`` keep their slot in ``lambdas`` but
     get no mode pair. Each pair gets the phase that makes the first
     significant component of the smaller side's mode (Latin on a tie) real
-    and positive. Raises ConvergenceError if LAPACK does not converge.
+    and positive. The state is unit-norm by construction, so only the
+    threshold is checked: ValidationError unless it is finite and positive.
+    Raises ConvergenceError if LAPACK does not converge.
     """
     if not 0.0 < threshold < math.inf:  # false for NaN too
         raise ValidationError(f"rank threshold must be finite and positive, got {threshold!r}")
-    total = float(np.sum(np.abs(state.amplitudes) ** 2))
-    if not abs(total - 1.0) <= NORM_ATOL:  # false for NaN too
-        raise ValidationError(f"state is not normalized: sum |C|^2 = {total:.6g}")
     try:
         # Thin factors: a full V of a 2 x 4096 state would hold 4096^2 entries.
         u, s, vh = np.linalg.svd(state.amplitudes, full_matrices=False)
@@ -282,7 +281,8 @@ def is_entangled(decomposition: SchmidtDecomposition) -> bool:
 
 
 def reconstruct(decomposition: SchmidtDecomposition) -> np.ndarray:
-    """Rebuild the amplitude matrix, C = sum_s sqrt(lambda_s) F^s adj(Phi^s).
+    """Rebuild the amplitude matrix, C = sum_s sqrt(lambda_s) f_s adj(g_s), with
+    f_s and g_s column s of ``latin_modes`` and ``greek_modes``.
 
     Raises ValidationError unless there is one mode pair for each of the
     ``rank`` leading eigenvalues.

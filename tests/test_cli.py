@@ -8,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schmidt import cli
 from schmidt.catalog import EXPRESSIONS, bell_state, opposite_polarization_mixture
 from schmidt.density import conditional_state, partial_trace, pure_density
+from schmidt.errors import ValidationError
 from schmidt.modes import BipartitePureState, schmidt_decompose
 
 PSI0 = EXPRESSIONS["psi0"]
@@ -478,6 +481,25 @@ class TestProcessEntry:
         assert scripts.strip() == 'schmidt = "schmidt.cli:run"'
 
 
+class TestBenchmarkHooks:
+    def test_the_benchmark_tracer_finds_every_name_it_wraps(self):
+        # perfbench's instrument() looks the package's functions up by name and
+        # patches them, so it runs in a child; a name the package lost fails it.
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        env = child_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(perfbench), env["PYTHONPATH"]])
+        script = ("import sys, tracing\n"
+                  "tracer = tracing.Tracer()\n"
+                  "tracing.instrument(tracer)\n"
+                  "tracer.begin_op()\n"
+                  "from schmidt import cli\n"
+                  "sys.exit(cli.main(['examples', 'psi3', '--format', 'json']))\n")
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=env, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout)["rank"] == 2
+
+
 class TestReportMatchesTheLibrary:
     """The CLI prints the library's arrays, without reordering or rounding them."""
 
@@ -546,6 +568,29 @@ class TestReportMatchesTheLibrary:
             assert entry["reduced_A"] == pairs(partial_trace(rho, "A").matrix)
             assert entry["reduced_B"] == pairs(partial_trace(rho, "B").matrix)
             assert entry["conditional_on_H"] == {"probability": prob, "matrix": pairs(cond.matrix)}
+
+
+# Every finite part, plus the values a state must refuse or keep apart.
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, np.nan, np.inf, -np.inf]),
+                   st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_every_constructed_state_round_trips(rows, cols, data):
+    entries = data.draw(st.lists(st.builds(complex, _PARTS, _PARTS),
+                                 min_size=rows * cols, max_size=rows * cols))
+    latin = tuple(f"m{i}" for i in range(rows))
+    greek = tuple(f"s{j}" for j in range(cols))
+    try:
+        state = BipartitePureState(latin, greek, np.reshape(entries, (rows, cols)))
+    except ValidationError:  # non-finite, all-zero, or a norm beyond the float range
+        return
+    text = json.dumps(cli.state_to_doc(state), allow_nan=False)
+    for again in (cli.parse_state(cli.format_state(state)), cli.state_from_doc(json.loads(text))):
+        assert (again.latin_labels, again.greek_labels) == (latin, greek)
+        np.testing.assert_allclose(again.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
+        assert again.norm == pytest.approx(state.norm, rel=1e-12)
 
 
 class TestTableText:

@@ -250,6 +250,7 @@ class TestFormat:
         # drops out, and other numbers keep 15 significant digits.
         state = BipartitePureState(("a", "c"), ("b",), np.array([[1], [coef]]))
         assert format_state(state) == text
+        np.testing.assert_allclose(parse_state(text).amplitudes, state.amplitudes, atol=1e-15)
 
     def test_zero_entry_in_later_group_is_skipped(self):
         state = BipartitePureState(("a", "c"), ("b", "d"), np.array([[1, 0], [2, -3j]]))

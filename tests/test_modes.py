@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from schmidt.catalog import example_state
 from schmidt.errors import ShapeError, ValidationError
 from schmidt.modes import (
     BipartitePureState,
@@ -65,16 +68,34 @@ class TestBipartitePureState:
         )
 
     def test_constructor_leaves_the_callers_array_writable(self):
-        amps = np.array([[1.0 + 0j]])
+        amps = np.array([[2.0 + 0j]])
         state = BipartitePureState(("a",), ("b",), amps)
         assert amps.flags.writeable
+        assert amps[0, 0] == 2.0  # the scaling works on a copy
         assert not state.amplitudes.flags.writeable
-        amps[0, 0] = 2.0
+        amps[0, 0] = 3.0
         assert state.amplitudes[0, 0] == 1.0
 
+    def test_constructor_normalizes_and_records_norm(self):
+        state = BipartitePureState(("a",), ("b",), [[2.0]])
+        assert state.amplitudes.tolist() == [[1.0]]
+        assert state.norm == 2.0
+        direct = BipartitePureState(LATIN, GREEK, [[2, 1, 1], [1, 2, 1]])
+        assert np.array_equal(direct.amplitudes, demo_state().amplitudes)
+        assert direct.norm == demo_state().norm
+
+    def test_norm_is_derived_not_passed(self):
+        assert [f.name for f in fields(BipartitePureState) if f.init] == [
+            "latin_labels", "greek_labels", "amplitudes"]
+        with pytest.raises(TypeError):
+            BipartitePureState(("a",), ("b",), [[1.0]], norm=1.0)
+        with pytest.raises(TypeError):
+            BipartitePureState(("a",), ("b",), [[1.0]], -3.0)
+
     def test_zero_amplitudes_rejected(self):
-        with pytest.raises(ValidationError):
-            BipartitePureState.from_amplitudes(("a",), ("b",), [[0.0]])
+        for build in (BipartitePureState, BipartitePureState.from_amplitudes):
+            with pytest.raises(ValidationError, match="cannot build a state from all-zero"):
+                build(("a",), ("b",), [[0.0]])
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError):
@@ -91,8 +112,10 @@ class TestBipartitePureState:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
     def test_non_finite_amplitude_rejected_by_entry(self, bad):
-        with pytest.raises(ValidationError, match=r"\(1, 2\) of \|b>\(x\)\|gamma> is not finite"):
-            BipartitePureState.from_amplitudes(LATIN, GREEK, [[1, 0, 0], [0, 1, bad]])
+        for build in (BipartitePureState, BipartitePureState.from_amplitudes):
+            with pytest.raises(ValidationError,
+                               match=r"\(1, 2\) of \|b>\(x\)\|gamma> is not finite"):
+                build(LATIN, GREEK, [[1, 0, 0], [0, 1, bad]])
 
     @pytest.mark.parametrize("scale", [1e-200, 5e-324, 1e300])
     def test_tiny_and_huge_amplitudes_are_a_valid_state(self, scale):
@@ -147,12 +170,11 @@ class TestGramMatrices:
         state = BipartitePureState.from_amplitudes(("a",), ("alpha",), [[1.0]])
         np.testing.assert_allclose(gram_latin(state).matrix, [[1.0]], atol=1e-15)
 
-    def test_unnormalized_state_rejected(self):
-        raw = BipartitePureState(LATIN, GREEK, np.full((2, 3), 0.5 + 0j))
-        with pytest.raises(ValidationError):
-            gram_latin(raw)
-        with pytest.raises(ValidationError):
-            gram_greek(raw)
+    def test_unnormalized_input_gives_unit_trace_gram_matrices(self):
+        state = BipartitePureState(LATIN, GREEK, np.full((2, 3), 0.5 + 0j))
+        assert state.norm == pytest.approx(np.sqrt(1.5), rel=1e-15)
+        np.testing.assert_allclose(gram_latin(state).matrix, np.full((2, 2), 0.5), atol=1e-15)
+        np.testing.assert_allclose(gram_greek(state).matrix, np.full((3, 3), 1 / 3), atol=1e-15)
 
 
 class TestSchmidtDecompose:
@@ -172,6 +194,23 @@ class TestSchmidtDecompose:
         np.testing.assert_allclose(
             d.greek_modes[:, 1], np.array([1, -1, 0]) / np.sqrt(2), atol=1e-9
         )
+
+    def test_greek_modes_are_the_conjugated_schmidt_kets(self):
+        # With C = U diag(s) adj(V), greek_modes holds V; the Schmidt ket
+        # Phi^s = <F^s| (x) 1 |Psi> / sqrt(lambda_s) is its conjugate column.
+        state = example_state("psi3")
+        d = schmidt_decompose(state)
+        rho_b = gram_greek(state).matrix
+        kets = d.latin_modes.conj().T @ state.amplitudes / np.sqrt(d.lambdas[:d.rank, None])
+        for s, phi in enumerate(kets):
+            np.testing.assert_allclose(d.greek_modes[:, s].conj(), phi, atol=1e-12)
+            np.testing.assert_allclose(rho_b @ phi, d.lambdas[s] * phi, atol=1e-12)
+        # The first mode's alpha component is 0.5345+0.2673i in Phi^1, and the
+        # stored column (which the reports print) is not an eigenvector of rho_B.
+        first = d.greek_modes[:, 0]
+        assert kets[0, 0] == pytest.approx(0.534522 + 0.267261j, abs=1e-6)
+        assert first[0] == pytest.approx(0.534522 - 0.267261j, abs=1e-6)
+        assert np.max(np.abs(rho_b @ first - d.lambdas[0] * first)) > 0.1
 
     def test_bell_state_is_maximally_entangled(self):
         d = schmidt_decompose(bell_state())
@@ -222,17 +261,6 @@ class TestSchmidtDecompose:
     def test_threshold_must_be_finite(self, threshold):
         with pytest.raises(ValidationError, match="finite and positive"):
             schmidt_decompose(demo_state(), threshold=threshold)
-
-    def test_zero_norm_state_rejected(self):
-        raw = BipartitePureState(("a",), ("b",), np.zeros((1, 1), dtype=complex))
-        with pytest.raises(ValidationError):
-            schmidt_decompose(raw)
-
-    def test_nan_state_is_not_normalized(self):
-        # Built directly, so from_amplitudes' finiteness check is bypassed.
-        raw = BipartitePureState(("a",), ("b",), np.full((1, 1), np.nan, dtype=complex))
-        with pytest.raises(ValidationError, match="state is not normalized"):
-            schmidt_decompose(raw)
 
 
 class TestMeasures:
