@@ -231,6 +231,18 @@ class TestSchmidtDecompose:
         assert d.rank == 1
         assert not is_entangled(d)
 
+    def test_zero_norm_state_rejected(self):
+        # The constructor refuses the state, so no decomposition is attempted.
+        with pytest.raises(ValidationError, match="cannot build a state from all-zero"):
+            schmidt_decompose(
+                BipartitePureState(("a",), ("b",), np.zeros((1, 1), dtype=complex)))
+
+    def test_nan_state_is_not_normalized(self):
+        # Built directly, a NaN state is refused by the constructor's finiteness check.
+        with pytest.raises(ValidationError, match=r"\(0, 0\) of \|a>\(x\)\|b> is not finite"):
+            schmidt_decompose(
+                BipartitePureState(("a",), ("b",), np.full((1, 1), np.nan, dtype=complex)))
+
     def test_tall_matrix_uses_greek_side(self):
         # Transposing the demo amplitudes swaps the roles of the two bases.
         state = BipartitePureState.from_amplitudes(
