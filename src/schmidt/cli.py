@@ -31,7 +31,7 @@ import numpy as np
 from . import catalog
 from .density import NORM_ATOL, conditional_state, partial_trace, pure_density
 from .errors import ConvergenceError, SchmidtError, ValidationError
-from .ketparse import FORMAT_VERSION, format_state, join_signed, parse_state
+from .ketparse import FORMAT_VERSION, format_state, parse_state, _signed_sum
 from .modes import (
     DEFAULT_RANK_THRESHOLD,
     BipartitePureState,
@@ -215,12 +215,21 @@ def _fmt_complex(z: complex) -> str:
     return f"({z.real:.6g}{z.imag:+.6g}i)"
 
 
-def _mode_line(labels: tuple[str, ...], mode: np.ndarray) -> str:
-    pieces = []
-    for label, z in zip(labels, mode.tolist()):
-        negative = z.real < 0.0 or (z.real == 0.0 and z.imag < 0.0)
-        pieces.append((negative, f"{_fmt_complex(-z if negative else z)}|{label}>"))
-    return join_signed(pieces)
+def _mode_lines(lambdas: list[str], latin_labels: tuple[str, ...], latin_modes: np.ndarray,
+                greek_labels: tuple[str, ...], greek_modes: np.ndarray) -> str:
+    """The table's lines of each mode: its eigenvalue, then its A and B
+    components (a column of each mode matrix)."""
+    values = np.concatenate((latin_modes, greek_modes)).T  # a row per mode, A then B
+    starts = np.zeros(values.shape, dtype=bool)
+    starts[:, [0, len(latin_labels)]] = True
+    kets = [f"|{label}>".replace("%", "%%") for label in (*latin_labels, *greek_labels)]
+    kets[len(latin_labels) - 1] += "\n  B: "
+    headings = [f"mode {index} (eigenvalue {lam}):\n  A: "
+                for index, lam in enumerate(lambdas, start=1)]
+    breaks = [""] * values.size  # after each mode's last term, the next mode's heading
+    breaks[len(kets) - 1::len(kets)] = ["\n" + heading for heading in headings[1:]] + [""]
+    return headings[0] + _signed_sum(values.ravel(), starts.ravel(), False, 6, False,
+                                     kets * len(lambdas), breaks)
 
 
 def render_report(report: AnalysisReport, include_modes: bool = True) -> str:
@@ -236,13 +245,9 @@ def render_report(report: AnalysisReport, include_modes: bool = True) -> str:
         f"rank: {report.rank}",
         f"entangled: {'yes' if report.entangled else 'no'}",
     ]
-    if include_modes:
-        for index, (lam, latin, greek) in enumerate(
-            zip(lambdas, d.latin_modes.T, d.greek_modes.T), start=1
-        ):
-            lines.append(f"mode {index} (eigenvalue {lam}):")
-            lines.append(f"  A: {_mode_line(state.latin_labels, latin)}")
-            lines.append(f"  B: {_mode_line(state.greek_labels, greek)}")
+    if include_modes and d.rank:
+        lines.append(_mode_lines(lambdas[:d.rank], state.latin_labels, d.latin_modes,
+                                 state.greek_labels, d.greek_modes))
     lines.append(f"reconstruction residual: {report.reconstruction_residual:.3e}")
     return "\n".join(lines)
 

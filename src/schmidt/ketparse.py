@@ -420,64 +420,70 @@ def parse_state(text: str) -> BipartitePureState:
 
 # --- formatting -----------------------------------------------------------
 
+# A term of a signed sum is a separator, a number and a ket. Separators by
+# code: first in its sum or later, each positive, then negative; then the same
+# four behind the '(' that opens a ket-v1 combination.
+_SEPARATORS = ("", "-", " + ", " - ", "(", "(-", " + (", " + (-")
+# Numbers by case: real, imaginary, complex; then ket-v1's elided forms of a
+# real 1, an imaginary 1 and a complex number with imaginary part +1 or -1.
+_CASES = ("%g", "%gi", "(%g%+gi)", "", "i", "(%g+i)", "(%g-i)")
 
-def _coefficient_text(coef: complex) -> tuple[bool, str]:
-    """Split a coefficient into (negative?, printable magnitude part).
 
-    The text omits a bare factor of 1, so callers can glue it straight onto
-    a ket: "" -> |a>, "2" -> 2|a>, "i" -> i|a>, "(2+3i)" -> (2+3i)|a>.
+def _signed_sum(values: np.ndarray, starts: np.ndarray, opens: np.ndarray | bool, digits: int,
+                elide_ones: bool, kets, ends) -> str:
+    """Render a signed sum of complex ``values``, one ``%`` for all numbers.
+
+    ``starts`` marks each term that starts a sum, and ``opens`` each that
+    opens a ket-v1 combination with '('. A term is negative when its first
+    nonzero part is, and is then written negated behind a '-'. A part that
+    is zero, of either sign, is left out, numbers get ``digits`` significant
+    digits, and with ``elide_ones`` a factor of 1 is left out: 1 -> "",
+    -1j -> "-i", 2-1j -> "(2-i)". ``kets`` and ``ends`` hold a text per term,
+    written after the number with '%' doubled: its ket, and whatever closes
+    the term.
     """
-    # 15 significant digits: coarse enough to collapse 1-ulp noise back to
-    # clean integers, fine enough to keep format -> parse drift below 1e-12.
-    re_part, im_part = coef.real, coef.imag
-    if im_part == 0.0:
-        magnitude = abs(re_part)
-        return re_part < 0.0, "" if magnitude == 1.0 else f"{magnitude:.15g}"
-    if re_part == 0.0:
-        magnitude = abs(im_part)
-        return im_part < 0.0, "i" if magnitude == 1.0 else f"{magnitude:.15g}i"
-    negative = re_part < 0.0
-    if negative:
-        re_part, im_part = -re_part, -im_part
-    if abs(im_part) == 1.0:
-        return negative, f"({re_part:.15g}{'+' if im_part > 0.0 else '-'}i)"
-    return negative, f"({re_part:.15g}{im_part:+.15g}i)"
-
-
-def join_signed(pieces: list[tuple[bool, str]]) -> str:
-    """Join (negative, text) terms into a sum like "-a + b - c"."""
-    out = []
-    for index, (negative, text) in enumerate(pieces):
-        if index == 0:
-            out.append(("-" if negative else "") + text)
-        else:
-            out.append((" - " if negative else " + ") + text)
-    return "".join(out)
+    re_part, im_part = values.real, values.imag
+    negative = (re_part < 0.0) | ((re_part == 0.0) & (im_part < 0.0))
+    kind = np.where(im_part == 0.0, 0, np.where(re_part == 0.0, 1, 2))  # real, imaginary, complex
+    first = np.where(kind == 1, np.abs(im_part), np.abs(re_part))
+    second = np.where(negative, -im_part, im_part)
+    one = (np.where(kind == 2, np.abs(second), first) == 1.0) & elide_ones
+    separators = 4 * opens + 2 * ~starts + negative
+    codes = separators * len(_CASES) + kind + 3 * one + (one & (second == -1.0))
+    taken = np.stack((~one | (kind == 2), ~one & (kind == 2)), axis=-1)
+    numbers = tuple(np.stack((first, second), axis=-1)[taken].tolist())
+    pieces = [sep + case.replace("g", f".{digits}g") for sep in _SEPARATORS for case in _CASES]
+    parts = [""] * (3 * values.size)
+    parts[0::3] = map(pieces.__getitem__, codes.tolist())
+    parts[1::3] = kets
+    parts[2::3] = ends
+    return "".join(parts) % numbers
 
 
 def format_state(state: BipartitePureState) -> str:
     """Render a state as canonical ket-v1 text.
 
     Coefficients are printed at the state's original scale
-    (``amplitudes * norm``). The first Greek group lists every Latin ket,
-    zeros included, so that parsing the result restores the exact basis
-    order; later groups skip zero entries.
+    (``amplitudes * norm``) with 15 significant digits: coarse enough to
+    collapse 1-ulp noise back to clean integers, fine enough to keep
+    format -> parse drift below 1e-12. The first Greek group lists every
+    Latin ket, zeros included, so that parsing the result restores the exact
+    basis order; later groups skip zero entries, and a group of one term
+    has no parentheses. Labels are written as they are.
     """
-    columns = (np.asarray(state.amplitudes, dtype=complex) * state.norm).T.tolist()
-    kets = [f"|{label}>" for label in state.latin_labels]
-    groups: list[tuple[bool, str]] = []
-    for j, (greek_label, column) in enumerate(zip(state.greek_labels, columns)):
-        pieces: list[tuple[bool, str]] = []
-        for ket, coef in zip(kets, column):
-            if j > 0 and coef == 0:
-                continue
-            negative, text = _coefficient_text(coef)
-            pieces.append((negative, text + ket))
-        if not pieces:  # an all-zero column still has to name its Greek ket
-            pieces = [(False, f"0|{state.latin_labels[0]}>")]
-        if len(pieces) == 1:
-            negative, text = pieces[0]
-            groups.append((negative, f"{text}(x)|{greek_label}>"))
-        else:
-            groups.append((False, f"({join_signed(pieces)})(x)|{greek_label}>"))
-    return join_signed(groups)
+    coefs = (np.asarray(state.amplitudes, dtype=complex) * state.norm).T  # a row per Greek ket
+    keep = coefs != 0
+    keep[0] = True
+    keep[~keep.any(axis=1), 0] = True  # an all-zero column still names its Greek ket: 0|a>
+    group, row = np.nonzero(keep)
+    first = np.ones(group.size, dtype=bool)
+    first[1:] = group[1:] != group[:-1]
+    last = np.append(first[1:], True)
+    alone = first & last
+    kets = [f"|{label}>".replace("%", "%%") for label in state.latin_labels]
+    greek = [f"(x)|{label}>".replace("%", "%%") for label in state.greek_labels]
+    # after a term: nothing, the end of a combination, or the end of a lone term
+    ends = ["", *[")" + ket for ket in greek], *greek]
+    end_codes = np.where(last, 1 + group + len(greek) * alone, 0).tolist()
+    return _signed_sum(coefs[keep], first & (group == 0), first & ~last, 15, True,
+                       map(kets.__getitem__, row.tolist()), map(ends.__getitem__, end_codes))

@@ -15,7 +15,7 @@ from schmidt import cli
 from schmidt.catalog import EXPRESSIONS, bell_state, opposite_polarization_mixture
 from schmidt.density import conditional_state, partial_trace, pure_density
 from schmidt.errors import ValidationError
-from schmidt.modes import BipartitePureState, schmidt_decompose
+from schmidt.modes import BipartitePureState, SchmidtDecomposition, schmidt_decompose
 
 PSI0 = EXPRESSIONS["psi0"]
 
@@ -615,7 +615,69 @@ class TestTableText:
     def test_complex_number_and_mode_line(self, z, number, line):
         z = complex(z)
         assert cli._fmt_complex(z) == number
-        assert cli._mode_line(("a", "c"), np.array([1, z])) == line
+        # the mode lines of one mode, with components [1, z] on side A
+        text = cli._mode_lines(["0.5"], ("a", "c"), np.array([[1], [z]]), ("b",), np.array([[1]]))
+        assert text == f"mode 1 (eigenvalue 0.5):\n  A: {line}\n  B: 1|b>"
+
+    def test_mode_lines_of_a_block_mixing_every_case(self):
+        # The modes are the columns and rows of the ket-v1 test's mixed 3 x 8
+        # block, one entry set to 1e300, which no unit-norm state holding
+        # 1e-300 can have.
+        latin = ("a", "b", "c")
+        greek = ("p", "q", "r", "s", "d", "t", "u", "v")
+        amplitudes = np.array([
+            [1, -1, 1j, 1 - 1j, 0, 0, complex(-0.0, 1), 0],
+            [complex(-0.0, 0.0), 1 + 1j, -1 + 1j, -1 - 1j, complex(-0.0, 0.0), -0.0,
+             -(3e5 + 2e5j), 0.5 - 1j],
+            [-1j, complex(2, -0.0), 1e-300, complex(-0.0, -2.5e-300), -3j, complex(-0.0, -0.0),
+             1234.56789, 0],
+        ])
+        greek_modes = amplitudes.T.copy()
+        greek_modes[5, 0] = 1e300
+        decomposition = SchmidtDecomposition(lambdas=np.array([0.5, 0.3, 0.2]),
+                                             latin_modes=amplitudes[:, :3],
+                                             greek_modes=greek_modes, rank=3)
+        state = BipartitePureState(latin, greek, amplitudes)
+        report = cli.AnalysisReport("", (0.5, 0.3, 0.2), 1.0, 0.0, True, 0.0, state, decomposition)
+        assert cli.render_report(report).splitlines()[7:-1] == [
+            "mode 1 (eigenvalue 0.5):",
+            "  A: 1|a> + 0|b> - 1i|c>",
+            "  B: 1|p> - 1|q> + 1i|r> + (1-1i)|s> + 0|d> + 1e+300|t> + 1i|u> + 0|v>",
+            "mode 2 (eigenvalue 0.3):",
+            "  A: -1|a> + (1+1i)|b> + 2|c>",
+            "  B: 0|p> + (1+1i)|q> - (1-1i)|r> - (1+1i)|s> + 0|d> + 0|t>"
+            " - (300000+200000i)|u> + (0.5-1i)|v>",
+            "mode 3 (eigenvalue 0.2):",
+            "  A: 1i|a> - (1-1i)|b> + 1e-300|c>",
+            "  B: -1i|p> + 2|q> + 1e-300|r> - 2.5e-300i|s> - 3i|d> + 0|t> + 1234.57|u> + 0|v>",
+        ]
+
+    def test_labels_outside_the_label_rule_are_written_verbatim(self, capsys, tmp_path):
+        # A '%' in a label stays one character in the input line and the mode lines.
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({
+            "format": "schmidt-state-v1",
+            "latin_labels": ["50%", "%s", "1 a"],
+            "greek_labels": ["%(k)s", "x>", ""],
+            "amplitudes": [[[3, 0], [0, 0], [0, 0]], [[0, 0], [2, 0], [0, 0]],
+                           [[0, 0], [0, 0], [0, -1]]],
+        }))
+        code, out, err = run(capsys, "analyze", "--file", str(path))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == ("input (ket-v1): (3|50%> + 0|%s> + 0|1 a>)(x)|%(k)s>"
+                            " + 2|%s>(x)|x>> - i|1 a>(x)|>")
+        assert lines[7:16] == [
+            "mode 1 (eigenvalue 0.642857):",
+            "  A: 1|50%> + 0|%s> + 0|1 a>",
+            "  B: 1|%(k)s> + 0|x>> + 0|>",
+            "mode 2 (eigenvalue 0.285714):",
+            "  A: 0|50%> + 1|%s> + 0|1 a>",
+            "  B: 0|%(k)s> + 1|x>> + 0|>",
+            "mode 3 (eigenvalue 0.0714286):",
+            "  A: 0|50%> + 0|%s> + 1|1 a>",
+            "  B: 0|%(k)s> + 0|x>> + 1i|>",
+        ]
 
     def test_padded_eigenvalue_line(self):
         state = BipartitePureState.from_amplitudes(

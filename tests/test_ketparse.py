@@ -252,6 +252,38 @@ class TestFormat:
         assert format_state(state) == text
         np.testing.assert_allclose(parse_state(text).amplitudes, state.amplitudes, atol=1e-15)
 
+    # Every case in one 3 x 8 block: +-0.0 parts, +-1, +-i, (x+-i), three-digit
+    # exponents, groups that start negative, a later all-zero column (t), and
+    # lone terms in later groups, one negative (d) and one complex (v).
+    MIXED = np.array([
+        [1, -1, 1j, 1 - 1j, 0, 0, complex(-0.0, 1), 0],
+        [complex(-0.0, 0.0), 1 + 1j, -1 + 1j, -1 - 1j, complex(-0.0, 0.0), -0.0,
+         -(3e5 + 2e5j), 0.5 - 1j],
+        [-1j, complex(2, -0.0), 1e-300, complex(-0.0, -2.5e-300), -3j, complex(-0.0, -0.0),
+         1234.56789, 0],
+    ])
+
+    def test_block_mixing_every_case(self):
+        state = BipartitePureState(("a", "b", "c"), ("p", "q", "r", "s", "d", "t", "u", "v"),
+                                   self.MIXED)
+        text = format_state(state)
+        assert text == (
+            "(|a> + 0|b> - i|c>)(x)|p> + (-|a> + (1+i)|b> + 2|c>)(x)|q>"
+            " + (i|a> - (1-i)|b> + 1e-300|c>)(x)|r> + ((1-i)|a> - (1+i)|b> - 2.5e-300i|c>)(x)|s>"
+            " - 3i|c>(x)|d> + 0|a>(x)|t> + (i|a> - (300000+200000i)|b> + 1234.56789|c>)(x)|u>"
+            " + (0.5-i)|b>(x)|v>"
+        )
+        np.testing.assert_allclose(raw(parse_state(text)), self.MIXED, rtol=1e-14, atol=0)
+
+    def test_labels_outside_the_label_rule_are_written_verbatim(self):
+        # A '%' stays one character, and the text does not parse back.
+        state = BipartitePureState(("50%", "%s", "1 a"), ("%(k)s", "x>", ""),
+                                   np.diag([3, 2, -1j]))
+        text = format_state(state)
+        assert text == "(3|50%> + 0|%s> + 0|1 a>)(x)|%(k)s> + 2|%s>(x)|x>> - i|1 a>(x)|>"
+        with pytest.raises(ParseError, match="unexpected character '%'"):
+            parse_state(text)
+
     def test_zero_entry_in_later_group_is_skipped(self):
         state = BipartitePureState(("a", "c"), ("b", "d"), np.array([[1, 0], [2, -3j]]))
         assert format_state(state) == "(|a> + 2|c>)(x)|b> - 3i|c>(x)|d>"
@@ -477,3 +509,43 @@ def test_compound_tokens_parse_as_the_plain_tokens(text):
     if isinstance(plain, str):  # valid text never needs the second pass
         compound = ketparse._Parser(ketparse._tokenize(text, ketparse._COMPOUND_TOKEN))
         assert repr(compound.state()) == plain
+
+
+def _reference_term(z: complex, digits: int, ket_v1: bool) -> tuple[bool, str]:
+    """One term of a signed sum, written one coefficient at a time as before
+    the one-template rendering: (negative?, number text)."""
+    negative = z.real < 0.0 or (z.real == 0.0 and z.imag < 0.0)
+    if negative:
+        z = -z
+    re_part, im_part = z.real, z.imag
+    if im_part == 0.0:
+        return negative, "" if ket_v1 and re_part == 1.0 else f"{re_part + 0.0:.{digits}g}"
+    if re_part == 0.0:
+        return negative, "i" if ket_v1 and im_part == 1.0 else f"{im_part:.{digits}g}i"
+    if ket_v1 and abs(im_part) == 1.0:
+        return negative, f"({re_part:.{digits}g}{'+' if im_part > 0.0 else '-'}i)"
+    return negative, f"({re_part:.{digits}g}{im_part:+.{digits}g}i)"
+
+
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e300, 5e-324, 123456789.123456789]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(complex, _PARTS, _PARTS), min_size=1, max_size=8), st.booleans())
+def test_signed_sum_matches_the_coefficient_loop(values, ket_v1):
+    # The ket-v1 numbers (15 digits, a factor of 1 elided) and the table's
+    # (6 digits), each against the per-coefficient loop they replaced.
+    digits = 15 if ket_v1 else 6
+    kets = [f"|k{index}%>" for index in range(len(values))]
+    expected = ""
+    for index, z in enumerate(values):
+        negative, text = _reference_term(z, digits, ket_v1)
+        sign = ("-" if negative else "") if index == 0 else (" - " if negative else " + ")
+        expected += sign + text + kets[index]
+    starts = np.arange(len(values)) == 0
+    escaped = [ket.replace("%", "%%") for ket in kets]
+    assert ketparse._signed_sum(np.array(values, dtype=complex), starts, False, digits, ket_v1,
+                                escaped, [""] * len(values)) == expected
