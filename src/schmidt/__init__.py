@@ -30,12 +30,10 @@ from .errors import (
 from .ketparse import KetExpression, KetTerm, format_state, parse_expression, parse_state
 from .modes import (
     BipartitePureState,
-    EigenSystem,
     SchmidtDecomposition,
     entanglement_entropy,
     gram_greek,
     gram_latin,
-    hermitian_eigen,
     is_entangled,
     reconstruct,
     schmidt_decompose,
@@ -48,7 +46,6 @@ __all__ = [
     "BipartitePureState",
     "ConvergenceError",
     "DensityMatrix",
-    "EigenSystem",
     "ImpossibleOutcomeError",
     "KetExpression",
     "KetTerm",
@@ -63,7 +60,6 @@ __all__ = [
     "format_state",
     "gram_greek",
     "gram_latin",
-    "hermitian_eigen",
     "is_entangled",
     "parse_expression",
     "parse_state",

@@ -57,16 +57,13 @@ def _complex_pairs(z: np.ndarray) -> list:
 
 
 def state_to_doc(state: BipartitePureState) -> dict:
-    """Serialize a state to the schmidt-state-v1 schema.
-
-    Amplitudes are stored at the original scale (``amplitudes * norm``) as
-    [re, im] pairs, row-major over the Latin labels.
-    """
+    """Serialize a state to the schmidt-state-v1 schema: its coefficients as
+    given, as [re, im] pairs, row-major over the Latin labels."""
     return {
         "format": STATE_FORMAT,
         "latin_labels": list(state.latin_labels),
         "greek_labels": list(state.greek_labels),
-        "amplitudes": _complex_pairs(np.asarray(state.amplitudes) * state.norm),
+        "amplitudes": _complex_pairs(state.coefficients),
     }
 
 
@@ -234,8 +231,7 @@ def _mode_lines(lambdas: list[str], latin_labels: tuple[str, ...], latin_modes: 
 
 def render_report(report: AnalysisReport, include_modes: bool = True) -> str:
     state, d = report.state, report.decomposition
-    lambdas = [_fmt(lam) for lam in d.lambdas.tolist()]
-    lambdas += ["0"] * (len(report.lambdas) - len(lambdas))  # the padding zeros
+    lambdas = [_fmt(lam) for lam in report.lambdas]
     lines = [
         f"input ({FORMAT_VERSION}): {report.expression}",
         f"normalization: {_fmt(report.state.norm)}",
@@ -252,8 +248,8 @@ def render_report(report: AnalysisReport, include_modes: bool = True) -> str:
     return "\n".join(lines)
 
 
-def _render_matrix(m: np.ndarray, indent: str = "  ") -> str:
-    return "\n".join(indent + "  ".join(f"{_fmt_complex(z):>8}" for z in row) for row in m)
+def _render_matrix(m: np.ndarray) -> str:
+    return "\n".join("  " + "  ".join(f"{_fmt_complex(z):>8}" for z in row) for row in m)
 
 
 def build_comparison() -> dict:

@@ -90,10 +90,6 @@ class DensityMatrix:
         object.__setattr__(self, "basis_labels", labels)
         object.__setattr__(self, "parts", parts)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def pure_density(state: BipartitePureState) -> DensityMatrix:
     """Projector |Psi><Psi| of a two-party pure state (unit-norm by construction)."""
@@ -116,15 +112,19 @@ def classical_mixture(
     """
     if not terms:
         raise ValidationError("a classical mixture needs at least one term")
-    weights = [float(w) for w, _, _ in terms]
-    for w in weights:
-        if not w >= -OUTCOME_ATOL:  # false for NaN too
-            raise ValidationError(f"mixture weights must be non-negative, got {w!r}")
+    weights = []
+    for w, _, _ in terms:
+        try:
+            weights.append(float(w))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"mixture weight {w!r} is not a number") from None
+        if not weights[-1] >= -OUTCOME_ATOL:  # false for NaN too
+            raise ValidationError(f"mixture weights must be non-negative, got {weights[-1]!r}")
     latin = tuple(latin_basis) if latin_basis is not None else tuple(sorted({a for _, a, _ in terms}))
     greek = tuple(greek_basis) if greek_basis is not None else tuple(sorted({b for _, _, b in terms}))
     gdim = len(greek)
     m = np.zeros((len(latin) * gdim, len(latin) * gdim), dtype=complex)
-    for w, a, b in terms:
+    for w, (_, a, b) in zip(weights, terms):
         if a not in latin:
             raise ValidationError(f"label {a!r} is not in the Latin basis {latin}")
         if b not in greek:

@@ -49,8 +49,8 @@ FORMAT_VERSION = "ket-v1"
 # only valid text compiles only _COMPOUND_TOKEN.
 #
 # One alternative per token kind, tried in this order; whitespace matches none
-# and is skipped by findall. The last alternative catches any other character
-# so that a lexical error keeps its place in the token list.
+# and is skipped. The last alternative catches any other character so that a
+# lexical error keeps its place in the token list.
 _SYMBOLS = r"|><()+\-*/⊗"
 _NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
 _TOKEN = rf"[{_SYMBOLS}]|{_NUMBER}|[A-Za-z][A-Za-z0-9_]*|\S"
@@ -69,15 +69,15 @@ _TOKEN_START = rf"[{_SYMBOLS}\dA-Za-z]"
 _END = ""  # sentinel after the last token; never equal to a real token
 
 
-def _tokenize(text: str, pattern: str = _TOKEN) -> list[str]:
-    """Token strings in text order, followed by the end sentinel.
+def _tokenize(text: str) -> list[str]:
+    """Compound token strings in text order, followed by the end sentinel.
 
-    With ``_TOKEN`` a decimal digit starts a number, an ASCII letter a name,
-    and a symbol stands for itself. With ``_COMPOUND_TOKEN`` a token that
-    starts with '|' or '(' and has more than one character is a compound: a
-    ket, or a bracketed scalar unless it holds an 'x', the tensor.
+    A decimal digit starts a number, an ASCII letter a name, and a symbol
+    stands for itself; a token that starts with '|' or '(' and has more than
+    one character is a compound: a ket, or a bracketed scalar unless it holds
+    an 'x', the tensor.
     """
-    tokens = re.findall(pattern, text)
+    tokens = re.findall(_COMPOUND_TOKEN, text)
     tokens.append(_END)
     return tokens
 
@@ -372,7 +372,7 @@ def parse_expression(text: str) -> KetExpression:
     if not text.strip():
         raise ParseError("empty expression", 1)
     try:
-        return _Parser(_tokenize(text, _COMPOUND_TOKEN)).state()
+        return _Parser(_tokenize(text)).state()
     except _SyntaxError:
         return _parse_plain(text)
 
@@ -384,7 +384,8 @@ def _parse_plain(text: str) -> KetExpression:
     Text parses from the compound tokens exactly when it parses from these,
     to the same expression, so valid text is tokenized and parsed once.
     """
-    tokens = _tokenize(text)
+    matches = list(re.finditer(_TOKEN, text))
+    tokens = [match.group() for match in matches] + [_END]
     try:
         return _Parser(tokens).state()
     except _SyntaxError as exc:
@@ -397,7 +398,7 @@ def _parse_plain(text: str) -> KetExpression:
                 message, failed_at = f"unexpected character {token!r}", index
                 break
         # 1-based character offset of each token; the end sentinel's is len + 1
-        starts = [match.start() + 1 for match in re.finditer(_TOKEN, text)] + [len(text) + 1]
+        starts = [match.start() + 1 for match in matches] + [len(text) + 1]
         raise ParseError(message, starts[failed_at]) from None
 
 
@@ -463,15 +464,14 @@ def _signed_sum(values: np.ndarray, starts: np.ndarray, opens: np.ndarray | bool
 def format_state(state: BipartitePureState) -> str:
     """Render a state as canonical ket-v1 text.
 
-    Coefficients are printed at the state's original scale
-    (``amplitudes * norm``) with 15 significant digits: coarse enough to
-    collapse 1-ulp noise back to clean integers, fine enough to keep
-    format -> parse drift below 1e-12. The first Greek group lists every
+    The state's ``coefficients`` are printed as given, with 15 significant
+    digits: every decimal of at most 15 digits prints as it was typed, and
+    format -> parse drift stays below 1e-12. The first Greek group lists every
     Latin ket, zeros included, so that parsing the result restores the exact
     basis order; later groups skip zero entries, and a group of one term
     has no parentheses. Labels are written as they are.
     """
-    coefs = (np.asarray(state.amplitudes, dtype=complex) * state.norm).T  # a row per Greek ket
+    coefs = state.coefficients.T  # a row per Greek ket
     keep = coefs != 0
     keep[0] = True
     keep[~keep.any(axis=1), 0] = True  # an all-zero column still names its Greek ket: 0|a>

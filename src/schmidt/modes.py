@@ -17,7 +17,9 @@ conjugates of the kets Phi^s. The state factorizes exactly when a single
 term survives.
 
 ``gram_latin``/``gram_greek`` build the reduced density matrices, and
-``hermitian_eigen`` diagonalizes one with the modes' phase convention.
+``hermitian_eigen`` diagonalizes one with the modes' phase convention. No
+code in the package calls ``hermitian_eigen`` or builds an ``EigenSystem``:
+they stay only because the benchmark's tracer wraps ``modes.hermitian_eigen``.
 """
 
 from __future__ import annotations
@@ -42,38 +44,39 @@ class BipartitePureState:
     ``amplitudes[i, j]`` multiplies ``|latin_labels[i]> (x) |greek_labels[j]>``.
     The constructor takes raw coefficients. It checks the shape, that the
     labels on each side are unique and, naming the ket, that every coefficient
-    is finite; it stores them rescaled to unit norm and read-only. ``norm`` is
-    derived, not passed: the Euclidean norm of the coefficients given, so the
-    raw coefficients are ``amplitudes * norm``.
+    is finite; it stores them rescaled to unit norm and read-only. Two fields
+    are derived, not passed: ``coefficients``, a read-only complex copy of the
+    coefficients given, and ``norm``, their Euclidean norm.
     """
 
     latin_labels: tuple[str, ...]
     greek_labels: tuple[str, ...]
     amplitudes: np.ndarray
+    coefficients: np.ndarray = field(init=False)
     norm: float = field(init=False)
 
     def __post_init__(self):
         latin = tuple(self.latin_labels)
         greek = tuple(self.greek_labels)
-        # A copy, so that scaling and freezing it below leave the caller's array alone.
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.ndim != 2:
-            raise ShapeError(f"amplitudes must be a 2-d matrix, got shape {amps.shape}")
-        if amps.shape != (len(latin), len(greek)):
+        # A copy, so that freezing it below leaves the caller's array alone.
+        coefs = np.array(self.amplitudes, dtype=complex)
+        if coefs.ndim != 2:
+            raise ShapeError(f"amplitudes must be a 2-d matrix, got shape {coefs.shape}")
+        if coefs.shape != (len(latin), len(greek)):
             raise ShapeError(
-                f"amplitude matrix is {amps.shape[0]}x{amps.shape[1]} but there are "
+                f"amplitude matrix is {coefs.shape[0]}x{coefs.shape[1]} but there are "
                 f"{len(latin)} Latin and {len(greek)} Greek labels"
             )
         for side, labels in (("Latin", latin), ("Greek", greek)):
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"{side} labels are not unique: {labels}")
-        finite = np.isfinite(amps)
+        finite = np.isfinite(coefs)
         if not finite.all():
             i, j = (int(k) for k in np.argwhere(~finite)[0])
             raise ValidationError(f"amplitude {(i, j)} of |{latin[i]}>(x)|"
-                                  f"{greek[j]}> is not finite: {complex(amps[i, j])!r}")
-        peak = max(float(np.max(np.abs(amps.real), initial=0.0)),
-                   float(np.max(np.abs(amps.imag), initial=0.0)))
+                                  f"{greek[j]}> is not finite: {complex(coefs[i, j])!r}")
+        peak = max(float(np.max(np.abs(coefs.real), initial=0.0)),
+                   float(np.max(np.abs(coefs.imag), initial=0.0)))
         if peak == 0.0:
             raise ValidationError("cannot build a state from all-zero amplitudes")
         # Scale by the power of two just below the largest |re| or |im| before
@@ -81,8 +84,9 @@ class BipartitePureState:
         # underflow nor overflow. ldexp scales exactly, so for coefficients
         # that need no scaling every bit of the result is unchanged.
         exponent = math.frexp(peak)[1] - 1
-        np.ldexp(amps.real, -exponent, out=amps.real)
-        np.ldexp(amps.imag, -exponent, out=amps.imag)
+        amps = np.empty_like(coefs)
+        np.ldexp(coefs.real, -exponent, out=amps.real)
+        np.ldexp(coefs.imag, -exponent, out=amps.imag)
         scaled_norm = float(np.linalg.norm(amps))
         norm = scaled_norm * 2.0**exponent
         if math.isinf(norm):
@@ -91,9 +95,11 @@ class BipartitePureState:
             )
         amps /= scaled_norm
         amps.setflags(write=False)
+        coefs.setflags(write=False)
         object.__setattr__(self, "latin_labels", latin)
         object.__setattr__(self, "greek_labels", greek)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "coefficients", coefs)
         object.__setattr__(self, "norm", norm)
 
     @classmethod

@@ -149,6 +149,16 @@ class TestClassicalMixture:
         with pytest.raises(ValidationError, match="weights must be non-negative, got nan"):
             classical_mixture(terms)
 
+    def test_weights_are_converted_once(self):
+        # The weights are read with float(), for the check and for the sum alike.
+        rho = classical_mixture([("0.5", "H", "V"), ("0.5", "V", "H")])
+        np.testing.assert_allclose(rho.matrix, RHO_CL, atol=1e-15)
+
+    @pytest.mark.parametrize("weight", ["half", None, 0.5j])
+    def test_unreadable_weight_rejected(self, weight):
+        with pytest.raises(ValidationError, match=f"mixture weight {weight!r} is not a number"):
+            classical_mixture([(0.5, "H", "V"), (weight, "V", "H")])
+
     def test_explicit_basis_order(self):
         rho = classical_mixture(
             [(1.0, "H", "V")], latin_basis=("V", "H"), greek_basis=("V", "H")

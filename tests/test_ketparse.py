@@ -284,6 +284,12 @@ class TestFormat:
         with pytest.raises(ParseError, match="unexpected character '%'"):
             parse_state(text)
 
+    def test_unit_coefficients_are_written_as_given(self):
+        # Rescaled to unit norm and back, the |b> and -i|c> coefficients come
+        # out 1 ulp away from 1; the state keeps the ones it was given.
+        state = parse_state("3|a>(x)|x> + 2|b>(x)|y> + (|b> - i|c>)(x)|z>")
+        assert format_state(state) == "(3|a> + 0|b> + 0|c>)(x)|x> + 2|b>(x)|y> + (|b> - i|c>)(x)|z>"
+
     def test_zero_entry_in_later_group_is_skipped(self):
         state = BipartitePureState(("a", "c"), ("b", "d"), np.array([[1, 0], [2, -3j]]))
         assert format_state(state) == "(|a> + 2|c>)(x)|b> - 3i|c>(x)|d>"
@@ -507,7 +513,7 @@ def test_compound_tokens_parse_as_the_plain_tokens(text):
     plain = _outcome(ketparse._parse_plain, text)
     assert _outcome(parse_expression, text) == plain
     if isinstance(plain, str):  # valid text never needs the second pass
-        compound = ketparse._Parser(ketparse._tokenize(text, ketparse._COMPOUND_TOKEN))
+        compound = ketparse._Parser(ketparse._tokenize(text))
         assert repr(compound.state()) == plain
 
 
