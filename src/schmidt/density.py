@@ -45,7 +45,7 @@ def product_labels(latin_labels: Sequence[str], greek_labels: Sequence[str]) -> 
     return tuple(f"{l}{sep}{g}" for l in latin_labels for g in greek_labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Square, Hermitian, unit-trace matrix with labelled basis rows.
 
@@ -99,16 +99,12 @@ def pure_density(state: BipartitePureState) -> DensityMatrix:
     )
 
 
-def classical_mixture(
-    terms: Sequence[tuple[float, str, str]],
-    latin_basis: Sequence[str] | None = None,
-    greek_basis: Sequence[str] | None = None,
-) -> DensityMatrix:
+def classical_mixture(terms: Sequence[tuple[float, str, str]]) -> DensityMatrix:
     """Statistical mixture of product states |a>(x)|b>, one per (weight, a, b).
 
     The result is diagonal in the product basis: classically correlated, with
     no cross-particle coherences. Weights must be non-negative and sum to 1.
-    Bases default to the sorted labels occurring in ``terms``.
+    Each side's basis is the sorted labels that occur on it in ``terms``.
     """
     if not terms:
         raise ValidationError("a classical mixture needs at least one term")
@@ -120,15 +116,11 @@ def classical_mixture(
             raise ValidationError(f"mixture weight {w!r} is not a number") from None
         if not weights[-1] >= -OUTCOME_ATOL:  # false for NaN too
             raise ValidationError(f"mixture weights must be non-negative, got {weights[-1]!r}")
-    latin = tuple(latin_basis) if latin_basis is not None else tuple(sorted({a for _, a, _ in terms}))
-    greek = tuple(greek_basis) if greek_basis is not None else tuple(sorted({b for _, _, b in terms}))
+    latin = tuple(sorted({a for _, a, _ in terms}))
+    greek = tuple(sorted({b for _, _, b in terms}))
     gdim = len(greek)
     m = np.zeros((len(latin) * gdim, len(latin) * gdim), dtype=complex)
     for w, (_, a, b) in zip(weights, terms):
-        if a not in latin:
-            raise ValidationError(f"label {a!r} is not in the Latin basis {latin}")
-        if b not in greek:
-            raise ValidationError(f"label {b!r} is not in the Greek basis {greek}")
         idx = latin.index(a) * gdim + greek.index(b)
         m[idx, idx] += w
     return DensityMatrix(m, parts=(latin, greek))

@@ -27,7 +27,7 @@ checks the first two, ``KetExpression.to_state`` the last two.
 ``format_state`` emits canonical text in this grammar: one parenthesized
 Latin combination per Greek basis ket, Greek kets in basis order, integer
 coefficients printed as integers and all others with 15 significant digits.
-Only labels that match the LABEL rule survive a round trip.
+Labels match LABEL, as ``BipartitePureState`` checks, so the text parses back.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .modes import BipartitePureState
+from .modes import LABEL, BipartitePureState
 
 FORMAT_VERSION = "ket-v1"
 
@@ -53,13 +53,13 @@ FORMAT_VERSION = "ket-v1"
 # lexical error keeps its place in the token list.
 _SYMBOLS = r"|><()+\-*/⊗"
 _NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
-_TOKEN = rf"[{_SYMBOLS}]|{_NUMBER}|[A-Za-z][A-Za-z0-9_]*|\S"
+_TOKEN = rf"[{_SYMBOLS}]|{_NUMBER}|{LABEL}|\S"
 # The same alternatives after three compound ones, each standing for the run of
 # tokens above that the parser reads in one place only: a whole ket, a
 # bracketed complex scalar '(re±im i)' and the tensor '(x)', whitespace inside
 # included. Canonical text has about a third as many of these tokens.
 _COMPOUND_TOKEN = (
-    r"\|\s*[A-Za-z][A-Za-z0-9_]*\s*>"
+    rf"\|\s*{LABEL}\s*>"
     rf"|\(\s*{_NUMBER}\s*[+-]\s*(?:{_NUMBER}\s*)?i\s*\)"
     r"|\(\s*x\s*\)|" + _TOKEN
 )
@@ -428,6 +428,7 @@ _SEPARATORS = ("", "-", " + ", " - ", "(", "(-", " + (", " + (-")
 # Numbers by case: real, imaginary, complex; then ket-v1's elided forms of a
 # real 1, an imaginary 1 and a complex number with imaginary part +1 or -1.
 _CASES = ("%g", "%gi", "(%g%+gi)", "", "i", "(%g+i)", "(%g-i)")
+_TOP_15 = 1.79769313486231e308  # the largest 15-digit decimal below the float maximum
 
 
 def _signed_sum(values: np.ndarray, starts: np.ndarray, opens: np.ndarray | bool, digits: int,
@@ -440,8 +441,7 @@ def _signed_sum(values: np.ndarray, starts: np.ndarray, opens: np.ndarray | bool
     is zero, of either sign, is left out, numbers get ``digits`` significant
     digits, and with ``elide_ones`` a factor of 1 is left out: 1 -> "",
     -1j -> "-i", 2-1j -> "(2-i)". ``kets`` and ``ends`` hold a text per term,
-    written after the number with '%' doubled: its ket, and whatever closes
-    the term.
+    written after the number, with no '%': its ket, and whatever closes the term.
     """
     re_part, im_part = values.real, values.imag
     negative = (re_part < 0.0) | ((re_part == 0.0) & (im_part < 0.0))
@@ -469,7 +469,8 @@ def format_state(state: BipartitePureState) -> str:
     format -> parse drift stays below 1e-12. The first Greek group lists every
     Latin ket, zeros included, so that parsing the result restores the exact
     basis order; later groups skip zero entries, and a group of one term
-    has no parentheses. Labels are written as they are.
+    has no parentheses. The 29 floats above ``_TOP_15`` in magnitude print as
+    ``_TOP_15``: with 15 digits they would print as it or as an overflow.
     """
     coefs = state.coefficients.T  # a row per Greek ket
     keep = coefs != 0
@@ -480,10 +481,11 @@ def format_state(state: BipartitePureState) -> str:
     first[1:] = group[1:] != group[:-1]
     last = np.append(first[1:], True)
     alone = first & last
-    kets = [f"|{label}>".replace("%", "%%") for label in state.latin_labels]
-    greek = [f"(x)|{label}>".replace("%", "%%") for label in state.greek_labels]
+    kets = [f"|{label}>" for label in state.latin_labels]
+    greek = [f"(x)|{label}>" for label in state.greek_labels]
     # after a term: nothing, the end of a combination, or the end of a lone term
     ends = ["", *[")" + ket for ket in greek], *greek]
     end_codes = np.where(last, 1 + group + len(greek) * alone, 0).tolist()
-    return _signed_sum(coefs[keep], first & (group == 0), first & ~last, 15, True,
+    values = np.clip(coefs[keep].view(float), -_TOP_15, _TOP_15).view(complex)
+    return _signed_sum(values, first & (group == 0), first & ~last, 15, True,
                        map(kets.__getitem__, row.tolist()), map(ends.__getitem__, end_codes))

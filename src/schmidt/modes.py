@@ -25,7 +25,9 @@ they stay only because the benchmark's tracer wraps ``modes.hermitian_eigen``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -35,18 +37,20 @@ from .errors import ConvergenceError, ShapeError, ValidationError
 DEFAULT_RANK_THRESHOLD = 1e-10
 # Components at or below this magnitude are ignored when fixing mode phases.
 PHASE_PIVOT = 1e-9
+# ket-v1's LABEL rule, which the constructor applies and the ket tokens embed.
+LABEL = r"[A-Za-z][A-Za-z0-9_]*"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartitePureState:
     """Two-party pure state in a fixed product basis, unit-norm by construction.
 
     ``amplitudes[i, j]`` multiplies ``|latin_labels[i]> (x) |greek_labels[j]>``.
-    The constructor takes raw coefficients. It checks the shape, that the
-    labels on each side are unique and, naming the ket, that every coefficient
-    is finite; it stores them rescaled to unit norm and read-only. Two fields
-    are derived, not passed: ``coefficients``, a read-only complex copy of the
-    coefficients given, and ``norm``, their Euclidean norm.
+    The constructor takes raw coefficients. It checks the shape, that the labels on
+    each side are unique strings matching ``LABEL`` and, naming the ket, that every
+    coefficient is finite; it stores them rescaled to unit norm and read-only. Two
+    fields are derived, not passed: ``coefficients``, a read-only complex copy of
+    the coefficients given, and ``norm``, their Euclidean norm.
     """
 
     latin_labels: tuple[str, ...]
@@ -56,8 +60,7 @@ class BipartitePureState:
     norm: float = field(init=False)
 
     def __post_init__(self):
-        latin = tuple(self.latin_labels)
-        greek = tuple(self.greek_labels)
+        latin, greek = tuple(self.latin_labels), tuple(self.greek_labels)
         # A copy, so that freezing it below leaves the caller's array alone.
         coefs = np.array(self.amplitudes, dtype=complex)
         if coefs.ndim != 2:
@@ -67,7 +70,13 @@ class BipartitePureState:
                 f"amplitude matrix is {coefs.shape[0]}x{coefs.shape[1]} but there are "
                 f"{len(latin)} Latin and {len(greek)} Greek labels"
             )
+        fullmatch = re.compile(LABEL).fullmatch  # compiled on first use, then cached by re
         for side, labels in (("Latin", latin), ("Greek", greek)):
+            if not (all(map(isinstance, labels, repeat(str))) and all(map(fullmatch, labels))):
+                index, label = next((i, label) for i, label in enumerate(labels)
+                                    if not (isinstance(label, str) and fullmatch(label)))
+                raise ValidationError(f"{side} label {index} is not a ket-v1 label (a letter, "
+                                      f"then letters, digits or '_'): {label!r}")
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"{side} labels are not unique: {labels}")
         finite = np.isfinite(coefs)
@@ -117,7 +126,7 @@ class BipartitePureState:
         return len(self.greek_labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Schmidt data of a two-party pure state.
 
@@ -136,7 +145,7 @@ class SchmidtDecomposition:
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Eigendecomposition of a Hermitian matrix.
 

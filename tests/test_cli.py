@@ -265,9 +265,12 @@ class TestFileInput:
         ("ab", "latin_labels is not an array of strings: 'ab'"),
         (None, "latin_labels is not an array of strings: None"),
         ({"x": 1}, "latin_labels is not an array of strings: {'x': 1}"),
-        (["a", None], "latin_labels[1] is not a string: None"),
-        (["a", {"x": 1}], "latin_labels[1] is not a string: {'x': 1}"),
-        ([1, "b"], "latin_labels[0] is not a string: 1"),
+        (["a", None], "Latin label 1 is not a ket-v1 label (a letter, then letters, digits "
+                      "or '_'): None"),
+        (["a", {"x": 1}], "Latin label 1 is not a ket-v1 label (a letter, then letters, digits "
+                          "or '_'): {'x': 1}"),
+        ([1, "b"], "Latin label 0 is not a ket-v1 label (a letter, then letters, digits "
+                   "or '_'): 1"),
     ], ids=["string", "null", "object", "null-entry", "object-entry", "number-entry"])
     def test_labels_must_be_arrays_of_strings(self, capsys, tmp_path, labels, message):
         for side, other in (("latin", "greek"), ("greek", "latin")):
@@ -282,7 +285,7 @@ class TestFileInput:
             code, out, err = run(capsys, "analyze", "--file", str(path))
             assert code == 2
             assert out == ""
-            assert message.replace("latin", side) in err
+            assert message.replace("latin", side).replace("Latin", side.capitalize()) in err
 
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{}",  # not UTF-8
@@ -653,32 +656,24 @@ class TestTableText:
             "  B: -1i|p> + 2|q> + 1e-300|r> - 2.5e-300i|s> - 3i|d> + 0|t> + 1234.57|u> + 0|v>",
         ]
 
-    def test_labels_outside_the_label_rule_are_written_verbatim(self, capsys, tmp_path):
-        # A '%' in a label stays one character in the input line and the mode lines.
-        path = tmp_path / "labels.json"
-        path.write_text(json.dumps({
-            "format": "schmidt-state-v1",
-            "latin_labels": ["50%", "%s", "1 a"],
-            "greek_labels": ["%(k)s", "x>", ""],
-            "amplitudes": [[[3, 0], [0, 0], [0, 0]], [[0, 0], [2, 0], [0, 0]],
-                           [[0, 0], [0, 0], [0, -1]]],
-        }))
-        code, out, err = run(capsys, "analyze", "--file", str(path))
-        assert (code, err) == (0, "")
-        lines = out.splitlines()
-        assert lines[0] == ("input (ket-v1): (3|50%> + 0|%s> + 0|1 a>)(x)|%(k)s>"
-                            " + 2|%s>(x)|x>> - i|1 a>(x)|>")
-        assert lines[7:16] == [
-            "mode 1 (eigenvalue 0.642857):",
-            "  A: 1|50%> + 0|%s> + 0|1 a>",
-            "  B: 1|%(k)s> + 0|x>> + 0|>",
-            "mode 2 (eigenvalue 0.285714):",
-            "  A: 0|50%> + 1|%s> + 0|1 a>",
-            "  B: 0|%(k)s> + 1|x>> + 0|>",
-            "mode 3 (eigenvalue 0.0714286):",
-            "  A: 0|50%> + 0|%s> + 1|1 a>",
-            "  B: 0|%(k)s> + 0|x>> + 1i|>",
-        ]
+    def test_labels_outside_the_label_rule_are_rejected(self, capsys, tmp_path):
+        # Text holding such a label would not parse back, so no report is written.
+        for side, index, label in (("Latin", 2, "1 a"), ("Latin", 0, "50%"),
+                                   ("Greek", 1, "x>"), ("Greek", 2, "")):
+            labels = {"Latin": ["a", "b", "c"], "Greek": ["x", "y", "z"]}
+            labels[side][index] = label
+            path = tmp_path / "labels.json"
+            path.write_text(json.dumps({
+                "format": "schmidt-state-v1",
+                "latin_labels": labels["Latin"],
+                "greek_labels": labels["Greek"],
+                "amplitudes": [[[3, 0], [0, 0], [0, 0]], [[0, 0], [2, 0], [0, 0]],
+                               [[0, 0], [0, 0], [0, -1]]],
+            }))
+            code, out, err = run(capsys, "analyze", "--file", str(path))
+            assert (code, out) == (2, "")
+            assert err == (f"error: {side} label {index} is not a ket-v1 label "
+                           f"(a letter, then letters, digits or '_'): {label!r}\n")
 
     def test_padded_eigenvalue_line(self):
         state = BipartitePureState.from_amplitudes(

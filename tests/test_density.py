@@ -159,13 +159,6 @@ class TestClassicalMixture:
         with pytest.raises(ValidationError, match=f"mixture weight {weight!r} is not a number"):
             classical_mixture([(0.5, "H", "V"), (weight, "V", "H")])
 
-    def test_explicit_basis_order(self):
-        rho = classical_mixture(
-            [(1.0, "H", "V")], latin_basis=("V", "H"), greek_basis=("V", "H")
-        )
-        np.testing.assert_allclose(rho.matrix, np.diag([0.0, 0.0, 1.0, 0.0]), atol=1e-15)
-        assert rho.parts == (("V", "H"), ("V", "H"))
-
 
 class TestPartialTrace:
     def test_bell_reduces_to_maximal_mixture_on_both_sides(self):

@@ -1,4 +1,6 @@
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -275,14 +277,32 @@ class TestFormat:
         )
         np.testing.assert_allclose(raw(parse_state(text)), self.MIXED, rtol=1e-14, atol=0)
 
-    def test_labels_outside_the_label_rule_are_written_verbatim(self):
-        # A '%' stays one character, and the text does not parse back.
-        state = BipartitePureState(("50%", "%s", "1 a"), ("%(k)s", "x>", ""),
-                                   np.diag([3, 2, -1j]))
+    def test_labels_outside_the_label_rule_are_rejected(self):
+        # Text holding such a label would not parse back, so no state holds one.
+        rule = re.escape("is not a ket-v1 label (a letter, then letters, digits or '_'): ")
+        for label in ("1 a", "", "x>", "50%", "%(k)s", "_a", "a-b", "é", "a\n", 1, None, b"a"):
+            tail = f" {rule}{re.escape(repr(label))}$"
+            with pytest.raises(ValidationError, match="^Latin label 0" + tail):
+                BipartitePureState((label, "b"), ("x", "y"), np.eye(2))
+            with pytest.raises(ValidationError, match="^Greek label 1" + tail):
+                BipartitePureState(("a", "b"), ("x", label), np.eye(2))
+            expression = KetExpression((KetTerm(1, ((1, "a"),), ((1, "x"),)),
+                                        KetTerm(1, ((1, label),), ((1, "y"),))))
+            with pytest.raises(ValidationError, match="^Latin label 1" + tail):
+                expression.to_state()
+
+    @pytest.mark.parametrize("value", [sys.float_info.max, -sys.float_info.max,
+                                       1j * sys.float_info.max,
+                                       np.nextafter(1.79769313486231e308, math.inf)])
+    def test_coefficients_near_the_float_maximum_parse_back(self, value):
+        # With 15 digits these would print as 1.79769313486232e+308, which
+        # overflows; they print as the largest 15-digit decimal below it.
+        state = BipartitePureState(("a",), ("b", "c"), [[value, 1]])
+        sign, imaginary = "-" if value == -sys.float_info.max else "", "i" if value.imag else ""
         text = format_state(state)
-        assert text == "(3|50%> + 0|%s> + 0|1 a>)(x)|%(k)s> + 2|%s>(x)|x>> - i|1 a>(x)|>"
-        with pytest.raises(ParseError, match="unexpected character '%'"):
-            parse_state(text)
+        assert text == f"{sign}1.79769313486231e+308{imaginary}|a>(x)|b> + |a>(x)|c>"
+        again = parse_state(text)
+        np.testing.assert_allclose(again.amplitudes, state.amplitudes, rtol=0, atol=1e-14)
 
     def test_unit_coefficients_are_written_as_given(self):
         # Rescaled to unit norm and back, the |b> and -i|c> coefficients come
@@ -545,13 +565,12 @@ def test_signed_sum_matches_the_coefficient_loop(values, ket_v1):
     # The ket-v1 numbers (15 digits, a factor of 1 elided) and the table's
     # (6 digits), each against the per-coefficient loop they replaced.
     digits = 15 if ket_v1 else 6
-    kets = [f"|k{index}%>" for index in range(len(values))]
+    kets = [f"|k{index}>" for index in range(len(values))]
     expected = ""
     for index, z in enumerate(values):
         negative, text = _reference_term(z, digits, ket_v1)
         sign = ("-" if negative else "") if index == 0 else (" - " if negative else " + ")
         expected += sign + text + kets[index]
     starts = np.arange(len(values)) == 0
-    escaped = [ket.replace("%", "%%") for ket in kets]
     assert ketparse._signed_sum(np.array(values, dtype=complex), starts, False, digits, ket_v1,
-                                escaped, [""] * len(values)) == expected
+                                kets, [""] * len(values)) == expected

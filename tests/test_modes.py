@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from schmidt.catalog import example_state
+from schmidt.cli import build_report
+from schmidt.density import pure_density
 from schmidt.errors import ShapeError, ValidationError
 from schmidt.modes import (
     BipartitePureState,
@@ -11,6 +13,7 @@ from schmidt.modes import (
     entanglement_entropy,
     gram_greek,
     gram_latin,
+    hermitian_eigen,
     is_entangled,
     reconstruct,
     schmidt_decompose,
@@ -145,6 +148,19 @@ class TestBipartitePureState:
         norm = float(np.linalg.norm(amps))
         assert state.norm == norm
         assert np.array_equal(state.amplitudes, amps / norm)
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    # Equal arrays of more than one entry have no single truth value, so a
+    # generated __eq__ or __hash__ could only raise.
+    first, second = demo_state(), demo_state()
+    for a, b in ((first, second),
+                 (schmidt_decompose(first), schmidt_decompose(second)),
+                 (hermitian_eigen(np.eye(2)), hermitian_eigen(np.eye(2))),
+                 (pure_density(first), pure_density(second)),
+                 (build_report(first), build_report(second))):
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 class TestGramMatrices:

@@ -1,21 +1,27 @@
 """Property test of the whole pipeline: state, report, ket-v1 text and JSON.
 
-Every state either gets a report that meets the report's invariants or is
-refused with a SchmidtError. Its canonical text parses back to the same
-labels and amplitudes, and its schmidt-state-v1 document reads back to the
-same state, bit for bit.
+A state whose labels break the ket-v1 LABEL rule is refused by its
+constructor. Every other state either gets a report that meets the report's
+invariants or is refused with a SchmidtError. Its canonical text parses back
+to the same labels and amplitudes, and its schmidt-state-v1 document reads
+back to the same state, bit for bit. The two sides' labels are drawn
+disjoint: the constructor accepts a label on both sides, whose text does not
+parse.
 """
 
 import json
+import re
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schmidt import cli
-from schmidt.errors import SchmidtError
+from schmidt.errors import SchmidtError, ValidationError
 from schmidt.ketparse import format_state, parse_state
-from schmidt.modes import BipartitePureState
+from schmidt.modes import LABEL, BipartitePureState
 
 ENTRIES = (1, -1, 1j, -1j, 2, 0.5, 0)
 
@@ -26,7 +32,8 @@ def _matrix(draw, rows, cols):
 
 
 @st.composite
-def states(draw):
+def cases(draw):
+    """Latin labels, Greek labels and a coefficient matrix."""
     rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     rows, cols = draw(st.sampled_from([(rows, cols)] * 3 + [(1, cols), (rows, 1)]))
     if draw(st.booleans()):  # low rank plus a small full-rank tail
@@ -38,14 +45,31 @@ def states(draw):
         amps = _matrix(draw, rows, cols)
     amps[draw(st.lists(st.integers(0, rows - 1), max_size=rows - 1))] = 0  # exact zero rows
     assume(np.any(amps != 0))
-    amps *= 10.0 ** draw(st.integers(-300, 300))
-    return BipartitePureState(tuple(f"m{i}" for i in range(rows)),
-                              tuple(f"s{j}" for j in range(cols)), amps)
+    scale = draw(st.one_of(st.integers(-300, 300).map(lambda k: 10.0 ** k),
+                           st.floats(1e300, sys.float_info.max), st.just(sys.float_info.max)))
+    with np.errstate(over="ignore"):  # an entry beyond the float range is refused below
+        amps *= scale
+    labels = draw(st.lists(st.from_regex(LABEL, fullmatch=True), min_size=rows + cols,
+                           max_size=rows + cols, unique=True))
+    if draw(st.booleans()):  # one label drawn from all strings
+        labels[draw(st.integers(0, rows + cols - 1))] = draw(
+            st.text().filter(lambda text: text not in labels))
+    return tuple(labels[:rows]), tuple(labels[rows:]), amps
 
 
 @settings(max_examples=200, deadline=None)
-@given(states())
-def test_every_state_is_reported_correctly_or_refused(state):
+@given(cases())
+def test_every_state_is_reported_correctly_or_refused(case):
+    latin, greek, amps = case
+    if not all(re.fullmatch(LABEL, label) for label in latin + greek):
+        with pytest.raises(ValidationError, match="is not a ket-v1 label"):
+            BipartitePureState(latin, greek, amps)
+        return
+    try:
+        state = BipartitePureState(latin, greek, amps)
+    except ValidationError as exc:  # scaled beyond the float range
+        assert re.search("is not finite|exceeds the float range", str(exc))
+        return
     try:
         report = cli.build_report(state)
     except SchmidtError:
@@ -62,11 +86,11 @@ def test_every_state_is_reported_correctly_or_refused(state):
         assert isinstance(cli.render_report(report), str)
 
     again = parse_state(format_state(state))
-    assert (again.latin_labels, again.greek_labels) == (state.latin_labels, state.greek_labels)
+    assert (again.latin_labels, again.greek_labels) == (latin, greek)
     assert np.max(np.abs(again.amplitudes - state.amplitudes)) <= 1e-12
 
     read = cli.state_from_doc(json.loads(json.dumps(cli.state_to_doc(state))))
-    assert (read.latin_labels, read.greek_labels) == (state.latin_labels, state.greek_labels)
+    assert (read.latin_labels, read.greek_labels) == (latin, greek)
     assert read.coefficients.tobytes() == state.coefficients.tobytes()
     assert read.amplitudes.tobytes() == state.amplitudes.tobytes()
     assert read.norm == state.norm
