@@ -13,16 +13,16 @@ Grammar:
     TENSOR  := '(x)' | 'x' | '⊗'
 
 Kets left of the tensor operator belong to subsystem A (the Latin side), kets
-to the right to subsystem B (the Greek side); the two label sets must be
-disjoint. Basis order is first appearance in the text. Whitespace between
-tokens never matters. Reals may carry an exponent (``1.5e-3``), and a leading
-'-' on a state or parenthesized combination works as in ordinary arithmetic.
+to the right to subsystem B (the Greek side). The side of a ket is where it
+stands, so one label may name a ket on each side: ``|H>(x)|H>``. Basis order
+is first appearance in the text, per side. Whitespace between tokens never
+matters. Reals may carry an exponent (``1.5e-3``), and a leading '-' on a
+state or parenthesized combination works as in ordinary arithmetic.
 
 ``parse_state`` reports the first error in this order: a character outside
 the grammar, wherever it stands; a syntax error or a scalar that overflows the
-float range; a ket whose label already stood on the other side of the tensor
-product; a coefficient product or sum that overflows. ``parse_expression``
-checks the first two, ``KetExpression.to_state`` the last two.
+float range; a coefficient product or sum that overflows. ``parse_expression``
+checks the first two, ``KetExpression.to_state`` the last.
 
 ``format_state`` emits canonical text in this grammar: one parenthesized
 Latin combination per Greek basis ket, Greek kets in basis order, integer
@@ -91,14 +91,6 @@ class _SyntaxError(Exception):
         self.index = index
 
 
-class _TwoSidedLabel(ValidationError):
-    """A label on both sides; ``ket`` counts the kets before it in text order."""
-
-    def __init__(self, label: str, ket: int):
-        super().__init__(f"label {label!r} appears on both sides of a tensor product")
-        self.label, self.ket = label, ket
-
-
 @dataclass(frozen=True)
 class KetTerm:
     """One term, coefficient * (Latin combo) (x) (Greek combo), each combo a
@@ -124,15 +116,6 @@ class KetExpression:
                 latin.setdefault(label, len(latin))
             for _, label in term.greek:
                 greek.setdefault(label, len(greek))
-        if not latin.keys().isdisjoint(greek):
-            # the first ket, in text order, whose label already stood on the other side
-            seen: tuple[set[str], set[str]] = (set(), set())
-            kets = ((side, label) for term in self.terms
-                    for side, items in enumerate((term.latin, term.greek)) for _, label in items)
-            for number, (side, label) in enumerate(kets):
-                if label in seen[1 - side]:
-                    raise _TwoSidedLabel(label, number)
-                seen[side].add(label)
         cols = len(greek)
         # Summed as Python complex numbers in a row-major list: indexing a
         # numpy matrix once per product would cost more than the product.
@@ -365,9 +348,8 @@ def parse_expression(text: str) -> KetExpression:
     """Parse ket-v1 text into its syntax tree without building the state.
 
     Cost is linear in the length of the text. A character outside the
-    grammar is reported ahead of any syntax error, wherever it appears. The
-    label sides are not checked: a label on both sides of the tensor product
-    is an error of ``KetExpression.to_state``.
+    grammar is reported ahead of any syntax error, wherever it appears. A
+    label may stand on both sides of the tensor product.
     """
     if not text.strip():
         raise ParseError("empty expression", 1)
@@ -409,14 +391,7 @@ def parse_state(text: str) -> BipartitePureState:
     bases are ordered by first appearance. The overall scale of the
     expression is recorded as the state's ``norm``, not discarded.
     """
-    expression = parse_expression(text)
-    try:
-        return expression.to_state()
-    except _TwoSidedLabel as exc:
-        # In text that parses, '|' only opens a ket.
-        bars = [at for at, char in enumerate(text, start=1) if char == "|"]
-        raise ParseError(f"label {exc.label!r} appears on both sides of the tensor product",
-                         bars[exc.ket]) from None
+    return parse_expression(text).to_state()
 
 
 # --- formatting -----------------------------------------------------------

@@ -444,7 +444,7 @@ class TestProcessEntry:
     @pytest.mark.parametrize("argv,expected_code", [
         (["examples", "psi0"], 0),
         (["examples", "psi0", "--format", "json"], 0),
-        (["analyze", "--expr", "|a>(x)|b> + |b>(x)|c>"], 2),
+        (["analyze", "--expr", "|a>(x)|b> |c>"], 2),
         (["examples", "psi0", "--rank-threshold", "0.5"], 3),
         (["examples", "psi9"], 2),
         (["--help"], 0),

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schmidt import ketparse
-from schmidt.catalog import EXPRESSIONS
+from schmidt.catalog import BELL_AMPLITUDES, EXPRESSIONS, bell_state
 from schmidt.errors import ParseError, SchmidtError, ValidationError
 from schmidt.ketparse import KetExpression, KetTerm, format_state, parse_expression, parse_state
 from schmidt.modes import BipartitePureState
@@ -105,6 +105,20 @@ class TestScalarsAndSyntax:
         assert state.greek_labels == ("beta", "alpha")
 
 
+class TestLabelOnBothSides:
+    def test_shared_labels_build_the_state_their_kets_describe(self):
+        state = parse_state("|a>(x)|a> + |b>(x)|b>")
+        assert (state.latin_labels, state.greek_labels) == (("a", "b"), ("a", "b"))
+        np.testing.assert_allclose(state.amplitudes, np.eye(2) / np.sqrt(2.0), atol=1e-15)
+
+    @pytest.mark.parametrize("kind", sorted(BELL_AMPLITUDES))
+    def test_bell_states_parse_back(self, kind):
+        state = bell_state(kind)
+        again = parse_state(format_state(state))
+        assert (again.latin_labels, again.greek_labels) == (("H", "V"), ("H", "V"))
+        assert np.max(np.abs(again.amplitudes - state.amplitudes)) <= 1e-12
+
+
 class TestParseErrors:
     def test_lexical_error_reports_position_and_character(self):
         with pytest.raises(ParseError) as info:
@@ -125,8 +139,6 @@ class TestParseErrors:
             ("(|a> + |b>(x)|c>", "expected ')' closing the combination, found '('", 11),
             ("|a> |b>", "expected a tensor operator '(x)', found '|'", 5),
             ("1/sqrt(0)|a>(x)|b>", "division by zero in a scalar", 3),
-            ("(|a> + |b>)(x)(|c> + |a>)",
-             "label 'a' appears on both sides of the tensor product", 22),
             ("|a>(x)|b>)", "unexpected trailing input ')'", 10),
             ("|a>(x)|b> + (1+2i|c>(x)|d>", "expected '|' opening a ket, found '+'", 15),
             ("sq@rt(2)|a>(x)|b>", "unexpected character '@'", 3),
@@ -152,9 +164,6 @@ class TestParseErrors:
             ("|a>(x)|b>(x)|c>", "unexpected trailing input '('", 10),
             ("|a>(x)(|b> + ( x )|c>)", "expected '|' opening a ket, found '('", 14),
             ("( 1 + 2i )|a>(x)( 1e999 - i )|b>", "scalar '1e999' overflows the float range", 19),
-            # Label sides are checked after the syntax of the whole text.
-            ("|a>(x)|b> + |b>(x)|c>",
-             "label 'b' appears on both sides of the tensor product", 13),
             ("|a>(x)|a> +", "expected a ket or '(', found end of input", 12),
         ],
     )
@@ -172,10 +181,6 @@ class TestParseErrors:
     def test_missing_tensor_operator(self):
         with pytest.raises(ParseError, match="tensor"):
             parse_state("|a> + |b>(x)|alpha>")
-
-    def test_label_on_both_sides(self):
-        with pytest.raises(ParseError, match="both sides"):
-            parse_state("|a>(x)|b> + |b>(x)|a>")
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
@@ -359,18 +364,13 @@ class TestExpressionTree:
         assert term.latin == ((1 + 0j, "a"), (3 + 0j, "b"))
         assert term.greek == ((1 + 0j, "alpha"),)
 
-    def test_hand_built_label_on_both_sides_is_a_validation_error(self):
-        expr = KetExpression((KetTerm(1 + 0j, ((1 + 0j, "a"),), ((1 + 0j, "a"),)),))
-        with pytest.raises(ValidationError) as info:
-            expr.to_state()
-        assert str(info.value) == "label 'a' appears on both sides of a tensor product"
-
-    def test_parse_expression_does_not_check_sides(self):
-        expr = parse_expression("|a>(x)|a>")
-        assert expr == KetExpression((KetTerm(1 + 0j, ((1 + 0j, "a"),), ((1 + 0j, "a"),)),))
-        with pytest.raises(ValidationError) as info:
-            expr.to_state()
-        assert str(info.value) == "label 'a' appears on both sides of a tensor product"
+    def test_hand_built_label_on_both_sides_builds_its_state(self):
+        expr = KetExpression((KetTerm(2 + 0j, ((1 + 0j, "a"),), ((1 + 0j, "a"),)),))
+        assert parse_expression("2|a>(x)|a>") == expr
+        state = expr.to_state()
+        assert (state.latin_labels, state.greek_labels) == (("a",), ("a",))
+        assert state.amplitudes.tolist() == [[1 + 0j]]
+        assert state.norm == 2.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -437,9 +437,9 @@ _GAPS = st.sampled_from(["", "", "", " ", "  ", "\t", "\n", "\u00a0"])
 _NUMBERS = st.sampled_from(
     ["0", "1", "2", "2.5", "10.", "0.125", "1.5e-3", "3E+2", "1e999", "1e-320", "٣"]
 )
-# Disjoint pools for the two sides, so that most written texts are valid.
+# One pool per side; "a" is in both, as a label may stand on both sides.
 _LATIN = st.sampled_from(["a", "b", "x", "sqrt"])
-_GREEK = st.sampled_from(["alpha", "b_1", "i", "c"])
+_GREEK = st.sampled_from(["alpha", "b_1", "i", "a"])
 
 
 @st.composite

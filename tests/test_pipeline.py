@@ -4,9 +4,8 @@ A state whose labels break the ket-v1 LABEL rule is refused by its
 constructor. Every other state either gets a report that meets the report's
 invariants or is refused with a SchmidtError. Its canonical text parses back
 to the same labels and amplitudes, and its schmidt-state-v1 document reads
-back to the same state, bit for bit. The two sides' labels are drawn
-disjoint: the constructor accepts a label on both sides, whose text does not
-parse.
+back to the same state, bit for bit. Labels are unique within each side, and
+some draws put one label on both sides.
 """
 
 import json
@@ -49,12 +48,17 @@ def cases(draw):
                            st.floats(1e300, sys.float_info.max), st.just(sys.float_info.max)))
     with np.errstate(over="ignore"):  # an entry beyond the float range is refused below
         amps *= scale
-    labels = draw(st.lists(st.from_regex(LABEL, fullmatch=True), min_size=rows + cols,
-                           max_size=rows + cols, unique=True))
+    latin, greek = (draw(st.lists(st.from_regex(LABEL, fullmatch=True), min_size=size,
+                                  max_size=size, unique=True)) for size in (rows, cols))
+    if draw(st.booleans()):  # a Latin label on the Greek side too
+        shared = draw(st.sampled_from(latin))
+        if shared not in greek:
+            greek[draw(st.integers(0, cols - 1))] = shared
     if draw(st.booleans()):  # one label drawn from all strings
-        labels[draw(st.integers(0, rows + cols - 1))] = draw(
+        labels = draw(st.sampled_from([latin, greek]))
+        labels[draw(st.integers(0, len(labels) - 1))] = draw(
             st.text().filter(lambda text: text not in labels))
-    return tuple(labels[:rows]), tuple(labels[rows:]), amps
+    return tuple(latin), tuple(greek), amps
 
 
 @settings(max_examples=200, deadline=None)
