@@ -366,11 +366,18 @@ class TestExpressionTree:
 
     def test_hand_built_label_on_both_sides_builds_its_state(self):
         expr = KetExpression((KetTerm(2 + 0j, ((1 + 0j, "a"),), ((1 + 0j, "a"),)),))
-        assert parse_expression("2|a>(x)|a>") == expr
         state = expr.to_state()
         assert (state.latin_labels, state.greek_labels) == (("a",), ("a",))
         assert state.amplitudes.tolist() == [[1 + 0j]]
         assert state.norm == 2.0
+
+    def test_parse_expression_does_not_check_sides(self):
+        expr = parse_expression("|a>(x)|a> + 2|b>(x)|a>")
+        assert expr == KetExpression((KetTerm(1 + 0j, ((1 + 0j, "a"),), ((1 + 0j, "a"),)),
+                                      KetTerm(2 + 0j, ((1 + 0j, "b"),), ((1 + 0j, "a"),))))
+        state = expr.to_state()
+        assert (state.latin_labels, state.greek_labels) == (("a", "b"), ("a",))
+        np.testing.assert_allclose(state.amplitudes, np.array([[1], [2]]) / np.sqrt(5.0), atol=1e-15)
 
 
 @settings(max_examples=300, deadline=None)
