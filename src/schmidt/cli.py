@@ -23,7 +23,7 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -130,16 +130,32 @@ def state_from_doc(doc) -> BipartitePureState:
 
 @dataclass(frozen=True, eq=False)
 class AnalysisReport:
-    """Everything the CLI prints about one state, modes as the decomposition's columns."""
+    """Everything the CLI prints about one state, modes as the decomposition's columns.
 
-    expression: str
-    lambdas: tuple[float, ...]
-    schmidt_number: float
-    entropy: float
-    entangled: bool
-    reconstruction_residual: float
+    Built from the state, its decomposition and the reconstruction residual;
+    the ket-v1 expression and the summaries are derived. ``lambdas`` is padded
+    with zeros up to the larger subsystem dimension, as the smaller reduced
+    matrix can always be embedded in the bigger space.
+    """
+
     state: BipartitePureState
     decomposition: SchmidtDecomposition
+    reconstruction_residual: float
+    expression: str = field(init=False)
+    lambdas: tuple[float, ...] = field(init=False)
+    schmidt_number: float = field(init=False)
+    entropy: float = field(init=False)
+    entangled: bool = field(init=False)
+
+    def __post_init__(self):
+        state, d = self.state, self.decomposition
+        padded = d.lambdas.tolist()
+        padded += [0.0] * (max(state.latin_dim, state.greek_dim) - len(padded))
+        object.__setattr__(self, "expression", format_state(state))
+        object.__setattr__(self, "lambdas", tuple(padded))
+        object.__setattr__(self, "schmidt_number", schmidt_number(d))
+        object.__setattr__(self, "entropy", entanglement_entropy(d))
+        object.__setattr__(self, "entangled", is_entangled(d))
 
     @property
     def rank(self) -> int:
@@ -170,12 +186,8 @@ class AnalysisReport:
 
 def build_report(state: BipartitePureState,
                  rank_threshold: float = DEFAULT_RANK_THRESHOLD) -> AnalysisReport:
-    """Run the full analysis for one state.
-
-    The eigenvalue list is padded with zeros up to the larger subsystem
-    dimension, mirroring how the smaller reduced matrix can always be
-    embedded in the bigger space.
-    """
+    """Run the full analysis for one state. Raises ConvergenceError when the
+    decomposition does not reproduce the state to within RESIDUAL_LIMIT."""
     decomposition = schmidt_decompose(state, threshold=rank_threshold)
     rebuilt = reconstruct(decomposition)
     residual = float(np.max(np.abs(rebuilt - state.amplitudes)))
@@ -183,18 +195,7 @@ def build_report(state: BipartitePureState,
         raise ConvergenceError(
             f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}"
         )
-    padded = decomposition.lambdas.tolist()
-    padded += [0.0] * (max(state.latin_dim, state.greek_dim) - len(padded))
-    return AnalysisReport(
-        expression=format_state(state),
-        lambdas=tuple(padded),
-        schmidt_number=schmidt_number(decomposition),
-        entropy=entanglement_entropy(decomposition),
-        entangled=is_entangled(decomposition),
-        reconstruction_residual=residual,
-        state=state,
-        decomposition=decomposition,
-    )
+    return AnalysisReport(state, decomposition, residual)
 
 
 def _fmt(value: float) -> str:

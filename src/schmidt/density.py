@@ -7,7 +7,7 @@ side produce the composite order HH, HV, VH, VV.
 
 ``pure_density`` and ``classical_mixture`` record the Latin and Greek bases
 in ``DensityMatrix.parts``; ``partial_trace`` and ``conditional_state`` read
-the split and the labels of their result from there.
+the split from there and give their one-party result the kept basis.
 """
 
 from __future__ import annotations
@@ -49,31 +49,31 @@ def product_labels(latin_labels: Sequence[str], greek_labels: Sequence[str]) -> 
 class DensityMatrix:
     """Square, Hermitian, unit-trace matrix with labelled basis rows.
 
-    ``parts`` holds the Latin and Greek bases of a two-party matrix and is
-    empty for a one-party one; when given, the basis labels are their
-    ``product_labels``. Hermiticity and trace are checked at construction;
-    positive semidefiniteness is a documented invariant left to the producer.
+    ``parts`` holds one basis per party, one or two of them. ``basis_labels``
+    is derived, not passed: the single basis, the two bases'
+    ``product_labels``, or "0", "1", ... when no part is given. Hermiticity
+    and trace are checked at construction; positive semidefiniteness is a
+    documented invariant left to the producer.
     """
 
     matrix: np.ndarray
-    basis_labels: tuple[str, ...] = field(default=())
-    parts: tuple[tuple[str, ...], ...] = field(default=())
+    parts: tuple[tuple[str, ...], ...] = ()
+    basis_labels: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         # A copy, so that freezing it below leaves the caller's array writable.
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"density matrix must be square, got shape {m.shape}")
-        labels = tuple(self.basis_labels)
+        for part in self.parts:
+            # A string iterates as its characters, which would pass as labels.
+            if isinstance(part, str):
+                raise ShapeError(f"a part is a sequence of labels, not the string {part!r}")
         parts = tuple(tuple(part) for part in self.parts)
-        if parts:
-            if len(parts) != 2:
-                raise ShapeError(f"a two-party matrix needs 2 parts, got {len(parts)}")
-            product = product_labels(*parts)
-            if labels and labels != product:
-                raise ShapeError(f"basis labels {labels} are not the parts' product {product}")
-            labels = product
-        labels = labels or tuple(str(i) for i in range(m.shape[0]))
+        if len(parts) > 2:
+            raise ShapeError(f"a density matrix has one or two parts, got {len(parts)}")
+        labels = (product_labels(*parts) if len(parts) == 2 else parts[0] if parts
+                  else tuple(str(i) for i in range(m.shape[0])))
         # Also catches parts whose sizes do not multiply to the dimension.
         if len(labels) != m.shape[0]:
             raise ShapeError(
@@ -128,7 +128,7 @@ def classical_mixture(terms: Sequence[tuple[float, str, str]]) -> DensityMatrix:
 
 def _two_party(rho: DensityMatrix, what: str) -> np.ndarray:
     """``rho.matrix`` as a (latin, greek, latin, greek) tensor."""
-    if not rho.parts:
+    if len(rho.parts) != 2:
         raise ShapeError(
             f"{what} needs a two-party density matrix, as built by pure_density "
             "or classical_mixture"
@@ -145,9 +145,9 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     """
     t = _two_party(rho, "a partial trace")
     if keep == "A":
-        return DensityMatrix(np.trace(t, axis1=1, axis2=3), rho.parts[0])
+        return DensityMatrix(np.trace(t, axis1=1, axis2=3), rho.parts[:1])
     if keep == "B":
-        return DensityMatrix(np.trace(t, axis1=0, axis2=2), rho.parts[1])
+        return DensityMatrix(np.trace(t, axis1=0, axis2=2), rho.parts[1:])
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -179,4 +179,4 @@ def conditional_state(rho: DensityMatrix, projector_on_a) -> tuple[float, Densit
             f"outcome probability {probability:.3e} is below {OUTCOME_ATOL:g}; "
             "cannot condition on it"
         )
-    return probability, DensityMatrix(reduced / probability, rho.parts[1])
+    return probability, DensityMatrix(reduced / probability, rho.parts[1:])

@@ -131,10 +131,10 @@ class SchmidtDecomposition:
     """Schmidt data of a two-party pure state.
 
     ``lambdas`` holds all min(latin_dim, greek_dim) squared singular values
-    of the amplitude matrix in descending order; ``rank`` counts those above
-    the rank threshold, so they are ``lambdas[:rank]``. Column ``s`` of
+    of the amplitude matrix in descending order. Column ``s`` of
     ``latin_modes`` / ``greek_modes`` is the paired mode vector for
-    ``lambdas[s]``; modes are only kept for those ``rank`` eigenvalues.
+    ``lambdas[s]``; modes are only kept for the eigenvalues above the rank
+    threshold, so ``rank``, the number of mode pairs, is derived from them.
     The Latin modes are the Schmidt kets F^s; the Greek modes are the columns
     of V in C = U diag(s) adj(V), the complex conjugates of the kets Phi^s.
     """
@@ -142,7 +142,10 @@ class SchmidtDecomposition:
     lambdas: np.ndarray
     latin_modes: np.ndarray
     greek_modes: np.ndarray
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.latin_modes.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,13 +166,13 @@ class EigenSystem:
 def gram_latin(state: BipartitePureState) -> DensityMatrix:
     """Reduced density matrix on the Latin side: Tr_B |Psi><Psi| = C adj(C)."""
     c = state.amplitudes
-    return DensityMatrix(c @ c.conj().T, state.latin_labels)
+    return DensityMatrix(c @ c.conj().T, (state.latin_labels,))
 
 
 def gram_greek(state: BipartitePureState) -> DensityMatrix:
     """Reduced density matrix on the Greek side: Tr_A |Psi><Psi| = C^T conj(C)."""
     c = state.amplitudes
-    return DensityMatrix(c.T @ c.conj(), state.greek_labels)
+    return DensityMatrix(c.T @ c.conj(), (state.greek_labels,))
 
 
 def hermitian_eigen(h) -> EigenSystem:
@@ -259,12 +262,7 @@ def schmidt_decompose(
         fix_phases(greek_modes, latin_modes)
     for array in (lambdas, latin_modes, greek_modes):
         array.setflags(write=False)
-    return SchmidtDecomposition(
-        lambdas=lambdas,
-        latin_modes=latin_modes,
-        greek_modes=greek_modes,
-        rank=rank,
-    )
+    return SchmidtDecomposition(lambdas, latin_modes, greek_modes)
 
 
 def schmidt_number(decomposition: SchmidtDecomposition) -> float:
@@ -299,17 +297,15 @@ def reconstruct(decomposition: SchmidtDecomposition) -> np.ndarray:
     """Rebuild the amplitude matrix, C = sum_s sqrt(lambda_s) f_s adj(g_s), with
     f_s and g_s column s of ``latin_modes`` and ``greek_modes``.
 
-    Raises ValidationError unless there is one mode pair for each of the
-    ``rank`` leading eigenvalues.
+    Raises ValidationError unless the Latin and Greek modes come in pairs,
+    one column of each per leading eigenvalue.
     """
-    rank = decomposition.rank
-    lam = np.asarray(decomposition.lambdas, dtype=float)[:rank]
     f = np.asarray(decomposition.latin_modes, dtype=complex)
     g = np.asarray(decomposition.greek_modes, dtype=complex)
     if f.ndim != 2 or g.ndim != 2:
         raise ShapeError("mode arrays must be 2-d (one column per mode)")
-    if f.shape[1] != rank or g.shape[1] != rank:
-        raise ValidationError(
-            f"rank is {rank} but {f.shape[1]} Latin and {g.shape[1]} Greek modes are present"
-        )
-    return (f * np.sqrt(lam)) @ g.conj().T
+    lam = np.asarray(decomposition.lambdas, dtype=float)
+    if not f.shape[1] == g.shape[1] <= len(lam):
+        raise ValidationError(f"{f.shape[1]} Latin and {g.shape[1]} Greek modes for "
+                              f"{len(lam)} eigenvalues: one pair per leading eigenvalue")
+    return (f * np.sqrt(lam[:f.shape[1]])) @ g.conj().T

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schmidt import cli
-from schmidt.catalog import EXPRESSIONS, bell_state, opposite_polarization_mixture
+from schmidt.catalog import (EXPRESSIONS, bell_state, example_state,
+                             opposite_polarization_mixture)
 from schmidt.density import conditional_state, partial_trace, pure_density
 from schmidt.errors import ValidationError
-from schmidt.modes import BipartitePureState, SchmidtDecomposition, schmidt_decompose
+from schmidt.modes import (BipartitePureState, SchmidtDecomposition, entanglement_entropy,
+                           is_entangled, schmidt_decompose, schmidt_number)
 
 PSI0 = EXPRESSIONS["psi0"]
 
@@ -194,8 +197,6 @@ class TestFileInput:
         assert "schmidt number K: 1.18033" in out
 
     def test_four_level_state_from_file(self, capsys, tmp_path):
-        from schmidt.catalog import example_state
-
         path = tmp_path / "psi2.json"
         path.write_text(json.dumps(cli.state_to_doc(example_state("psi2"))))
         doc = run_json(capsys, "analyze", "--file", str(path))
@@ -376,6 +377,43 @@ class TestFileInput:
         assert code == 2
 
 
+# `schmidt examples bell` and `examples classical` print this, byte for byte.
+COMPARISON_TABLE = """\
+classical mixture rho_CL (basis HH, HV, VH, VV):
+         0         0         0         0
+         0       0.5         0         0
+         0         0       0.5         0
+         0         0         0         0
+reduced on A:
+       0.5         0
+         0       0.5
+reduced on B:
+       0.5         0
+         0       0.5
+B conditioned on measuring A in |H> (probability 0.5):
+         0         0
+         0         1
+
+Bell state rho_QM (basis HH, HV, VH, VV):
+         0         0         0         0
+         0       0.5       0.5         0
+         0       0.5       0.5         0
+         0         0         0         0
+reduced on A:
+       0.5         0
+         0       0.5
+reduced on B:
+       0.5         0
+         0       0.5
+B conditioned on measuring A in |H> (probability 0.5):
+         0         0
+         0         1
+
+The reduced matrices and conditional outcomes agree; only the Bell state
+carries the cross-particle coherences at HV-VH and VH-HV.
+"""
+
+
 class TestExamples:
     def test_sign_flipped_example(self, capsys):
         doc = run_json(capsys, "examples", "psi1")
@@ -409,6 +447,13 @@ class TestExamples:
         assert "rho_CL" in out and "rho_QM" in out
 
     @pytest.mark.parametrize("name", ["bell", "classical"])
+    def test_comparison_table_text(self, capsys, name):
+        # Every printed value is 0, 0.5 or 1, so no digit depends on the BLAS build.
+        code, out, err = run(capsys, "examples", name)
+        assert (code, err) == (0, "")
+        assert out == COMPARISON_TABLE
+
+    @pytest.mark.parametrize("name", ["bell", "classical"])
     @pytest.mark.parametrize("flags", [["--rank-threshold", "nan"], ["--rank-threshold", "-1"],
                                        ["--rank-threshold", "1e-10"], ["--strict-norm"],
                                        ["--no-modes"]], ids=lambda flags: " ".join(flags))
@@ -429,6 +474,14 @@ class TestExamples:
         child.stderr.close()
         assert child.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
         assert err == b""
+
+    @pytest.mark.parametrize("build,name,choices", [
+        (example_state, "psi9", "['psi0', 'psi1', 'psi2', 'psi3']"),
+        (bell_state, "phi", "['phi_minus', 'phi_plus', 'psi_minus', 'psi_plus']"),
+    ])
+    def test_unknown_catalog_name_lists_the_choices(self, build, name, choices):
+        with pytest.raises(KeyError, match=re.escape(f"{name!r}; choose from {choices}")):
+            build(name)
 
     def test_unknown_example_name_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -518,6 +571,22 @@ class TestReportMatchesTheLibrary:
         path = tmp_path / "state.json"
         path.write_text(json.dumps(cli.state_to_doc(state)))
         return str(path), schmidt_decompose(cli._load_state_file(str(path)))
+
+    def test_summaries_are_derived_not_passed(self):
+        state = example_state("psi2")
+        d = schmidt_decompose(state)
+        assert [f.name for f in fields(cli.AnalysisReport) if f.init] == [
+            "state", "decomposition", "reconstruction_residual"]
+        report = cli.AnalysisReport(state, d, 0.0)
+        assert report.expression == cli.format_state(state)
+        assert report.lambdas == (*d.lambdas.tolist(), 0.0, 0.0)
+        assert report.schmidt_number == schmidt_number(d)
+        assert report.entropy == entanglement_entropy(d)
+        assert report.entangled is is_entangled(d) is True
+        assert report.rank == d.rank == 2
+        for summary in ("expression", "lambdas", "schmidt_number", "entropy", "entangled"):
+            with pytest.raises(TypeError):
+                cli.AnalysisReport(state, d, 0.0, **{summary: getattr(report, summary)})
 
     def test_json_modes_are_the_decomposition_columns(self, capsys, state_file):
         path, d = state_file
@@ -640,9 +709,9 @@ class TestTableText:
         greek_modes[5, 0] = 1e300
         decomposition = SchmidtDecomposition(lambdas=np.array([0.5, 0.3, 0.2]),
                                              latin_modes=amplitudes[:, :3],
-                                             greek_modes=greek_modes, rank=3)
+                                             greek_modes=greek_modes)
         state = BipartitePureState(latin, greek, amplitudes)
-        report = cli.AnalysisReport("", (0.5, 0.3, 0.2), 1.0, 0.0, True, 0.0, state, decomposition)
+        report = cli.AnalysisReport(state, decomposition, 0.0)
         assert cli.render_report(report).splitlines()[7:-1] == [
             "mode 1 (eigenvalue 0.5):",
             "  A: 1|a> + 0|b> - 1i|c>",

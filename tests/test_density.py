@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,8 @@ class TestDensityMatrixType:
     def test_validates_shape_and_labels(self):
         with pytest.raises(ShapeError):
             DensityMatrix(np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            DensityMatrix(np.eye(2) / 2, ("only-one",))
+        with pytest.raises(ShapeError, match="1 basis labels for a 2-dimensional matrix"):
+            DensityMatrix(np.eye(2) / 2, (("only-one",),))
 
     def test_constructor_leaves_the_callers_array_writable(self):
         m = np.eye(2, dtype=complex) / 2
@@ -66,19 +68,29 @@ class TestDensityMatrixType:
         rho = DensityMatrix(np.eye(4) / 4, parts=(["H", "V"], ("H", "V")))
         assert rho.parts == (("H", "V"), ("H", "V"))
         assert rho.basis_labels == ("HH", "HV", "VH", "VV")
-        assert DensityMatrix(np.eye(4) / 4, rho.basis_labels, rho.parts).parts == rho.parts
+        one_party = DensityMatrix(np.eye(2) / 2, (["H", "V"],))
+        assert one_party.parts == (("H", "V"),)
+        assert one_party.basis_labels == ("H", "V")
         assert DensityMatrix(np.eye(2) / 2).parts == ()
 
-    @pytest.mark.parametrize("labels,parts,message", [
-        ((), (("H", "V"),), "needs 2 parts, got 1"),
-        ((), (("H", "V"), ("H", "V"), ("H",)), "needs 2 parts, got 3"),
-        ((), (("a", "b", "c"), ("x", "y")), "6 basis labels for a 4-dimensional matrix"),
-        ((), (("a",), ("x", "y")), "2 basis labels for a 4-dimensional matrix"),
-        (("HH", "HV", "VV", "VH"), (("H", "V"), ("H", "V")), "not the parts' product"),
-    ], ids=["one-part", "three-parts", "sizes-too-large", "sizes-too-small", "labels"])
-    def test_inconsistent_parts_rejected(self, labels, parts, message):
+    def test_basis_labels_are_derived_not_passed(self):
+        assert [f.name for f in fields(DensityMatrix) if f.init] == ["matrix", "parts"]
+        with pytest.raises(TypeError):
+            DensityMatrix(np.eye(2) / 2, basis_labels=("H", "V"))
+
+    @pytest.mark.parametrize("parts,message", [
+        ((("H", "V"),), "2 basis labels for a 4-dimensional matrix"),
+        ((("H", "V"), ("H", "V"), ("H",)), "one or two parts, got 3"),
+        ((("a", "b", "c"), ("x", "y")), "6 basis labels for a 4-dimensional matrix"),
+        ((("a",), ("x", "y")), "2 basis labels for a 4-dimensional matrix"),
+        # Read as parts, ("HH", "VV") would label the matrix ("HV", "HV", "HV", "HV").
+        (("HH", "VV"), "not the string 'HH'"),
+        ((("H", "V"), "HV"), "not the string 'HV'"),
+    ], ids=["one-part", "three-parts", "sizes-too-large", "sizes-too-small", "string-parts",
+            "one-string-part"])
+    def test_inconsistent_parts_rejected(self, parts, message):
         with pytest.raises(ShapeError, match=message):
-            DensityMatrix(np.eye(4) / 4, labels, parts)
+            DensityMatrix(np.eye(4) / 4, parts)
 
     def test_product_labels(self):
         assert product_labels(("H", "V"), ("H", "V")) == ("HH", "HV", "VH", "VV")
@@ -180,8 +192,11 @@ class TestPartialTrace:
 
     @pytest.mark.parametrize("keep", ["A", "B"])
     def test_one_party_matrix_rejected(self, keep):
-        with pytest.raises(ShapeError, match=f"a partial trace {NEEDS_TWO_PARTIES}"):
-            partial_trace(DensityMatrix(np.eye(4) / 4), keep)
+        reduced = partial_trace(pure_density(bell_state()), keep)
+        assert reduced.parts == (("H", "V"),)
+        for rho in (DensityMatrix(np.eye(4) / 4), reduced):
+            with pytest.raises(ShapeError, match=f"a partial trace {NEEDS_TWO_PARTIES}"):
+                partial_trace(rho, keep)
 
     def test_bad_keep_flag_rejected(self):
         rho = pure_density(bell_state())

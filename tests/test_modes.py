@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -116,6 +117,10 @@ class TestBipartitePureState:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             BipartitePureState.from_amplitudes(LATIN, GREEK, [[1, 0], [0, 1]])
+        for amplitudes in (np.ones(6), np.ones((2, 3, 1))):
+            with pytest.raises(ShapeError, match=re.escape(
+                    f"amplitudes must be a 2-d matrix, got shape {amplitudes.shape}")):
+                BipartitePureState.from_amplitudes(LATIN, GREEK, amplitudes)
 
     def test_amplitudes_are_read_only(self):
         state = demo_state()
@@ -360,8 +365,8 @@ class TestReconstruct:
             lambdas=np.array([1.0]),
             latin_modes=np.array([[1.0], [0.0]], dtype=complex),
             greek_modes=np.array([[1.0], [0.0], [0.0]], dtype=complex),
-            rank=1,
         )
+        assert d.rank == 1
         expected = np.zeros((2, 3))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(reconstruct(d), expected, atol=1e-15)
@@ -369,12 +374,21 @@ class TestReconstruct:
     def test_missing_modes_rejected(self):
         d = SchmidtDecomposition(
             lambdas=np.array([0.5, 0.5]),
-            latin_modes=np.array([[1.0], [0.0]], dtype=complex),
+            latin_modes=np.eye(2, dtype=complex),
             greek_modes=np.array([[1.0], [0.0]], dtype=complex),
-            rank=2,
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="2 Latin and 1 Greek modes for 2 eigenvalues"):
             reconstruct(d)
+        # Fewer eigenvalues than mode pairs: broadcasting would reuse lambdas[0].
+        d = SchmidtDecomposition(np.array([1.0]), np.eye(2), np.eye(2))
+        with pytest.raises(ValidationError, match="2 Latin and 2 Greek modes for 1 eigenvalues"):
+            reconstruct(d)
+
+    def test_rank_is_derived_not_passed(self):
+        assert [f.name for f in fields(SchmidtDecomposition)] == [
+            "lambdas", "latin_modes", "greek_modes"]
+        with pytest.raises(TypeError):
+            SchmidtDecomposition(np.array([1.0]), np.ones((1, 1)), np.ones((1, 1)), rank=1)
 
 
 class TestRandomStateProperties:
