@@ -24,9 +24,16 @@ the grammar, wherever it stands; a syntax error or a scalar that overflows the
 float range; a coefficient product or sum that overflows. ``parse_expression``
 checks the first two, ``KetExpression.to_state`` the last.
 
+Text is tokenized and parsed once. A ket, a bracketed scalar ``(re±im i)`` and
+the tensor ``(x)`` are each one token, whitespace inside included, so where
+the grammar cannot read such a token the error names it whole, by its kind and
+at its first character: ``expected '(' after sqrt, found the scalar '(1+2i)'``.
+
 ``format_state`` emits canonical text in this grammar: one parenthesized
 Latin combination per Greek basis ket, Greek kets in basis order, integer
-coefficients printed as integers and all others with 15 significant digits.
+coefficients printed as integers and all others with 15 significant digits
+(17 when the norm is within 1e-12 of the float maximum, so the text parses
+back).
 Labels match LABEL, as ``BipartitePureState`` checks, so the text parses back.
 """
 
@@ -35,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,39 +55,24 @@ FORMAT_VERSION = "ket-v1"
 # The patterns below stay strings: re compiles and caches each on first use,
 # so importing the package compiles none of them, and a process that parses
 # only valid text compiles only _COMPOUND_TOKEN.
-#
-# One alternative per token kind, tried in this order; whitespace matches none
-# and is skipped. The last alternative catches any other character so that a
-# lexical error keeps its place in the token list.
 _SYMBOLS = r"|><()+\-*/⊗"
 _NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
-_TOKEN = rf"[{_SYMBOLS}]|{_NUMBER}|{LABEL}|\S"
-# The same alternatives after three compound ones, each standing for the run of
-# tokens above that the parser reads in one place only: a whole ket, a
-# bracketed complex scalar '(re±im i)' and the tensor '(x)', whitespace inside
-# included. Canonical text has about a third as many of these tokens.
+# One alternative per token kind, tried in this order; whitespace matches none
+# and is skipped. First three compound tokens, each a run of plain tokens that
+# the grammar reads in one place only: a whole ket, a bracketed complex scalar
+# '(re±im i)' and the tensor '(x)', whitespace inside included. Then the plain
+# tokens: a symbol, a number (it starts with a decimal digit) and a name (an
+# ASCII letter). The last alternative catches any other character so that a
+# lexical error keeps its place in the token list.
 _COMPOUND_TOKEN = (
     rf"\|\s*{LABEL}\s*>"
     rf"|\(\s*{_NUMBER}\s*[+-]\s*(?:{_NUMBER}\s*)?i\s*\)"
-    r"|\(\s*x\s*\)|" + _TOKEN
+    rf"|\(\s*x\s*\)|[{_SYMBOLS}]|{_NUMBER}|{LABEL}|\S"
 )
 # Characters that start a token; a token starting with anything else is a
 # lexical error.
 _TOKEN_START = rf"[{_SYMBOLS}\dA-Za-z]"
 _END = ""  # sentinel after the last token; never equal to a real token
-
-
-def _tokenize(text: str) -> list[str]:
-    """Compound token strings in text order, followed by the end sentinel.
-
-    A decimal digit starts a number, an ASCII letter a name, and a symbol
-    stands for itself; a token that starts with '|' or '(' and has more than
-    one character is a compound: a ket, or a bracketed scalar unless it holds
-    an 'x', the tensor.
-    """
-    tokens = re.findall(_COMPOUND_TOKEN, text)
-    tokens.append(_END)
-    return tokens
 
 
 class _SyntaxError(Exception):
@@ -154,8 +147,20 @@ class KetExpression:
         )
 
 
+def _kind(token: str) -> str:
+    """'ket', 'tensor' or 'scalar' for a compound token, '' for any other."""
+    if len(token) < 2 or token[0] not in "|(":
+        return ""
+    return "ket" if token[0] == "|" else "tensor" if "x" in token else "scalar"
+
+
 def _found(token: str) -> str:
-    return repr(token) if token else "end of input"
+    """A token as an error message names it: a compound one by its kind and
+    without its whitespace, so '( 1 + 2i )' is "the scalar '(1+2i)'"."""
+    if not token:
+        return "end of input"
+    kind = _kind(token)
+    return f"the {kind} {''.join(token.split())!r}" if kind else repr(token)
 
 
 def _overflow(text: str, index: int) -> _SyntaxError:
@@ -227,9 +232,7 @@ class _Parser:
                 value = complex(real)
         elif token == "i":
             value, i = 1j, i + 1
-        elif token == "(":
-            value, i = self.maybe_paren_complex(i)
-        elif token[:1] == "(" and "x" not in token:  # a compound '(re±im i)'
+        elif token[:1] == "(" and len(token) > 1 and "x" not in token:  # a compound '(re±im i)'
             value, i = self.compound_complex(i), i + 1
         else:
             value = None
@@ -238,27 +241,6 @@ class _Parser:
         if tokens[i] == "*":
             i += 1
         return value, i
-
-    def maybe_paren_complex(self, i: int) -> tuple[complex | None, int]:
-        # '(' real ('+'|'-') real? 'i' ')'  -- (None, i) if it is not one.
-        tokens = self.tokens
-        j = i + 1
-        if not tokens[j][:1].isdecimal():
-            return None, i
-        real_part = float(tokens[j])
-        sign = tokens[j + 1]
-        if sign != "+" and sign != "-":
-            return None, i
-        j += 2
-        imag_part = 1.0
-        if tokens[j][:1].isdecimal():
-            imag_part = float(tokens[j])
-            j += 1
-        if tokens[j] != "i" or tokens[j + 1] != ")":
-            return None, i
-        if math.inf in (real_part, imag_part):
-            raise _overflow("".join(tokens[i:j + 2]), i)
-        return complex(real_part, imag_part if sign == "+" else -imag_part), j + 2
 
     def compound_complex(self, i: int) -> complex:
         # A '(re±im i)' token; complex() reads each part as float() does.
@@ -269,7 +251,7 @@ class _Parser:
         except ValueError:  # complex() allows no whitespace around the sign
             value = complex("".join(text.split()))
         if not cmath.isfinite(value):
-            raise _overflow(token, i)
+            raise _overflow("".join(token.split()), i)
         return value
 
     # --- kets and factors ------------------------------------------------
@@ -284,11 +266,8 @@ class _Parser:
         label = tokens[i + 1]
         if not (label[:1].isascii() and label[:1].isalpha()):  # the end sentinel too
             raise _SyntaxError(f"expected a ket label, found {_found(label)}", i + 1)
-        if tokens[i + 2] != ">":
-            raise _SyntaxError(
-                f"expected '>' closing the ket, found {_found(tokens[i + 2])}", i + 2
-            )
-        return label, i + 3
+        # '|' LABEL '>' is always read as one compound token
+        raise _SyntaxError(f"expected '>' closing the ket, found {_found(tokens[i + 2])}", i + 2)
 
     def factor(self, i: int) -> tuple[list[tuple[complex, str]], int]:
         """Items (coefficient, label) of a ket or a parenthesized combination,
@@ -325,14 +304,10 @@ class _Parser:
         while True:
             coef, i = self.coefficient(i)
             latin, i = self.factor(i)
-            token = tokens[i]
-            if token == "⊗" or token == "x" or (token[:1] == "(" and "x" in token):
-                i += 1  # '⊗', 'x' or a compound '(x)' token
-            elif token == "(" and tokens[i + 1] == "x" and tokens[i + 2] == ")":
-                i += 3
-            else:
+            token = tokens[i]  # '⊗', 'x' or a compound '(x)' token
+            if not (token == "⊗" or token == "x" or (token[:1] == "(" and "x" in token)):
                 raise _SyntaxError(f"expected a tensor operator '(x)', found {_found(token)}", i)
-            greek, i = self.factor(i)
+            greek, i = self.factor(i + 1)
             terms.append(KetTerm(-coef if negate else coef, tuple(latin), tuple(greek)))
             sign = tokens[i]
             if sign != "+" and sign != "-":
@@ -340,7 +315,8 @@ class _Parser:
             negate = sign == "-"
             i += 1
         if tokens[i] != _END:
-            raise _SyntaxError(f"unexpected trailing input {tokens[i]!r}", i)
+            kind = _kind(tokens[i]) or "input"
+            raise _SyntaxError(f"unexpected trailing {kind} {''.join(tokens[i].split())!r}", i)
         return KetExpression(tuple(terms))
 
 
@@ -353,26 +329,13 @@ def parse_expression(text: str) -> KetExpression:
     """
     if not text.strip():
         raise ParseError("empty expression", 1)
-    try:
-        return _Parser(_tokenize(text)).state()
-    except _SyntaxError:
-        return _parse_plain(text)
-
-
-def _parse_plain(text: str) -> KetExpression:
-    """parse_expression from the plain tokens alone, the pass that words and
-    places every ParseError.
-
-    Text parses from the compound tokens exactly when it parses from these,
-    to the same expression, so valid text is tokenized and parsed once.
-    """
-    matches = list(re.finditer(_TOKEN, text))
-    tokens = [match.group() for match in matches] + [_END]
+    tokens = re.findall(_COMPOUND_TOKEN, text)
+    tokens.append(_END)
     try:
         return _Parser(tokens).state()
     except _SyntaxError as exc:
         # A stray character can never be consumed, so any lexical error
-        # surfaces here as some syntax error; report the first one instead.
+        # surfaces as some syntax error; report the first one instead.
         message, failed_at = exc.message, exc.index
         token_start = re.compile(_TOKEN_START)
         for index, token in enumerate(tokens[:-1]):
@@ -380,7 +343,8 @@ def _parse_plain(text: str) -> KetExpression:
                 message, failed_at = f"unexpected character {token!r}", index
                 break
         # 1-based character offset of each token; the end sentinel's is len + 1
-        starts = [match.start() + 1 for match in matches] + [len(text) + 1]
+        starts = [match.start() + 1 for match in re.finditer(_COMPOUND_TOKEN, text)]
+        starts.append(len(text) + 1)
         raise ParseError(message, starts[failed_at]) from None
 
 
@@ -403,7 +367,6 @@ _SEPARATORS = ("", "-", " + ", " - ", "(", "(-", " + (", " + (-")
 # Numbers by case: real, imaginary, complex; then ket-v1's elided forms of a
 # real 1, an imaginary 1 and a complex number with imaginary part +1 or -1.
 _CASES = ("%g", "%gi", "(%g%+gi)", "", "i", "(%g+i)", "(%g-i)")
-_TOP_15 = 1.79769313486231e308  # the largest 15-digit decimal below the float maximum
 
 
 def _signed_sum(values: np.ndarray, starts: np.ndarray, opens: np.ndarray | bool, digits: int,
@@ -441,11 +404,12 @@ def format_state(state: BipartitePureState) -> str:
 
     The state's ``coefficients`` are printed as given, with 15 significant
     digits: every decimal of at most 15 digits prints as it was typed, and
-    format -> parse drift stays below 1e-12. The first Greek group lists every
-    Latin ket, zeros included, so that parsing the result restores the exact
-    basis order; later groups skip zero entries, and a group of one term
-    has no parentheses. The 29 floats above ``_TOP_15`` in magnitude print as
-    ``_TOP_15``: with 15 digits they would print as it or as an overflow.
+    format -> parse drift stays below 1e-12. A state whose norm is within
+    1e-12 of the float maximum prints with 17 digits instead, which parse back
+    bit for bit: rounded to 15, its norm could round past the float range. The
+    first Greek group lists every Latin ket, zeros included, so that parsing
+    the result restores the exact basis order; later groups skip zero entries,
+    and a group of one term has no parentheses.
     """
     coefs = state.coefficients.T  # a row per Greek ket
     keep = coefs != 0
@@ -461,6 +425,6 @@ def format_state(state: BipartitePureState) -> str:
     # after a term: nothing, the end of a combination, or the end of a lone term
     ends = ["", *[")" + ket for ket in greek], *greek]
     end_codes = np.where(last, 1 + group + len(greek) * alone, 0).tolist()
-    values = np.clip(coefs[keep].view(float), -_TOP_15, _TOP_15).view(complex)
-    return _signed_sum(values, first & (group == 0), first & ~last, 15, True,
+    digits = 17 if state.norm > sys.float_info.max * (1 - 1e-12) else 15
+    return _signed_sum(coefs[keep], first & (group == 0), first & ~last, digits, True,
                        map(kets.__getitem__, row.tolist()), map(ends.__getitem__, end_codes))

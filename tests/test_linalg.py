@@ -46,9 +46,10 @@ class TestHermitianEigen:
         np.testing.assert_allclose(eig.eigenvalues, [11 / 12, 1 / 12], atol=1e-12)
 
     def test_identity_any_size(self):
-        for n in (1, 2, 5):
+        for n in (0, 1, 2, 5):
             eig = hermitian_eigen(np.eye(n))
             np.testing.assert_allclose(eig.eigenvalues, np.ones(n), atol=1e-15)
+            assert eig.eigenvectors.shape == (n, n)
 
     def test_demo_greek_gram_against_characteristic_polynomial(self):
         oracle = char_roots_3x3(RHO_G0.real)

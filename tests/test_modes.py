@@ -383,6 +383,10 @@ class TestReconstruct:
         d = SchmidtDecomposition(np.array([1.0]), np.eye(2), np.eye(2))
         with pytest.raises(ValidationError, match="2 Latin and 2 Greek modes for 1 eigenvalues"):
             reconstruct(d)
+        # 1-d mode arrays hold no column per mode.
+        d = SchmidtDecomposition(np.array([1.0]), np.ones(2), np.ones(2))
+        with pytest.raises(ShapeError, match="mode arrays must be 2-d"):
+            reconstruct(d)
 
     def test_rank_is_derived_not_passed(self):
         assert [f.name for f in fields(SchmidtDecomposition)] == [

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from schmidt import cli
@@ -23,6 +23,7 @@ from schmidt.ketparse import format_state, parse_state
 from schmidt.modes import LABEL, BipartitePureState
 
 ENTRIES = (1, -1, 1j, -1j, 2, 0.5, 0)
+HALF = sys.float_info.max / 2
 
 
 def _matrix(draw, rows, cols):
@@ -63,6 +64,11 @@ def cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(cases())
+# Norm at the float maximum: each max / 2 printed with 15 digits parses back as
+# 2**1023, and the norm of four of those overflows.
+@example(case=(("A", "B", "C", "D", "E", "F", "A0", "B0"), ("A", "A0"),
+               np.array([[HALF, HALF], *[[0, 0]] * 5, [HALF, HALF],
+                         [1.7976931348623158e291] * 2], dtype=complex)))
 def test_every_state_is_reported_correctly_or_refused(case):
     latin, greek, amps = case
     if not all(re.fullmatch(LABEL, label) for label in latin + greek):
