@@ -30,7 +30,7 @@ import numpy as np
 
 from . import catalog
 from .density import NORM_ATOL, conditional_state, partial_trace, pure_density
-from .errors import ConvergenceError, SchmidtError, ValidationError
+from .errors import ConvergenceError, SchmidtError, ShapeError, ValidationError
 from .ketparse import FORMAT_VERSION, format_state, parse_state, _signed_sum
 from .modes import (
     DEFAULT_RANK_THRESHOLD,
@@ -135,7 +135,8 @@ class AnalysisReport:
     Built from the state, its decomposition and the reconstruction residual;
     the ket-v1 expression and the summaries are derived. ``lambdas`` is padded
     with zeros up to the larger subsystem dimension, as the smaller reduced
-    matrix can always be embedded in the bigger space.
+    matrix can always be embedded in the bigger space. Raises ShapeError unless
+    each side's modes have one row per basis label of that side.
     """
 
     state: BipartitePureState
@@ -149,6 +150,11 @@ class AnalysisReport:
 
     def __post_init__(self):
         state, d = self.state, self.decomposition
+        for side, labels, modes in (("Latin", state.latin_labels, d.latin_modes),
+                                    ("Greek", state.greek_labels, d.greek_modes)):
+            if len(modes) != len(labels):
+                raise ShapeError(f"{side} modes have {len(modes)} rows for "
+                                 f"{len(labels)} {side} labels")
         padded = d.lambdas.tolist()
         padded += [0.0] * (max(state.latin_dim, state.greek_dim) - len(padded))
         object.__setattr__(self, "expression", format_state(state))

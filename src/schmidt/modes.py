@@ -128,20 +128,34 @@ class BipartitePureState:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
-    """Schmidt data of a two-party pure state.
+    """Schmidt data of a two-party pure state, as read-only copies of the arrays given.
 
-    ``lambdas`` holds all min(latin_dim, greek_dim) squared singular values
-    of the amplitude matrix in descending order. Column ``s`` of
+    ``lambdas`` (1-d) holds all min(latin_dim, greek_dim) squared singular values
+    of the amplitude matrix in descending order. Column ``s`` of the 2-d
     ``latin_modes`` / ``greek_modes`` is the paired mode vector for
     ``lambdas[s]``; modes are only kept for the eigenvalues above the rank
     threshold, so ``rank``, the number of mode pairs, is derived from them.
     The Latin modes are the Schmidt kets F^s; the Greek modes are the columns
     of V in C = U diag(s) adj(V), the complex conjugates of the kets Phi^s.
+    Other shapes raise ShapeError, and modes that do not pair up ValidationError.
     """
 
     lambdas: np.ndarray
     latin_modes: np.ndarray
     greek_modes: np.ndarray
+
+    def __post_init__(self):
+        lam = np.array(self.lambdas, dtype=float)
+        f = np.array(self.latin_modes, dtype=complex)
+        g = np.array(self.greek_modes, dtype=complex)
+        if lam.ndim != 1 or f.ndim != 2 or g.ndim != 2:
+            raise ShapeError("mode arrays must be 2-d (one column per mode) and lambdas 1-d")
+        if not f.shape[1] == g.shape[1] <= len(lam):
+            raise ValidationError(f"{f.shape[1]} Latin and {g.shape[1]} Greek modes for "
+                                  f"{len(lam)} eigenvalues: one pair per leading eigenvalue")
+        for name, array in (("lambdas", lam), ("latin_modes", f), ("greek_modes", g)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def rank(self) -> int:
@@ -254,14 +268,12 @@ def schmidt_decompose(
         ) from exc
     lambdas = s * s
     rank = int(np.sum(lambdas > threshold))
-    latin_modes = u[:, :rank].copy()
+    latin_modes = u[:, :rank]
     greek_modes = vh[:rank].conj().T
     if state.latin_dim <= state.greek_dim:
         fix_phases(latin_modes, greek_modes)
     else:
         fix_phases(greek_modes, latin_modes)
-    for array in (lambdas, latin_modes, greek_modes):
-        array.setflags(write=False)
     return SchmidtDecomposition(lambdas, latin_modes, greek_modes)
 
 
@@ -271,8 +283,7 @@ def schmidt_number(decomposition: SchmidtDecomposition) -> float:
     Equals 1 for product states and the common dimension for maximally
     entangled ones; it is the reciprocal purity of either reduced state.
     """
-    lam = np.asarray(decomposition.lambdas, dtype=float)
-    return float(1.0 / np.sum(lam * lam))
+    return float(1.0 / np.sum(np.square(decomposition.lambdas)))
 
 
 def entanglement_entropy(decomposition: SchmidtDecomposition) -> float:
@@ -282,7 +293,7 @@ def entanglement_entropy(decomposition: SchmidtDecomposition) -> float:
     above the rank threshold; zero exactly when a single mode carries
     everything.
     """
-    lam = np.asarray(decomposition.lambdas, dtype=float)[:decomposition.rank]
+    lam = decomposition.lambdas[:decomposition.rank]
     entropy = float(-np.sum(lam * np.log2(lam)))
     # Roundoff can push a lone eigenvalue of 1 to a -1e-16 entropy.
     return entropy if entropy > 0.0 else 0.0
@@ -295,17 +306,6 @@ def is_entangled(decomposition: SchmidtDecomposition) -> bool:
 
 def reconstruct(decomposition: SchmidtDecomposition) -> np.ndarray:
     """Rebuild the amplitude matrix, C = sum_s sqrt(lambda_s) f_s adj(g_s), with
-    f_s and g_s column s of ``latin_modes`` and ``greek_modes``.
-
-    Raises ValidationError unless the Latin and Greek modes come in pairs,
-    one column of each per leading eigenvalue.
-    """
-    f = np.asarray(decomposition.latin_modes, dtype=complex)
-    g = np.asarray(decomposition.greek_modes, dtype=complex)
-    if f.ndim != 2 or g.ndim != 2:
-        raise ShapeError("mode arrays must be 2-d (one column per mode)")
-    lam = np.asarray(decomposition.lambdas, dtype=float)
-    if not f.shape[1] == g.shape[1] <= len(lam):
-        raise ValidationError(f"{f.shape[1]} Latin and {g.shape[1]} Greek modes for "
-                              f"{len(lam)} eigenvalues: one pair per leading eigenvalue")
-    return (f * np.sqrt(lam[:f.shape[1]])) @ g.conj().T
+    f_s and g_s column s of ``latin_modes`` and ``greek_modes``."""
+    d = decomposition
+    return (d.latin_modes * np.sqrt(d.lambdas[:d.rank])) @ d.greek_modes.conj().T

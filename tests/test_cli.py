@@ -16,7 +16,7 @@ from schmidt import cli
 from schmidt.catalog import (EXPRESSIONS, bell_state, example_state,
                              opposite_polarization_mixture)
 from schmidt.density import conditional_state, partial_trace, pure_density
-from schmidt.errors import ValidationError
+from schmidt.errors import ShapeError, ValidationError
 from schmidt.modes import (BipartitePureState, SchmidtDecomposition, entanglement_entropy,
                            is_entangled, schmidt_decompose, schmidt_number)
 
@@ -587,6 +587,13 @@ class TestReportMatchesTheLibrary:
         for summary in ("expression", "lambdas", "schmidt_number", "entropy", "entangled"):
             with pytest.raises(TypeError):
                 cli.AnalysisReport(state, d, 0.0, **{summary: getattr(report, summary)})
+
+    def test_modes_must_fit_the_state(self):
+        # One row per basis label on each side: zip would drop a surplus row.
+        for latin, greek, message in ((np.eye(3)[:, :2], np.eye(2), "Latin modes have 3 rows"),
+                                      (np.eye(2), np.eye(3)[:, :2], "Greek modes have 3 rows")):
+            with pytest.raises(ShapeError, match=f"{message} for 2 "):
+                cli.AnalysisReport(bell_state(), SchmidtDecomposition([.5, .5], latin, greek), 0.0)
 
     def test_json_modes_are_the_decomposition_columns(self, capsys, state_file):
         path, d = state_file

@@ -160,6 +160,7 @@ class TestParseErrors:
             ("(1+2i)(x)|b>", "expected a ket or '(', found the tensor '(x)'", 7),
             ("2(1+2i)|a>(x)|b>", "expected a ket or '(', found the scalar '(1+2i)'", 2),
             ("sqrt(x)|a>(x)|b>", "expected '(' after sqrt, found the tensor '(x)'", 5),
+            ("sqrt( a )|a>(x)|b>", "expected a number, found 'a'", 7),
             ("| a >( x )", "expected a ket or '(', found end of input", 11),
             ("|a>(x)|b>(x)|c>", "unexpected trailing tensor '(x)'", 10),
             ("|a>(x)(|b> + ( x )|c>)", "expected '|' opening a ket, found the tensor '(x)'", 14),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from schmidt.catalog import example_state
-from schmidt.cli import build_report
+from schmidt.cli import AnalysisReport, build_report, render_report
 from schmidt.density import pure_density
 from schmidt.errors import ShapeError, ValidationError
 from schmidt.modes import (
@@ -372,27 +372,62 @@ class TestReconstruct:
         np.testing.assert_allclose(reconstruct(d), expected, atol=1e-15)
 
     def test_missing_modes_rejected(self):
-        d = SchmidtDecomposition(
-            lambdas=np.array([0.5, 0.5]),
-            latin_modes=np.eye(2, dtype=complex),
-            greek_modes=np.array([[1.0], [0.0]], dtype=complex),
-        )
+        # The constructor refuses the record, so no summary or report ever sees it.
         with pytest.raises(ValidationError, match="2 Latin and 1 Greek modes for 2 eigenvalues"):
-            reconstruct(d)
+            SchmidtDecomposition(
+                lambdas=np.array([0.5, 0.5]),
+                latin_modes=np.eye(2, dtype=complex),
+                greek_modes=np.array([[1.0], [0.0]], dtype=complex),
+            )
+        with pytest.raises(ValidationError, match="2 Latin and 1 Greek modes for 2 eigenvalues"):
+            SchmidtDecomposition([0.5, 0.5], [[1, 0], [0, 1]], [[1], [0]])
         # Fewer eigenvalues than mode pairs: broadcasting would reuse lambdas[0].
-        d = SchmidtDecomposition(np.array([1.0]), np.eye(2), np.eye(2))
         with pytest.raises(ValidationError, match="2 Latin and 2 Greek modes for 1 eigenvalues"):
-            reconstruct(d)
+            SchmidtDecomposition(np.array([1.0]), np.eye(2), np.eye(2))
         # 1-d mode arrays hold no column per mode.
-        d = SchmidtDecomposition(np.array([1.0]), np.ones(2), np.ones(2))
         with pytest.raises(ShapeError, match="mode arrays must be 2-d"):
-            reconstruct(d)
+            SchmidtDecomposition(np.array([1.0]), np.ones(2), np.ones(2))
+        with pytest.raises(ShapeError, match="and lambdas 1-d"):
+            SchmidtDecomposition([[1.0]], [[1.0]], [[1.0]])
 
     def test_rank_is_derived_not_passed(self):
         assert [f.name for f in fields(SchmidtDecomposition)] == [
             "lambdas", "latin_modes", "greek_modes"]
         with pytest.raises(TypeError):
             SchmidtDecomposition(np.array([1.0]), np.ones((1, 1)), np.ones((1, 1)), rank=1)
+
+
+class TestDecompositionRecord:
+    @pytest.mark.parametrize("state", [
+        # rank 2 of 3: lambdas ends in a zero that has no mode pair
+        BipartitePureState(("a", "b", "c"), ("x", "y", "z"), [[1, 1, 0], [1, 1, 0], [0, 0, 1]]),
+        example_state("psi3"),
+        BipartitePureState(("a",), ("x", "y", "z", "w"), [[1, 2j, 0, -1]]),
+    ], ids=["rank-deficient", "psi3", "1xN"])
+    def test_lists_give_what_the_arrays_give(self, state):
+        report = build_report(state)
+        d = report.decomposition
+        listed = SchmidtDecomposition(d.lambdas.tolist(), d.latin_modes.tolist(),
+                                      d.greek_modes.tolist())
+        assert np.array_equal(reconstruct(listed), reconstruct(d))
+        assert schmidt_number(listed) == schmidt_number(d)
+        assert entanglement_entropy(listed) == entanglement_entropy(d)
+        assert is_entangled(listed) is is_entangled(d)
+        assert listed.rank == d.rank
+        again = AnalysisReport(state, listed, report.reconstruction_residual)
+        assert again.to_dict() == report.to_dict()
+        assert render_report(again) == render_report(report)
+
+    def test_arrays_are_frozen_copies(self):
+        given = {"lambdas": np.array([0.5, 0.5]), "latin_modes": np.eye(2),
+                 "greek_modes": np.eye(2, dtype=complex)}
+        d = SchmidtDecomposition(**given)
+        for name, array in given.items():
+            kept = getattr(d, name)
+            assert array.flags.writeable
+            assert not kept.flags.writeable
+            array[...] = 7.0  # writes the caller's array, not the record's
+            assert not np.any(kept == 7.0)
 
 
 class TestRandomStateProperties:
