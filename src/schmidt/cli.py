@@ -136,7 +136,8 @@ class AnalysisReport:
     the ket-v1 expression and the summaries are derived. ``lambdas`` is padded
     with zeros up to the larger subsystem dimension, as the smaller reduced
     matrix can always be embedded in the bigger space. Raises ShapeError unless
-    each side's modes have one row per basis label of that side.
+    each side's modes have one row per basis label of that side and there is
+    one eigenvalue per dimension of the smaller side.
     """
 
     state: BipartitePureState
@@ -155,6 +156,9 @@ class AnalysisReport:
             if len(modes) != len(labels):
                 raise ShapeError(f"{side} modes have {len(modes)} rows for "
                                  f"{len(labels)} {side} labels")
+        if len(d.lambdas) != min(state.latin_dim, state.greek_dim):
+            raise ShapeError(f"{len(d.lambdas)} eigenvalues for a {state.latin_dim} x "
+                             f"{state.greek_dim} state: one per dimension of the smaller side")
         padded = d.lambdas.tolist()
         padded += [0.0] * (max(state.latin_dim, state.greek_dim) - len(padded))
         object.__setattr__(self, "expression", format_state(state))

@@ -24,10 +24,11 @@ the grammar, wherever it stands; a syntax error or a scalar that overflows the
 float range; a coefficient product or sum that overflows. ``parse_expression``
 checks the first two, ``KetExpression.to_state`` the last.
 
-Text is tokenized and parsed once. A ket, a bracketed scalar ``(re±im i)`` and
-the tensor ``(x)`` are each one token, whitespace inside included, so where
-the grammar cannot read such a token the error names it whole, by its kind and
-at its first character: ``expected '(' after sqrt, found the scalar '(1+2i)'``.
+Text is tokenized once and parsed in one loop over the tokens. A ket, a
+bracketed scalar ``(re±im i)`` and the tensor ``(x)`` are each one token,
+whitespace inside included, read in place; where the grammar cannot read such
+a token the error names it whole, by its kind and at its first character:
+``expected '(' after sqrt, found the scalar '(1+2i)'``.
 
 ``format_state`` emits canonical text in this grammar: one parenthesized
 Latin combination per Greek basis ket, Greek kets in basis order, integer
@@ -43,7 +44,7 @@ import cmath
 import math
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +73,7 @@ _COMPOUND_TOKEN = (
 # Characters that start a token; a token starting with anything else is a
 # lexical error.
 _TOKEN_START = rf"[{_SYMBOLS}\dA-Za-z]"
-_END = ""  # sentinel after the last token; never equal to a real token
+_END = " "  # sentinel after the last token: whitespace, so never a token
 
 
 class _SyntaxError(Exception):
@@ -84,42 +85,53 @@ class _SyntaxError(Exception):
         self.index = index
 
 
-@dataclass(frozen=True)
-class KetTerm:
+def _same(record: tuple, other: object) -> bool:
+    """== of the records below, as for a dataclass: never equal to a plain tuple."""
+    return type(other) is type(record) and tuple.__eq__(record, other)
+
+
+def _differ(record: tuple, other: object) -> bool:
+    return not _same(record, other)
+
+
+class KetTerm(NamedTuple):
     """One term, coefficient * (Latin combo) (x) (Greek combo), each combo a
     tuple of (coefficient, label) pairs."""
 
     coefficient: complex
     latin: tuple[tuple[complex, str], ...]
     greek: tuple[tuple[complex, str], ...]
+    __eq__, __ne__ = _same, _differ  # the hash stays the tuple's
 
 
-@dataclass(frozen=True)
-class KetExpression:
+class KetExpression(NamedTuple):
     """Parsed ket expression: a sum of tensor-product terms."""
 
     terms: tuple[KetTerm, ...]
+    __eq__, __ne__ = _same, _differ
 
     def to_state(self) -> BipartitePureState:
         """Distribute the tensor products into an amplitude matrix."""
-        latin: dict[str, int] = {}
-        greek: dict[str, int] = {}
-        for term in self.terms:
-            for _, label in term.latin:
-                latin.setdefault(label, len(latin))
-            for _, label in term.greek:
-                greek.setdefault(label, len(greek))
-        cols = len(greek)
+        terms = self.terms
+        greek = {label: None for _, _, items in terms for _, label in items}
+        greek = dict(zip(greek, range(len(greek))))
+        zeros = [0j] * len(greek)
         # Summed as Python complex numbers in a row-major list: indexing a
-        # numpy matrix once per product would cost more than the product.
-        flat = [0j] * (len(latin) * cols)
-        for term in self.terms:
-            for lcoef, llabel in term.latin:
-                scaled = term.coefficient * lcoef
-                row = latin[llabel] * cols
-                for gcoef, glabel in term.greek:
+        # numpy matrix once per product would cost more than the product. A
+        # Latin ket's row is appended where the ket first appears.
+        latin: dict[str, int] = {}
+        flat: list[complex] = []
+        for coefficient, latin_items, greek_items in terms:
+            for lcoef, llabel in latin_items:
+                scaled = coefficient * lcoef
+                try:
+                    row = latin[llabel]
+                except KeyError:
+                    row = latin[llabel] = len(flat)
+                    flat += zeros
+                for gcoef, glabel in greek_items:
                     flat[row + greek[glabel]] += scaled * gcoef
-        amps = np.array(flat, dtype=complex).reshape(len(latin), cols)
+        amps = np.array(flat, dtype=complex).reshape(len(latin), len(greek))
         if not np.isfinite(amps).all():
             self._check_products(amps, tuple(latin), tuple(greek))
         return BipartitePureState.from_amplitudes(tuple(latin), tuple(greek), amps)
@@ -157,7 +169,7 @@ def _kind(token: str) -> str:
 def _found(token: str) -> str:
     """A token as an error message names it: a compound one by its kind and
     without its whitespace, so '( 1 + 2i )' is "the scalar '(1+2i)'"."""
-    if not token:
+    if token == _END:
         return "end of input"
     kind = _kind(token)
     return f"the {kind} {''.join(token.split())!r}" if kind else repr(token)
@@ -167,157 +179,164 @@ def _overflow(text: str, index: int) -> _SyntaxError:
     return _SyntaxError(f"scalar {text!r} overflows the float range", index)
 
 
-class _Parser:
-    """Recursive descent over the token list.
+def _number(tokens: list[str], i: int) -> float:
+    token = tokens[i]
+    if not token[:1].isdecimal():
+        raise _SyntaxError(f"expected a number, found {_found(token)}", i)
+    value = float(token)
+    if value == math.inf:  # number tokens are unsigned
+        raise _overflow(token, i)
+    return value
 
-    Each method takes the index of its first token and returns its result
-    with the index just past what it consumed.
-    """
 
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
+def _sqrt_call(tokens: list[str], i: int) -> tuple[float, int]:
+    """'(' number ')' from just past 'sqrt': its square root and the index after it."""
+    if tokens[i] != "(":
+        raise _SyntaxError(f"expected '(' after sqrt, found {_found(tokens[i])}", i)
+    value = _number(tokens, i + 1)
+    if tokens[i + 2] != ")":
+        raise _SyntaxError(f"expected ')' closing sqrt, found {_found(tokens[i + 2])}", i + 2)
+    return math.sqrt(value), i + 3
 
-    def expect(self, i: int, token: str, what: str) -> int:
-        if self.tokens[i] != token:
-            raise _SyntaxError(f"expected {what}, found {_found(self.tokens[i])}", i)
-        return i + 1
 
-    def number(self, i: int) -> float:
-        token = self.tokens[i]
-        if not token[:1].isdecimal():
-            raise _SyntaxError(f"expected a number, found {_found(token)}", i)
-        value = float(token)
-        if value == math.inf:  # number tokens are unsigned
-            raise _overflow(token, i)
-        return value
-
-    # --- scalars ---------------------------------------------------------
-
-    def sqrt_call(self, i: int) -> tuple[float, int]:
-        # i is just past 'sqrt'
-        i = self.expect(i, "(", "'(' after sqrt")
-        value = self.number(i)
-        i = self.expect(i + 1, ")", "')' closing sqrt")
-        return math.sqrt(value), i
-
-    def coefficient(self, i: int) -> tuple[complex, int]:
-        """An optional scalar and the '*' after it; 1 when there is none."""
-        tokens = self.tokens
-        token = tokens[i]
-        real = None
-        if token[:1].isdecimal():
-            real = self.number(i)
-            start, i = i, i + 1
-            if tokens[i] == "/":
+def _scalar(tokens: list[str], i: int) -> tuple[complex, int]:
+    """An optional scalar and the '*' after it, and the index after them; 1
+    when there is none."""
+    token = tokens[i]
+    real = None
+    if token[:1].isdecimal():
+        real = _number(tokens, i)
+        start, i = i, i + 1
+        if tokens[i] == "/":
+            i += 1
+            divisor_at = i
+            if tokens[i][:1].isdecimal():
+                divisor = _number(tokens, i)
                 i += 1
-                divisor_at = i
-                if tokens[i][:1].isdecimal():
-                    divisor = self.number(i)
-                    i += 1
-                elif tokens[i] == "sqrt":
-                    divisor, i = self.sqrt_call(i + 1)
-                else:
-                    raise _SyntaxError("expected a number or sqrt(...) after '/'", i)
-                if divisor == 0.0:
-                    raise _SyntaxError("division by zero in a scalar", divisor_at)
-                real /= divisor
-                if real == math.inf:
-                    raise _overflow("".join(tokens[start:i]), start)
-        elif token == "sqrt":
-            real, i = self.sqrt_call(i + 1)
-        if real is not None:
-            if tokens[i] == "i":
-                value, i = real * 1j, i + 1
+            elif tokens[i] == "sqrt":
+                divisor, i = _sqrt_call(tokens, i + 1)
             else:
-                value = complex(real)
-        elif token == "i":
-            value, i = 1j, i + 1
-        elif token[:1] == "(" and len(token) > 1 and "x" not in token:  # a compound '(re±im i)'
-            value, i = self.compound_complex(i), i + 1
-        else:
-            value = None
-        if value is None:
-            return 1 + 0j, i
-        if tokens[i] == "*":
-            i += 1
-        return value, i
+                raise _SyntaxError("expected a number or sqrt(...) after '/'", i)
+            if divisor == 0.0:
+                raise _SyntaxError("division by zero in a scalar", divisor_at)
+            real /= divisor
+            if real == math.inf:
+                raise _overflow("".join(tokens[start:i]), start)
+    elif token == "sqrt":
+        real, i = _sqrt_call(tokens, i + 1)
+    if real is not None:
+        value, i = (real * 1j, i + 1) if tokens[i] == "i" else (complex(real), i)
+    elif token == "i":
+        value, i = 1j, i + 1
+    elif token[:1] == "(" and "i" in token:  # a compound '(re±im i)'
+        value, i = _complex(token, i), i + 1
+    else:
+        return 1 + 0j, i
+    if tokens[i] == "*":
+        i += 1
+    return value, i
 
-    def compound_complex(self, i: int) -> complex:
-        # A '(re±im i)' token; complex() reads each part as float() does.
-        token = self.tokens[i]
-        text = token.replace("i", "j")
-        try:
-            value = complex(text)
-        except ValueError:  # complex() allows no whitespace around the sign
-            value = complex("".join(text.split()))
-        if not cmath.isfinite(value):
-            raise _overflow("".join(token.split()), i)
-        return value
 
-    # --- kets and factors ------------------------------------------------
+def _complex(token: str, i: int) -> complex:
+    """The value of a '(re±im i)' token; complex() reads each part as float()
+    does, but allows no whitespace around the sign."""
+    value = complex("".join(token.replace("i", "j").split()))
+    if not cmath.isfinite(value):
+        raise _overflow("".join(token.split()), i)
+    return value
 
-    def ket(self, i: int) -> tuple[str, int]:
-        tokens = self.tokens
+
+def _ket_error(tokens: list[str], i: int) -> _SyntaxError:
+    """The error for a token that stands where a ket must, but is none."""
+    if tokens[i] != "|":
+        return _SyntaxError(f"expected '|' opening a ket, found {_found(tokens[i])}", i)
+    label = tokens[i + 1]
+    if not (label[:1].isascii() and label[:1].isalpha()):  # the end sentinel too
+        return _SyntaxError(f"expected a ket label, found {_found(label)}", i + 1)
+    # '|' LABEL '>' is always read as one compound token
+    return _SyntaxError(f"expected '>' closing the ket, found {_found(tokens[i + 2])}", i + 2)
+
+
+def _read(tokens: list[str]) -> KetExpression:
+    """The sum of terms the tokens spell: a pass of the outer loop reads a
+    factor, one of the inner loop a combination's scalar and ket. The helpers
+    above read the rarer scalar forms and word the errors."""
+    one, isfinite, new_term = 1 + 0j, cmath.isfinite, tuple.__new__
+    terms = []
+    latin = None  # the Latin factor's items while the Greek factor is read
+    negate = tokens[0] == "-"
+    i = 1 if negate else 0
+    while True:
+        if latin is None:  # a term starts
+            coef, i = (one, i) if tokens[i] == "(" else _scalar(tokens, i)
         token = tokens[i]
-        if token[:1] == "|" and len(token) > 1:  # a compound ket
-            return token[1:-1].strip(), i + 1
-        if token != "|":
-            raise _SyntaxError(f"expected '|' opening a ket, found {_found(tokens[i])}", i)
-        label = tokens[i + 1]
-        if not (label[:1].isascii() and label[:1].isalpha()):  # the end sentinel too
-            raise _SyntaxError(f"expected a ket label, found {_found(label)}", i + 1)
-        # '|' LABEL '>' is always read as one compound token
-        raise _SyntaxError(f"expected '>' closing the ket, found {_found(tokens[i + 2])}", i + 2)
-
-    def factor(self, i: int) -> tuple[list[tuple[complex, str]], int]:
-        """Items (coefficient, label) of a ket or a parenthesized combination,
-        and the index after the factor."""
-        tokens = self.tokens
-        if tokens[i][:1] == "|":
-            label, end = self.ket(i)
-            return [(1 + 0j, label)], end
-        if tokens[i] != "(":
-            raise _SyntaxError(f"expected a ket or '(', found {_found(tokens[i])}", i)
-        negate = tokens[i + 1] == "-"
-        i += 2 if negate else 1
-        items = []
-        while True:
-            coef, i = self.coefficient(i)
-            label, i = self.ket(i)
-            items.append((-coef if negate else coef, label))
-            sign = tokens[i]
-            if sign != "+" and sign != "-":
-                break
-            negate = sign == "-"
+        if token[0] == "|" and len(token) > 1:  # a compound ket
+            items = ((one, token[1:-1].strip()),)
             i += 1
-        return items, self.expect(i, ")", "')' closing the combination")
-
-    # --- the whole state ----------------------------------------------------
-
-    def state(self) -> KetExpression:
-        """The sum of terms, each a coefficient, a factor, a tensor operator
-        and a factor."""
-        tokens = self.tokens
-        negate = tokens[0] == "-"
-        i = 1 if negate else 0
-        terms = []
-        while True:
-            coef, i = self.coefficient(i)
-            latin, i = self.factor(i)
-            token = tokens[i]  # '⊗', 'x' or a compound '(x)' token
-            if not (token == "⊗" or token == "x" or (token[:1] == "(" and "x" in token)):
+        elif token == "(":
+            minus = tokens[i + 1] == "-"
+            i += 2 if minus else 1
+            items = []
+            while True:
+                token = tokens[i]
+                if token[0] == "(" and "i" in token:  # only a compound '(re±im i)' is both
+                    try:  # _complex, less its whitespace pass
+                        value = complex(token.replace("i", "j"))
+                    except ValueError:
+                        value = _complex(token, i)
+                    if not isfinite(value):
+                        raise _overflow("".join(token.split()), i)
+                    i += 1
+                    token = tokens[i]
+                    if token == "*":
+                        i += 1
+                        token = tokens[i]
+                elif token[0] == "|":
+                    value = one
+                else:
+                    value, i = _scalar(tokens, i)
+                    token = tokens[i]
+                if token[0] != "|" or len(token) < 2:
+                    raise _ket_error(tokens, i)
+                items.append((-value if minus else value, token[1:-1].strip()))
+                i += 1
+                token = tokens[i]
+                if token == "+":
+                    minus = False
+                elif token == "-":
+                    minus = True
+                else:
+                    break
+                i += 1
+            if token != ")":
+                raise _SyntaxError(f"expected ')' closing the combination, found {_found(token)}", i)
+            i += 1
+            items = tuple(items)
+        elif token[0] == "|":
+            raise _ket_error(tokens, i)
+        else:
+            raise _SyntaxError(f"expected a ket or '(', found {_found(token)}", i)
+        token = tokens[i]
+        if latin is None:  # the tensor: a compound '(x)', '⊗' or 'x'
+            if not ((token[0] == "(" and "x" in token) or token == "⊗" or token == "x"):
                 raise _SyntaxError(f"expected a tensor operator '(x)', found {_found(token)}", i)
-            greek, i = self.factor(i + 1)
-            terms.append(KetTerm(-coef if negate else coef, tuple(latin), tuple(greek)))
-            sign = tokens[i]
-            if sign != "+" and sign != "-":
-                break
-            negate = sign == "-"
+            latin = items
             i += 1
-        if tokens[i] != _END:
-            kind = _kind(tokens[i]) or "input"
-            raise _SyntaxError(f"unexpected trailing {kind} {''.join(tokens[i].split())!r}", i)
-        return KetExpression(tuple(terms))
+            continue
+        # KetTerm(...) without the Python-level call of its __new__
+        terms.append(new_term(KetTerm, (-coef if negate else coef, latin, items)))
+        latin = None
+        if token == "+":
+            negate = False
+        elif token == "-":
+            negate = True
+        else:
+            break
+        i += 1
+    if token != _END:
+        kind = _kind(token) or "input"
+        raise _SyntaxError(f"unexpected trailing {kind} {''.join(token.split())!r}", i)
+    return KetExpression(tuple(terms))
 
 
 def parse_expression(text: str) -> KetExpression:
@@ -332,7 +351,7 @@ def parse_expression(text: str) -> KetExpression:
     tokens = re.findall(_COMPOUND_TOKEN, text)
     tokens.append(_END)
     try:
-        return _Parser(tokens).state()
+        return _read(tokens)
     except _SyntaxError as exc:
         # A stray character can never be consumed, so any lexical error
         # surfaces as some syntax error; report the first one instead.

@@ -145,9 +145,13 @@ class SchmidtDecomposition:
     greek_modes: np.ndarray
 
     def __post_init__(self):
-        lam = np.array(self.lambdas, dtype=float)
-        f = np.array(self.latin_modes, dtype=complex)
-        g = np.array(self.greek_modes, dtype=complex)
+        arrays = []
+        for name, dtype in (("lambdas", float), ("latin_modes", complex), ("greek_modes", complex)):
+            try:
+                arrays.append(np.array(getattr(self, name), dtype=dtype))
+            except ValueError as exc:  # a ragged nested list, or text
+                raise ShapeError(f"{name} is not a rectangular array of numbers: {exc}") from None
+        lam, f, g = arrays
         if lam.ndim != 1 or f.ndim != 2 or g.ndim != 2:
             raise ShapeError("mode arrays must be 2-d (one column per mode) and lambdas 1-d")
         if not f.shape[1] == g.shape[1] <= len(lam):

@@ -595,6 +595,14 @@ class TestReportMatchesTheLibrary:
             with pytest.raises(ShapeError, match=f"{message} for 2 "):
                 cli.AnalysisReport(bell_state(), SchmidtDecomposition([.5, .5], latin, greek), 0.0)
 
+    @pytest.mark.parametrize("lambdas", [[0.5, 0.3, 0.2], [1.0]])
+    def test_eigenvalues_must_fit_the_state(self, lambdas):
+        # One eigenvalue per dimension of the smaller side: a surplus one
+        # would print as an eigenvalue of the 2 x 2 Bell state.
+        decomposition = SchmidtDecomposition(lambdas, [[1], [0]], [[0], [1]])
+        with pytest.raises(ShapeError, match=f"^{len(lambdas)} eigenvalues for a 2 x 2 state"):
+            cli.AnalysisReport(bell_state(), decomposition, 0.0)
+
     def test_json_modes_are_the_decomposition_columns(self, capsys, state_file):
         path, d = state_file
         doc = run_json(capsys, "analyze", "--file", path)

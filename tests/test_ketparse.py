@@ -4,9 +4,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import ketparse_reference
 from schmidt import ketparse
 from schmidt.catalog import BELL_AMPLITUDES, EXPRESSIONS, bell_state
 from schmidt.errors import ParseError, SchmidtError, ValidationError
@@ -375,6 +376,18 @@ class TestExpressionTree:
         assert term.latin == ((1 + 0j, "a"), (3 + 0j, "b"))
         assert term.greek == ((1 + 0j, "alpha"),)
 
+    def test_records_equal_only_records_of_their_class(self):
+        term = KetTerm(2 + 0j, ((1 + 0j, "a"),), ((1 + 0j, "b"),))
+        expr, same = KetExpression((term,)), KetExpression((KetTerm(2 + 0j, ((1 + 0j, "a"),),
+                                                                    ((1 + 0j, "b"),)),))
+        assert expr == same and not expr != same and hash(expr) == hash(same)
+        # A record is not equal to a plain tuple of its fields.
+        for record, fields in ((term, (term.coefficient, term.latin, term.greek)),
+                               (expr, (expr.terms,))):
+            assert record != fields and not record == fields and not fields == record
+        assert repr(expr) == ("KetExpression(terms=(KetTerm(coefficient=(2+0j), "
+                              "latin=(((1+0j), 'a'),), greek=(((1+0j), 'b'),)),))")
+
     def test_hand_built_label_on_both_sides_builds_its_state(self):
         expr = KetExpression((KetTerm(2 + 0j, ((1 + 0j, "a"),), ((1 + 0j, "a"),)),))
         state = expr.to_state()
@@ -564,6 +577,32 @@ def test_every_error_points_at_a_token(text):
     except ParseError as exc:
         starts = [match.start() + 1 for match in re.finditer(ketparse._COMPOUND_TOKEN, text)]
         assert exc.position in starts + [len(text) + 1]
+
+
+def _outcome_at(parse, text):
+    """The repr of the tree, or the ParseError's message with its position."""
+    try:
+        return repr(parse(text))
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_written_text(), _written_text(misplace=True), _canonical_text(),
+                 _mutated(st.one_of(_written_text(), _canonical_text())),
+                 st.text(alphabet="0123456789.+-*/()|><xi sqrtabe_⊗", max_size=40)))
+@example("٣|a>(x)|b>")  # a Unicode decimal digit is a number
+@example("( 1 + 2i )|a>(x)(( 1 - i )|b> + |c>)")  # whitespace inside scalars
+@example("(|a> + (1e999+2i)|b> |c>)(x)|d>")  # the overflow comes first
+@example("(|a> - 1e999i|b>)(x)|d> +")
+@example("-(-|a> + 2*|b> - (1+i)*|c>)⊗(i|x> + sqrt(2)|y>) - 3/sqrt(4)*|a> x |b>")
+@example("|a>(x)(| b> + 2 |")
+@example("")
+def test_parser_matches_the_reference_recursive_descent(text):
+    # The reference is the recursive-descent parser the one-loop parser
+    # replaced: the same tree, or the same error at the same position.
+    assert _outcome_at(parse_expression, text) == _outcome_at(
+        ketparse_reference.parse_expression, text)
 
 
 def _reference_term(z: complex, digits: int, ket_v1: bool) -> tuple[bool, str]:

@@ -389,6 +389,11 @@ class TestReconstruct:
             SchmidtDecomposition(np.array([1.0]), np.ones(2), np.ones(2))
         with pytest.raises(ShapeError, match="and lambdas 1-d"):
             SchmidtDecomposition([[1.0]], [[1.0]], [[1.0]])
+        # A ragged nested list is no matrix: the error names the field, not numpy's.
+        with pytest.raises(ShapeError, match="^latin_modes is not a rectangular array of numbers"):
+            SchmidtDecomposition([1.0], [[1.0], [1.0, 2.0]], [[1.0]])
+        with pytest.raises(ShapeError, match="^lambdas is not a rectangular array of numbers"):
+            SchmidtDecomposition([[1.0], [1.0, 2.0]], [[1.0]], [[1.0]])
 
     def test_rank_is_derived_not_passed(self):
         assert [f.name for f in fields(SchmidtDecomposition)] == [
