@@ -6,8 +6,8 @@ same for the built-in states, or prints the classical-versus-entangled
 density-matrix comparison for the polarization pair.
 
 Exit codes: 0 success, 2 bad input (parse or validation failure), 3 numerical
-failure (LAPACK non-convergence, or a reconstruction residual above 1e-9),
-141 stdout closed by its reader before the output was written.
+failure (LAPACK non-convergence, or a reconstruction residual above 1e-9 or
+not a number), 141 stdout closed by its reader before the output was written.
 
 ``main(argv)`` runs one command and returns its exit code; tests and other
 in-process callers use it. ``run()`` is the process entry point (the
@@ -47,7 +47,7 @@ STATE_FORMAT = "schmidt-state-v1"
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a program SIGPIPE ended
-# Reports are only emitted when the decomposition reproduces the state this well.
+# A report holds only a decomposition that reproduces its state this well.
 RESIDUAL_LIMIT = 1e-9
 
 
@@ -132,17 +132,19 @@ def state_from_doc(doc) -> BipartitePureState:
 class AnalysisReport:
     """Everything the CLI prints about one state, modes as the decomposition's columns.
 
-    Built from the state, its decomposition and the reconstruction residual;
-    the ket-v1 expression and the summaries are derived. ``lambdas`` is padded
-    with zeros up to the larger subsystem dimension, as the smaller reduced
-    matrix can always be embedded in the bigger space. Raises ShapeError unless
-    each side's modes have one row per basis label of that side and there is
-    one eigenvalue per dimension of the smaller side.
+    Built from the state and its decomposition alone: the reconstruction
+    residual ``max|reconstruct(decomposition) - amplitudes|``, the ket-v1
+    expression and the summaries are derived. ``lambdas`` is padded with zeros
+    up to the larger subsystem dimension, as the smaller reduced matrix can
+    always be embedded in the bigger space. Raises ShapeError unless each
+    side's modes have one row per basis label of that side and there is one
+    eigenvalue per dimension of the smaller side, then ConvergenceError unless
+    the residual is at most RESIDUAL_LIMIT (a NaN residual is refused too).
     """
 
     state: BipartitePureState
     decomposition: SchmidtDecomposition
-    reconstruction_residual: float
+    reconstruction_residual: float = field(init=False)
     expression: str = field(init=False)
     lambdas: tuple[float, ...] = field(init=False)
     schmidt_number: float = field(init=False)
@@ -159,8 +161,13 @@ class AnalysisReport:
         if len(d.lambdas) != min(state.latin_dim, state.greek_dim):
             raise ShapeError(f"{len(d.lambdas)} eigenvalues for a {state.latin_dim} x "
                              f"{state.greek_dim} state: one per dimension of the smaller side")
+        residual = float(np.max(np.abs(reconstruct(d) - state.amplitudes)))
+        if not residual <= RESIDUAL_LIMIT:  # false for NaN too
+            raise ConvergenceError(
+                f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}")
         padded = d.lambdas.tolist()
         padded += [0.0] * (max(state.latin_dim, state.greek_dim) - len(padded))
+        object.__setattr__(self, "reconstruction_residual", residual)
         object.__setattr__(self, "expression", format_state(state))
         object.__setattr__(self, "lambdas", tuple(padded))
         object.__setattr__(self, "schmidt_number", schmidt_number(d))
@@ -196,16 +203,9 @@ class AnalysisReport:
 
 def build_report(state: BipartitePureState,
                  rank_threshold: float = DEFAULT_RANK_THRESHOLD) -> AnalysisReport:
-    """Run the full analysis for one state. Raises ConvergenceError when the
-    decomposition does not reproduce the state to within RESIDUAL_LIMIT."""
-    decomposition = schmidt_decompose(state, threshold=rank_threshold)
-    rebuilt = reconstruct(decomposition)
-    residual = float(np.max(np.abs(rebuilt - state.amplitudes)))
-    if residual > RESIDUAL_LIMIT:
-        raise ConvergenceError(
-            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}"
-        )
-    return AnalysisReport(state, decomposition, residual)
+    """Run the full analysis for one state. The report checks its own
+    reconstruction: ConvergenceError when it fails."""
+    return AnalysisReport(state, schmidt_decompose(state, threshold=rank_threshold))
 
 
 def _fmt(value: float) -> str:

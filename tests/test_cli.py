@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -16,9 +17,9 @@ from schmidt import cli
 from schmidt.catalog import (EXPRESSIONS, bell_state, example_state,
                              opposite_polarization_mixture)
 from schmidt.density import conditional_state, partial_trace, pure_density
-from schmidt.errors import ShapeError, ValidationError
+from schmidt.errors import ConvergenceError, ShapeError, ValidationError
 from schmidt.modes import (BipartitePureState, SchmidtDecomposition, entanglement_entropy,
-                           is_entangled, schmidt_decompose, schmidt_number)
+                           is_entangled, reconstruct, schmidt_decompose, schmidt_number)
 
 PSI0 = EXPRESSIONS["psi0"]
 
@@ -33,6 +34,17 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 0, err
     return json.loads(out)
+
+
+# A number with the sign in front of it; below 1e-12 in magnitude it is
+# roundoff (or the reconstruction residual) and may differ between BLAS builds.
+NUMBER = re.compile(r"(?:[-+] ?)?\b\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+def mask_roundoff(line):
+    return NUMBER.sub(
+        lambda m: "~" if abs(float(m.group().replace(" ", ""))) < 1e-12 else m.group(), line
+    )
 
 
 def child_env(**extra):
@@ -160,6 +172,21 @@ class TestAnalyze:
         assert out == ""
         assert "numerical error" in err
         assert "np.linalg.svd" in err and "2x3" in err and "did not converge" in err
+
+    def test_nan_mode_component_exits_3(self, capsys, monkeypatch):
+        # A NaN in the modes makes the residual NaN, which no comparison with
+        # the limit can let through as a report.
+        svd = np.linalg.svd
+
+        def planted_nan(a, full_matrices=True):
+            u, s, vh = svd(a, full_matrices=full_matrices)
+            u[0, 0] = np.nan
+            return u, s, vh
+
+        monkeypatch.setattr(np.linalg, "svd", planted_nan)
+        code, out, err = run(capsys, "examples", "psi0")
+        assert (code, out) == (3, "")
+        assert err == "numerical error: reconstruction residual nan exceeds 1e-09\n"
 
     def test_rank_threshold_flag_is_a_noise_floor(self, capsys):
         # a sane adjustment leaves the report unchanged
@@ -542,19 +569,31 @@ class TestBenchmarkHooks:
     def test_the_benchmark_tracer_finds_every_name_it_wraps(self):
         # perfbench's instrument() looks the package's functions up by name and
         # patches them, so it runs in a child; a name the package lost fails it.
+        # A report stage that stopped calling through the cli-level names would
+        # fall out of the cli.report span, or out of the trace.
         perfbench = Path(__file__).resolve().parents[1] / "perfbench"
         env = child_env()
         env["PYTHONPATH"] = os.pathsep.join([str(perfbench), env["PYTHONPATH"]])
-        script = ("import sys, tracing\n"
+        script = ("import json, sys, tracing\n"
                   "tracer = tracing.Tracer()\n"
                   "tracing.instrument(tracer)\n"
                   "tracer.begin_op()\n"
-                  "from schmidt import cli\n"
-                  "sys.exit(cli.main(['examples', 'psi3', '--format', 'json']))\n")
+                  "from schmidt import catalog, cli\n"
+                  "code = cli.main(['examples', 'psi3', '--format', 'json'])\n"
+                  "tracer.begin_op()\n"
+                  "cli.build_report(cli.parse_state(catalog.EXPRESSIONS['psi0']))\n"
+                  "print(json.dumps(tracer.ops[-1]))\n"
+                  "sys.exit(code)\n")
         child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                env=env, timeout=60)
         assert child.returncode == 0, child.stderr
-        assert json.loads(child.stdout)["rank"] == 2
+        report, spans = map(json.loads, child.stdout.rstrip("\n").rsplit("\n", 1))
+        assert report["rank"] == 2
+        top = [index for index, span in enumerate(spans) if span[0] == "cli.report"]
+        assert len(top) == 1 and spans[top[0]][3] == -1
+        assert [name for name, _, _, parent in spans if parent == top[0]] == [
+            "modes.decompose", "modes.reconstruct", "ketparse.format",
+            "modes.summary", "modes.summary", "modes.summary"]
 
 
 class TestReportMatchesTheLibrary:
@@ -575,25 +614,42 @@ class TestReportMatchesTheLibrary:
     def test_summaries_are_derived_not_passed(self):
         state = example_state("psi2")
         d = schmidt_decompose(state)
-        assert [f.name for f in fields(cli.AnalysisReport) if f.init] == [
-            "state", "decomposition", "reconstruction_residual"]
-        report = cli.AnalysisReport(state, d, 0.0)
+        assert [f.name for f in fields(cli.AnalysisReport) if f.init] == ["state", "decomposition"]
+        report = cli.AnalysisReport(state, d)
         assert report.expression == cli.format_state(state)
         assert report.lambdas == (*d.lambdas.tolist(), 0.0, 0.0)
         assert report.schmidt_number == schmidt_number(d)
         assert report.entropy == entanglement_entropy(d)
         assert report.entangled is is_entangled(d) is True
         assert report.rank == d.rank == 2
-        for summary in ("expression", "lambdas", "schmidt_number", "entropy", "entangled"):
+        for summary in ("reconstruction_residual", "expression", "lambdas", "schmidt_number",
+                        "entropy", "entangled"):
             with pytest.raises(TypeError):
-                cli.AnalysisReport(state, d, 0.0, **{summary: getattr(report, summary)})
+                cli.AnalysisReport(state, d, **{summary: getattr(report, summary)})
+
+    def test_residual_is_measured_on_the_modes_given(self):
+        # Eigenvalues off by 1e-12 rebuild the Bell state to within about 7e-13,
+        # and the report holds that residual, not a value passed in.
+        state = bell_state()
+        d = SchmidtDecomposition([0.5 + 1e-12, 0.5 - 1e-12], np.eye(2), [[0, 1], [1, 0]])
+        report = cli.AnalysisReport(state, d)
+        residual = float(np.max(np.abs(reconstruct(d) - state.amplitudes)))
+        assert 0.0 < report.reconstruction_residual == residual <= cli.RESIDUAL_LIMIT
+        assert report.to_dict()["reconstruction_residual"] == residual
+
+    def test_modes_that_do_not_rebuild_the_state_are_refused(self):
+        # The Bell state's labels with the modes of the product state |H>(x)|H>.
+        d = SchmidtDecomposition([1.0, 0.0], [[1], [0]], [[1], [0]])
+        with pytest.raises(ConvergenceError,
+                           match=r"^reconstruction residual 1\.000e\+00 exceeds 1e-09$"):
+            cli.AnalysisReport(bell_state(), d)
 
     def test_modes_must_fit_the_state(self):
         # One row per basis label on each side: zip would drop a surplus row.
         for latin, greek, message in ((np.eye(3)[:, :2], np.eye(2), "Latin modes have 3 rows"),
                                       (np.eye(2), np.eye(3)[:, :2], "Greek modes have 3 rows")):
             with pytest.raises(ShapeError, match=f"{message} for 2 "):
-                cli.AnalysisReport(bell_state(), SchmidtDecomposition([.5, .5], latin, greek), 0.0)
+                cli.AnalysisReport(bell_state(), SchmidtDecomposition([.5, .5], latin, greek))
 
     @pytest.mark.parametrize("lambdas", [[0.5, 0.3, 0.2], [1.0]])
     def test_eigenvalues_must_fit_the_state(self, lambdas):
@@ -601,7 +657,7 @@ class TestReportMatchesTheLibrary:
         # would print as an eigenvalue of the 2 x 2 Bell state.
         decomposition = SchmidtDecomposition(lambdas, [[1], [0]], [[0], [1]])
         with pytest.raises(ShapeError, match=f"^{len(lambdas)} eigenvalues for a 2 x 2 state"):
-            cli.AnalysisReport(bell_state(), decomposition, 0.0)
+            cli.AnalysisReport(bell_state(), decomposition)
 
     def test_json_modes_are_the_decomposition_columns(self, capsys, state_file):
         path, d = state_file
@@ -709,8 +765,8 @@ class TestTableText:
 
     def test_mode_lines_of_a_block_mixing_every_case(self):
         # The modes are the columns and rows of the ket-v1 test's mixed 3 x 8
-        # block, one entry set to 1e300, which no unit-norm state holding
-        # 1e-300 can have.
+        # block, one entry set to 1e300. They rebuild no state, so they go to
+        # the table's mode lines directly.
         latin = ("a", "b", "c")
         greek = ("p", "q", "r", "s", "d", "t", "u", "v")
         amplitudes = np.array([
@@ -722,12 +778,8 @@ class TestTableText:
         ])
         greek_modes = amplitudes.T.copy()
         greek_modes[5, 0] = 1e300
-        decomposition = SchmidtDecomposition(lambdas=np.array([0.5, 0.3, 0.2]),
-                                             latin_modes=amplitudes[:, :3],
-                                             greek_modes=greek_modes)
-        state = BipartitePureState(latin, greek, amplitudes)
-        report = cli.AnalysisReport(state, decomposition, 0.0)
-        assert cli.render_report(report).splitlines()[7:-1] == [
+        text = cli._mode_lines(["0.5", "0.3", "0.2"], latin, amplitudes[:, :3], greek, greek_modes)
+        assert text.splitlines() == [
             "mode 1 (eigenvalue 0.5):",
             "  A: 1|a> + 0|b> - 1i|c>",
             "  B: 1|p> - 1|q> + 1i|r> + (1-1i)|s> + 0|d> + 1e+300|t> + 1i|u> + 0|v>",
@@ -768,17 +820,52 @@ class TestTableText:
         assert lines[7] == "mode 1 (eigenvalue 0.625):"
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def assert_json_matches(actual, expected, path="report"):
+    """The same JSON value key for key, each float within 1e-12 (relative above 1)."""
+    assert type(actual) is type(expected), path
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected), path
+        for key, value in expected.items():
+            assert_json_matches(actual[key], value, f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), path
+        for index, (got, value) in enumerate(zip(actual, expected)):
+            assert_json_matches(got, value, f"{path}[{index}]")
+    elif isinstance(expected, float):
+        assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=1e-12), (path, actual)
+    else:
+        assert actual == expected, path
+
+
+@pytest.mark.parametrize("case", ["psi0", "psi1", "psi2", "psi3", "state", "shared", "edge"])
+class TestGoldenOutputs:
+    """Reports against the stdout committed under tests/golden: the paper's
+    examples, and the state files that CI feeds to the installed script."""
+
+    @staticmethod
+    def argv(case):
+        if case in EXPRESSIONS:
+            return ["examples", case]
+        return ["analyze", "--file", str(GOLDEN / "input" / f"{case}.json")]
+
+    def test_table(self, capsys, case):
+        code, out, err = run(capsys, *self.argv(case))
+        assert (code, err) == (0, "")
+        expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+        assert [mask_roundoff(line) for line in out.splitlines()] == [
+            mask_roundoff(line) for line in expected.splitlines()
+        ]
+
+    def test_json(self, capsys, case):
+        expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+        assert_json_matches(run_json(capsys, *self.argv(case)), expected)
+
+
 class TestReadme:
     README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-
-    # A number with the sign in front of it; below 1e-12 in magnitude it is
-    # roundoff (or the reconstruction residual) and may differ between BLAS builds.
-    NUMBER = re.compile(r"(?:[-+] ?)?\b\d+(?:\.\d*)?(?:e[-+]?\d+)?")
-
-    def mask_roundoff(self, line):
-        return self.NUMBER.sub(
-            lambda m: "~" if abs(float(m.group().replace(" ", ""))) < 1e-12 else m.group(), line
-        )
 
     def test_cli_example_matches_the_output(self, capsys):
         block = self.README.split("```text\n$ ", 1)[1].split("```", 1)[0]
@@ -787,8 +874,8 @@ class TestReadme:
         assert program == "schmidt"
         code, out, err = run(capsys, *argv)
         assert code == 0, err
-        assert [self.mask_roundoff(line) for line in out.splitlines()] == [
-            self.mask_roundoff(line) for line in expected
+        assert [mask_roundoff(line) for line in out.splitlines()] == [
+            mask_roundoff(line) for line in expected
         ]
 
     def test_python_examples_run(self):

@@ -419,7 +419,7 @@ class TestDecompositionRecord:
         assert entanglement_entropy(listed) == entanglement_entropy(d)
         assert is_entangled(listed) is is_entangled(d)
         assert listed.rank == d.rank
-        again = AnalysisReport(state, listed, report.reconstruction_residual)
+        again = AnalysisReport(state, listed)
         assert again.to_dict() == report.to_dict()
         assert render_report(again) == render_report(report)
 
