@@ -6,8 +6,8 @@ same for the built-in states, or prints the classical-versus-entangled
 density-matrix comparison for the polarization pair.
 
 Exit codes: 0 success, 2 bad input (parse or validation failure), 3 numerical
-failure (LAPACK non-convergence, or a reconstruction residual above 1e-9 or
-not a number), 141 stdout closed by its reader before the output was written.
+failure (LAPACK non-convergence or non-finite output, a reconstruction residual
+above 1e-9 or not a number), 141 stdout closed by its reader before the output was written.
 
 ``main(argv)`` runs one command and returns its exit code; tests and other
 in-process callers use it. ``run()`` is the process entry point (the
@@ -34,6 +34,7 @@ from .errors import ConvergenceError, SchmidtError, ShapeError, ValidationError
 from .ketparse import FORMAT_VERSION, format_state, parse_state, _signed_sum
 from .modes import (
     DEFAULT_RANK_THRESHOLD,
+    RESIDUAL_LIMIT,
     BipartitePureState,
     SchmidtDecomposition,
     entanglement_entropy,
@@ -47,8 +48,6 @@ STATE_FORMAT = "schmidt-state-v1"
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a program SIGPIPE ended
-# A report holds only a decomposition that reproduces its state this well.
-RESIDUAL_LIMIT = 1e-9
 
 
 def _complex_pairs(z: np.ndarray) -> list:

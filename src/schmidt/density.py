@@ -45,6 +45,20 @@ def product_labels(latin_labels: Sequence[str], greek_labels: Sequence[str]) -> 
     return tuple(f"{l}{sep}{g}" for l in latin_labels for g in greek_labels)
 
 
+def _frozen_array(value, dtype, ndim: int, name: str) -> np.ndarray:
+    """A record's field as a read-only copy, the caller's array left writable. ShapeError
+    names the field for an object numpy cannot read, and for a rank other than ``ndim``."""
+    try:
+        array = np.array(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, text, a dict, ...
+        raise ShapeError(f"{name} is not a rectangular array of numbers: {exc}") from None
+    if array.ndim != ndim:
+        raise ShapeError(f"{name} must be a {ndim}-d {'matrix' if ndim == 2 else 'array'}, "
+                         f"got shape {array.shape}")
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Square, Hermitian, unit-trace matrix with labelled basis rows.
@@ -61,9 +75,8 @@ class DensityMatrix:
     basis_labels: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        # A copy, so that freezing it below leaves the caller's array writable.
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = _frozen_array(self.matrix, complex, 2, "matrix")
+        if m.shape[0] != m.shape[1]:
             raise ShapeError(f"density matrix must be square, got shape {m.shape}")
         for part in self.parts:
             # A string iterates as its characters, which would pass as labels.
@@ -85,7 +98,6 @@ class DensityMatrix:
         tr = complex(np.trace(m)).real if m.size else 0.0
         if not abs(tr - 1.0) <= TRACE_ATOL:  # false for NaN too
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "basis_labels", labels)
         object.__setattr__(self, "parts", parts)

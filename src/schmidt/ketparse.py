@@ -251,7 +251,7 @@ def _ket_error(tokens: list[str], i: int) -> _SyntaxError:
     if tokens[i] != "|":
         return _SyntaxError(f"expected '|' opening a ket, found {_found(tokens[i])}", i)
     label = tokens[i + 1]
-    if not (label[:1].isascii() and label[:1].isalpha()):  # the end sentinel too
+    if not re.match(LABEL, label):  # the end sentinel too
         return _SyntaxError(f"expected a ket label, found {_found(label)}", i + 1)
     # '|' LABEL '>' is always read as one compound token
     return _SyntaxError(f"expected '>' closing the ket, found {_found(tokens[i + 2])}", i + 2)

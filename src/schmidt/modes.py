@@ -31,12 +31,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .density import HERMITICITY_ATOL, DensityMatrix
+from .density import HERMITICITY_ATOL, DensityMatrix, _frozen_array
 from .errors import ConvergenceError, ShapeError, ValidationError
 
 DEFAULT_RANK_THRESHOLD = 1e-10
-# Components at or below this magnitude are ignored when fixing mode phases.
-PHASE_PIVOT = 1e-9
+# The reconstruction accuracy a report needs; no smaller component sets a mode's phase.
+RESIDUAL_LIMIT = 1e-9
 # ket-v1's LABEL rule, which the constructor applies and the ket tokens embed.
 LABEL = r"[A-Za-z][A-Za-z0-9_]*"
 
@@ -61,10 +61,7 @@ class BipartitePureState:
 
     def __post_init__(self):
         latin, greek = tuple(self.latin_labels), tuple(self.greek_labels)
-        # A copy, so that freezing it below leaves the caller's array alone.
-        coefs = np.array(self.amplitudes, dtype=complex)
-        if coefs.ndim != 2:
-            raise ShapeError(f"amplitudes must be a 2-d matrix, got shape {coefs.shape}")
+        coefs = _frozen_array(self.amplitudes, complex, 2, "amplitudes")
         if coefs.shape != (len(latin), len(greek)):
             raise ShapeError(
                 f"amplitude matrix is {coefs.shape[0]}x{coefs.shape[1]} but there are "
@@ -104,7 +101,6 @@ class BipartitePureState:
             )
         amps /= scaled_norm
         amps.setflags(write=False)
-        coefs.setflags(write=False)
         object.__setattr__(self, "latin_labels", latin)
         object.__setattr__(self, "greek_labels", greek)
         object.__setattr__(self, "amplitudes", amps)
@@ -145,20 +141,13 @@ class SchmidtDecomposition:
     greek_modes: np.ndarray
 
     def __post_init__(self):
-        arrays = []
-        for name, dtype in (("lambdas", float), ("latin_modes", complex), ("greek_modes", complex)):
-            try:
-                arrays.append(np.array(getattr(self, name), dtype=dtype))
-            except ValueError as exc:  # a ragged nested list, or text
-                raise ShapeError(f"{name} is not a rectangular array of numbers: {exc}") from None
-        lam, f, g = arrays
-        if lam.ndim != 1 or f.ndim != 2 or g.ndim != 2:
-            raise ShapeError("mode arrays must be 2-d (one column per mode) and lambdas 1-d")
+        lam = _frozen_array(self.lambdas, float, 1, "lambdas")
+        f = _frozen_array(self.latin_modes, complex, 2, "latin_modes")
+        g = _frozen_array(self.greek_modes, complex, 2, "greek_modes")
         if not f.shape[1] == g.shape[1] <= len(lam):
             raise ValidationError(f"{f.shape[1]} Latin and {g.shape[1]} Greek modes for "
                                   f"{len(lam)} eigenvalues: one pair per leading eigenvalue")
         for name, array in (("lambdas", lam), ("latin_modes", f), ("greek_modes", g)):
-            array.setflags(write=False)
             object.__setattr__(self, name, array)
 
     @property
@@ -232,16 +221,14 @@ def fix_phases(vecs: np.ndarray, partner: np.ndarray | None = None) -> None:
     """Give each column of ``vecs`` its deterministic phase, in place.
 
     Column ``s`` is multiplied by the unit phase that makes its first
-    component larger than PHASE_PIVOT in magnitude real and positive, which
+    component larger than RESIDUAL_LIMIT in magnitude real and positive, which
     makes non-degenerate vectors unique. Column ``s`` of ``partner`` (a
     Schmidt mode paired with ``vecs[:, s]``) is multiplied by the same phase,
     which leaves the product ``vecs[:, s] adj(partner[:, s])`` unchanged.
+    A finite unit-norm column always has such a component.
     """
-    big = np.abs(vecs) > PHASE_PIVOT
-    found = big.any(axis=0)
-    pivots = vecs[big.argmax(axis=0), np.arange(vecs.shape[1])][found]
-    phases = np.ones(vecs.shape[1], dtype=complex)
-    phases[found] = pivots.conj() / np.abs(pivots)
+    pivots = vecs[(np.abs(vecs) > RESIDUAL_LIMIT).argmax(axis=0), np.arange(vecs.shape[1])]
+    phases = pivots.conj() / np.abs(pivots)
     vecs *= phases
     if partner is not None:
         partner *= phases
@@ -258,7 +245,7 @@ def schmidt_decompose(
     significant component of the smaller side's mode (Latin on a tie) real
     and positive. The state is unit-norm by construction, so only the
     threshold is checked: ValidationError unless it is finite and positive.
-    Raises ConvergenceError if LAPACK does not converge.
+    Raises ConvergenceError if LAPACK does not converge or returns a non-finite factor.
     """
     if not 0.0 < threshold < math.inf:  # false for NaN too
         raise ValidationError(f"rank threshold must be finite and positive, got {threshold!r}")
@@ -266,10 +253,11 @@ def schmidt_decompose(
         # Thin factors: a full V of a 2 x 4096 state would hold 4096^2 entries.
         u, s, vh = np.linalg.svd(state.amplitudes, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"np.linalg.svd failed on the {state.latin_dim}x{state.greek_dim} "
-            f"amplitude matrix: {exc}"
-        ) from exc
+        raise ConvergenceError(f"np.linalg.svd failed on the {state.latin_dim}x"
+                               f"{state.greek_dim} amplitude matrix: {exc}") from exc
+    if not all(np.isfinite(factor).all() for factor in (u, s, vh)):
+        raise ConvergenceError("np.linalg.svd returned a non-finite factor of the "
+                               f"{state.latin_dim}x{state.greek_dim} amplitude matrix")
     lambdas = s * s
     rank = int(np.sum(lambdas > threshold))
     latin_modes = u[:, :rank]

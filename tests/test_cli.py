@@ -174,8 +174,8 @@ class TestAnalyze:
         assert "np.linalg.svd" in err and "2x3" in err and "did not converge" in err
 
     def test_nan_mode_component_exits_3(self, capsys, monkeypatch):
-        # A NaN in the modes makes the residual NaN, which no comparison with
-        # the limit can let through as a report.
+        # The decomposition refuses a NaN in LAPACK's factors before any
+        # report is built.
         svd = np.linalg.svd
 
         def planted_nan(a, full_matrices=True):
@@ -186,7 +186,8 @@ class TestAnalyze:
         monkeypatch.setattr(np.linalg, "svd", planted_nan)
         code, out, err = run(capsys, "examples", "psi0")
         assert (code, out) == (3, "")
-        assert err == "numerical error: reconstruction residual nan exceeds 1e-09\n"
+        assert err == ("numerical error: np.linalg.svd returned a non-finite factor "
+                       "of the 2x3 amplitude matrix\n")
 
     def test_rank_threshold_flag_is_a_noise_floor(self, capsys):
         # a sane adjustment leaves the report unchanged
@@ -642,6 +643,14 @@ class TestReportMatchesTheLibrary:
         d = SchmidtDecomposition([1.0, 0.0], [[1], [0]], [[1], [0]])
         with pytest.raises(ConvergenceError,
                            match=r"^reconstruction residual 1\.000e\+00 exceeds 1e-09$"):
+            cli.AnalysisReport(bell_state(), d)
+
+    def test_nan_mode_is_refused(self):
+        # A NaN in the modes makes the residual NaN, which no comparison with
+        # the limit can let through as a report.
+        d = SchmidtDecomposition([0.5, 0.5], [[np.nan, 0], [0, 1]], [[0, 1], [1, 0]])
+        with pytest.raises(ConvergenceError,
+                           match=r"^reconstruction residual nan exceeds 1e-09$"):
             cli.AnalysisReport(bell_state(), d)
 
     def test_modes_must_fit_the_state(self):

@@ -6,8 +6,8 @@ import pytest
 
 from schmidt.catalog import example_state
 from schmidt.cli import AnalysisReport, build_report, render_report
-from schmidt.density import pure_density
-from schmidt.errors import ShapeError, ValidationError
+from schmidt.density import DensityMatrix, pure_density
+from schmidt.errors import ConvergenceError, ShapeError, ValidationError
 from schmidt.modes import (
     BipartitePureState,
     SchmidtDecomposition,
@@ -225,6 +225,20 @@ class TestSchmidtDecompose:
             d.greek_modes[:, 1], np.array([1, -1, 0]) / np.sqrt(2), atol=1e-9
         )
 
+    def test_non_finite_svd_factor_is_refused(self, monkeypatch):
+        # No NaN mode reaches fix_phases, whose pivot needs a finite column.
+        svd = np.linalg.svd
+
+        def planted_nan(a, full_matrices=True):
+            u, s, vh = svd(a, full_matrices=full_matrices)
+            u[0, 0] = np.nan
+            return u, s, vh
+
+        monkeypatch.setattr(np.linalg, "svd", planted_nan)
+        with pytest.raises(ConvergenceError, match="^" + re.escape(
+                "np.linalg.svd returned a non-finite factor of the 2x3 amplitude matrix")):
+            schmidt_decompose(demo_state())
+
     def test_greek_modes_are_the_conjugated_schmidt_kets(self):
         # With C = U diag(s) adj(V), greek_modes holds V; the Schmidt ket
         # Phi^s = <F^s| (x) 1 |Psi> / sqrt(lambda_s) is its conjugate column.
@@ -385,15 +399,12 @@ class TestReconstruct:
         with pytest.raises(ValidationError, match="2 Latin and 2 Greek modes for 1 eigenvalues"):
             SchmidtDecomposition(np.array([1.0]), np.eye(2), np.eye(2))
         # 1-d mode arrays hold no column per mode.
-        with pytest.raises(ShapeError, match="mode arrays must be 2-d"):
+        with pytest.raises(ShapeError, match=re.escape(
+                "latin_modes must be a 2-d matrix, got shape (2,)")):
             SchmidtDecomposition(np.array([1.0]), np.ones(2), np.ones(2))
-        with pytest.raises(ShapeError, match="and lambdas 1-d"):
+        with pytest.raises(ShapeError, match=re.escape(
+                "lambdas must be a 1-d array, got shape (1, 1)")):
             SchmidtDecomposition([[1.0]], [[1.0]], [[1.0]])
-        # A ragged nested list is no matrix: the error names the field, not numpy's.
-        with pytest.raises(ShapeError, match="^latin_modes is not a rectangular array of numbers"):
-            SchmidtDecomposition([1.0], [[1.0], [1.0, 2.0]], [[1.0]])
-        with pytest.raises(ShapeError, match="^lambdas is not a rectangular array of numbers"):
-            SchmidtDecomposition([[1.0], [1.0, 2.0]], [[1.0]], [[1.0]])
 
     def test_rank_is_derived_not_passed(self):
         assert [f.name for f in fields(SchmidtDecomposition)] == [
@@ -433,6 +444,30 @@ class TestDecompositionRecord:
             assert not kept.flags.writeable
             array[...] = 7.0  # writes the caller's array, not the record's
             assert not np.any(kept == 7.0)
+
+
+# Each record with one array field set to ``value`` and the others valid, by
+# field name, with the field's rank.
+RECORD_FIELDS = {
+    "amplitudes": (2, lambda value: BipartitePureState(("a", "b"), ("x", "y"), value)),
+    "lambdas": (1, lambda value: SchmidtDecomposition(value, [[1], [0]], [[1], [0]])),
+    "latin_modes": (2, lambda value: SchmidtDecomposition([1.0, 0.0], value, [[1], [0]])),
+    "greek_modes": (2, lambda value: SchmidtDecomposition([1.0, 0.0], [[1], [0]], value)),
+    "matrix": (2, lambda value: DensityMatrix(value)),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_FIELDS)
+@pytest.mark.parametrize("value", [[[1, 0], [0]], {"a": 1}, np.ones((2, 2, 1))],
+                         ids=["ragged", "dict", "rank-3"])
+def test_records_name_the_field_they_cannot_read(name, value):
+    # A numpy ValueError or TypeError would not say which argument is wrong.
+    ndim, build = RECORD_FIELDS[name]
+    message = (f"{name} must be a {ndim}-d {'matrix' if ndim == 2 else 'array'}, "
+               "got shape (2, 2, 1)" if isinstance(value, np.ndarray)
+               else f"{name} is not a rectangular array of numbers: ")
+    with pytest.raises(ShapeError, match="^" + re.escape(message)):
+        build(value)
 
 
 class TestRandomStateProperties:
