@@ -104,10 +104,7 @@ def _amplitude_matrix(rows) -> np.ndarray:
 
 
 def state_from_doc(doc) -> BipartitePureState:
-    """Rebuild a state from a schmidt-state-v1 document (or a report holding one).
-
-    Each side's labels must be a JSON array; the state's constructor checks them.
-    """
+    """Rebuild a state from a schmidt-state-v1 document (or a report holding one)."""
     if isinstance(doc, dict) and doc.get("format") != STATE_FORMAT:
         nested = doc.get("state")
         if isinstance(nested, dict):
@@ -116,9 +113,6 @@ def state_from_doc(doc) -> BipartitePureState:
         raise ValidationError(f"not a {STATE_FORMAT} document")
     try:
         latin, greek = doc["latin_labels"], doc["greek_labels"]
-        for key, labels in (("latin_labels", latin), ("greek_labels", greek)):
-            if not isinstance(labels, list):  # a string or an object iterates too
-                raise TypeError(f"{key} is not an array of strings: {labels!r}")
         amps = _amplitude_matrix(doc["amplitudes"])
         if amps.ndim != 2:
             raise ValueError("amplitudes must be a rectangular matrix")

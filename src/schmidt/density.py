@@ -12,6 +12,7 @@ the split from there and give their one-party result the kept basis.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -46,17 +47,30 @@ def product_labels(latin_labels: Sequence[str], greek_labels: Sequence[str]) -> 
 
 
 def _frozen_array(value, dtype, ndim: int, name: str) -> np.ndarray:
-    """A record's field as a read-only copy, the caller's array left writable. ShapeError
-    names the field for an object numpy cannot read, and for a rank other than ``ndim``."""
+    """A record's field as a read-only ``dtype`` copy, the caller's array left writable.
+    ShapeError names the field unless ``np.asarray`` reads a bool, integer, float or, for a
+    complex ``dtype``, complex array of rank ``ndim``: for a ragged list, text or a dict."""
     try:
-        array = np.array(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged, text, a dict, ...
+        array = np.asarray(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # a ragged list, ...
         raise ShapeError(f"{name} is not a rectangular array of numbers: {exc}") from None
+    if array.dtype.kind not in ("biuf" if dtype is float else "biufc"):  # text, a dict, ...
+        numbers = "real numbers" if array.dtype.kind == "c" else "numbers"
+        raise ShapeError(f"{name} is not a rectangular array of {numbers}: dtype {array.dtype}")
     if array.ndim != ndim:
         raise ShapeError(f"{name} must be a {ndim}-d {'matrix' if ndim == 2 else 'array'}, "
                          f"got shape {array.shape}")
+    array = array.astype(dtype)
     array.setflags(write=False)
     return array
+
+
+def _label_tuple(value, name: str) -> tuple:
+    """A label field as a tuple. ShapeError names the field for a value that does not
+    iterate, and for text, bytes or a mapping, which iterate as characters or keys."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise ShapeError(f"{name} is not an array of strings: {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,11 +92,8 @@ class DensityMatrix:
         m = _frozen_array(self.matrix, complex, 2, "matrix")
         if m.shape[0] != m.shape[1]:
             raise ShapeError(f"density matrix must be square, got shape {m.shape}")
-        for part in self.parts:
-            # A string iterates as its characters, which would pass as labels.
-            if isinstance(part, str):
-                raise ShapeError(f"a part is a sequence of labels, not the string {part!r}")
-        parts = tuple(tuple(part) for part in self.parts)
+        parts = tuple(_label_tuple(part, f"parts[{i}]")
+                      for i, part in enumerate(_label_tuple(self.parts, "parts")))
         if len(parts) > 2:
             raise ShapeError(f"a density matrix has one or two parts, got {len(parts)}")
         labels = (product_labels(*parts) if len(parts) == 2 else parts[0] if parts
@@ -105,10 +116,8 @@ class DensityMatrix:
 
 def pure_density(state: BipartitePureState) -> DensityMatrix:
     """Projector |Psi><Psi| of a two-party pure state (unit-norm by construction)."""
-    vec = np.asarray(state.amplitudes, dtype=complex).reshape(-1)
-    return DensityMatrix(
-        np.outer(vec, vec.conj()), parts=(state.latin_labels, state.greek_labels)
-    )
+    vec = state.amplitudes.reshape(-1)
+    return DensityMatrix(np.outer(vec, vec.conj()), (state.latin_labels, state.greek_labels))
 
 
 def classical_mixture(terms: Sequence[tuple[float, str, str]]) -> DensityMatrix:
@@ -121,7 +130,11 @@ def classical_mixture(terms: Sequence[tuple[float, str, str]]) -> DensityMatrix:
     if not terms:
         raise ValidationError("a classical mixture needs at least one term")
     weights = []
-    for w, _, _ in terms:
+    for term in terms:
+        try:
+            w, _, _ = term
+        except (TypeError, ValueError):  # not three items
+            raise ValidationError(f"mixture term {term!r} is not a (weight, a, b) triple") from None
         try:
             weights.append(float(w))
         except (TypeError, ValueError, OverflowError):
@@ -178,7 +191,7 @@ def conditional_state(rho: DensityMatrix, projector_on_a) -> tuple[float, Densit
     this result.
     """
     t = _two_party(rho, "a conditional state")
-    p = np.asarray(projector_on_a, dtype=complex).reshape(-1)
+    p = _frozen_array(projector_on_a, complex, 1, "projection vector")
     if p.size != t.shape[0]:
         raise ShapeError(f"projection vector has {p.size} components, expected {t.shape[0]}")
     norm = float(np.linalg.norm(p))

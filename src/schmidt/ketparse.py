@@ -346,6 +346,8 @@ def parse_expression(text: str) -> KetExpression:
     grammar is reported ahead of any syntax error, wherever it appears. A
     label may stand on both sides of the tensor product.
     """
+    if not isinstance(text, str):
+        raise ValidationError(f"ket-v1 text must be a str, got {text!r}")
     if not text.strip():
         raise ParseError("empty expression", 1)
     tokens = re.findall(_COMPOUND_TOKEN, text)

@@ -25,13 +25,13 @@ they stay only because the benchmark's tracer wraps ``modes.hermitian_eigen``.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
-from .density import HERMITICITY_ATOL, DensityMatrix, _frozen_array
+from .density import HERMITICITY_ATOL, DensityMatrix, _frozen_array, _label_tuple
 from .errors import ConvergenceError, ShapeError, ValidationError
 
 DEFAULT_RANK_THRESHOLD = 1e-10
@@ -60,7 +60,8 @@ class BipartitePureState:
     norm: float = field(init=False)
 
     def __post_init__(self):
-        latin, greek = tuple(self.latin_labels), tuple(self.greek_labels)
+        latin = _label_tuple(self.latin_labels, "latin_labels")
+        greek = _label_tuple(self.greek_labels, "greek_labels")
         coefs = _frozen_array(self.amplitudes, complex, 2, "amplitudes")
         if coefs.shape != (len(latin), len(greek)):
             raise ShapeError(
@@ -69,11 +70,10 @@ class BipartitePureState:
             )
         fullmatch = re.compile(LABEL).fullmatch  # compiled on first use, then cached by re
         for side, labels in (("Latin", latin), ("Greek", greek)):
-            if not (all(map(isinstance, labels, repeat(str))) and all(map(fullmatch, labels))):
-                index, label = next((i, label) for i, label in enumerate(labels)
-                                    if not (isinstance(label, str) and fullmatch(label)))
-                raise ValidationError(f"{side} label {index} is not a ket-v1 label (a letter, "
-                                      f"then letters, digits or '_'): {label!r}")
+            for index, label in enumerate(labels):
+                if not (isinstance(label, str) and fullmatch(label)):
+                    raise ValidationError(f"{side} label {index} is not a ket-v1 label (a letter, "
+                                          f"then letters, digits or '_'): {label!r}")
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"{side} labels are not unique: {labels}")
         finite = np.isfinite(coefs)
@@ -81,8 +81,8 @@ class BipartitePureState:
             i, j = (int(k) for k in np.argwhere(~finite)[0])
             raise ValidationError(f"amplitude {(i, j)} of |{latin[i]}>(x)|"
                                   f"{greek[j]}> is not finite: {complex(coefs[i, j])!r}")
-        peak = max(float(np.max(np.abs(coefs.real), initial=0.0)),
-                   float(np.max(np.abs(coefs.imag), initial=0.0)))
+        flat = coefs.ravel().view(float)  # re, im, re, ... row-major in any memory layout
+        peak = float(np.max(np.abs(flat), initial=0.0))
         if peak == 0.0:
             raise ValidationError("cannot build a state from all-zero amplitudes")
         # Scale by the power of two just below the largest |re| or |im| before
@@ -90,9 +90,7 @@ class BipartitePureState:
         # underflow nor overflow. ldexp scales exactly, so for coefficients
         # that need no scaling every bit of the result is unchanged.
         exponent = math.frexp(peak)[1] - 1
-        amps = np.empty_like(coefs)
-        np.ldexp(coefs.real, -exponent, out=amps.real)
-        np.ldexp(coefs.imag, -exponent, out=amps.imag)
+        amps = np.ldexp(flat, -exponent).view(complex).reshape(coefs.shape)
         scaled_norm = float(np.linalg.norm(amps))
         norm = scaled_norm * 2.0**exponent
         if math.isinf(norm):
@@ -189,8 +187,8 @@ def hermitian_eigen(h) -> EigenSystem:
     deviates from Hermiticity by more than ``HERMITICITY_ATOL``, and
     ConvergenceError if LAPACK does not converge.
     """
-    a = np.asarray(h, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _frozen_array(h, complex, 2, "matrix")
+    if a.shape[0] != a.shape[1]:
         raise ShapeError(f"eigendecomposition needs a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n == 0:
@@ -244,10 +242,10 @@ def schmidt_decompose(
     get no mode pair. Each pair gets the phase that makes the first
     significant component of the smaller side's mode (Latin on a tie) real
     and positive. The state is unit-norm by construction, so only the
-    threshold is checked: ValidationError unless it is finite and positive.
+    threshold is checked: ValidationError unless it is a finite positive real number.
     Raises ConvergenceError if LAPACK does not converge or returns a non-finite factor.
     """
-    if not 0.0 < threshold < math.inf:  # false for NaN too
+    if not (isinstance(threshold, numbers.Real) and 0.0 < threshold < math.inf):  # NaN fails too
         raise ValidationError(f"rank threshold must be finite and positive, got {threshold!r}")
     try:
         # Thin factors: a full V of a 2 x 4096 state would hold 4096^2 entries.

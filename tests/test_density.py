@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -84,8 +85,8 @@ class TestDensityMatrixType:
         ((("a", "b", "c"), ("x", "y")), "6 basis labels for a 4-dimensional matrix"),
         ((("a",), ("x", "y")), "2 basis labels for a 4-dimensional matrix"),
         # Read as parts, ("HH", "VV") would label the matrix ("HV", "HV", "HV", "HV").
-        (("HH", "VV"), "not the string 'HH'"),
-        ((("H", "V"), "HV"), "not the string 'HV'"),
+        (("HH", "VV"), r"^parts\[0\] is not an array of strings: 'HH'$"),
+        ((("H", "V"), "HV"), r"^parts\[1\] is not an array of strings: 'HV'$"),
     ], ids=["one-part", "three-parts", "sizes-too-large", "sizes-too-small", "string-parts",
             "one-string-part"])
     def test_inconsistent_parts_rejected(self, parts, message):
@@ -263,6 +264,16 @@ class TestConditionalState:
         rho = pure_density(bell_state())
         with pytest.raises(ShapeError):
             conditional_state(rho, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("projector,message", [
+        ("ab", "projection vector is not a rectangular array of numbers: dtype <U2"),
+        ([1.0, [0.0]], "projection vector is not a rectangular array of numbers: "),
+        ([[1], [0]], "projection vector must be a 1-d array, got shape (2, 1)"),
+    ], ids=["text", "ragged", "2-d"])
+    def test_projector_is_read_by_the_array_intake(self, projector, message):
+        # Text and a ragged list are not vectors of numbers, and a column is not a vector.
+        with pytest.raises(ShapeError, match="^" + re.escape(message)):
+            conditional_state(pure_density(bell_state()), projector)
 
 
 def test_coherence_difference_sits_in_mixed_particle_positions():

@@ -6,8 +6,9 @@ import pytest
 
 from schmidt.catalog import example_state
 from schmidt.cli import AnalysisReport, build_report, render_report
-from schmidt.density import DensityMatrix, pure_density
-from schmidt.errors import ConvergenceError, ShapeError, ValidationError
+from schmidt.density import DensityMatrix, classical_mixture, pure_density
+from schmidt.errors import ConvergenceError, SchmidtError, ShapeError, ValidationError
+from schmidt.ketparse import parse_expression, parse_state
 from schmidt.modes import (
     BipartitePureState,
     SchmidtDecomposition,
@@ -458,16 +459,75 @@ RECORD_FIELDS = {
 
 
 @pytest.mark.parametrize("name", RECORD_FIELDS)
-@pytest.mark.parametrize("value", [[[1, 0], [0]], {"a": 1}, np.ones((2, 2, 1))],
-                         ids=["ragged", "dict", "rank-3"])
+@pytest.mark.parametrize("value", [[[1, 0], [0]], {"a": 1}, np.ones((2, 2, 1)),
+                                   [["1", "0"], ["0", "1"]]],
+                         ids=["ragged", "dict", "rank-3", "text"])
 def test_records_name_the_field_they_cannot_read(name, value):
-    # A numpy ValueError or TypeError would not say which argument is wrong.
+    # A numpy ValueError or TypeError would not say which argument is wrong,
+    # and numpy would read the text "1" as the number 1.
     ndim, build = RECORD_FIELDS[name]
     message = (f"{name} must be a {ndim}-d {'matrix' if ndim == 2 else 'array'}, "
                "got shape (2, 2, 1)" if isinstance(value, np.ndarray)
                else f"{name} is not a rectangular array of numbers: ")
     with pytest.raises(ShapeError, match="^" + re.escape(message)):
         build(value)
+
+
+@pytest.mark.parametrize("lambdas", [np.array([0.5 + 1j, 0.5]), [0.5 + 1j, 0.5]],
+                         ids=["array", "list"])
+def test_complex_lambdas_are_refused(lambdas):
+    # Cast to float, the array would lose its imaginary part with only a warning.
+    with pytest.raises(ShapeError, match=re.escape(
+            "lambdas is not a rectangular array of real numbers: dtype complex128")):
+        SchmidtDecomposition(lambdas, [[1], [0]], [[1], [0]])
+
+
+# Each label field set to ``value``, the other fields valid, by the name the error gives.
+LABEL_FIELDS = {
+    "latin_labels": lambda value: BipartitePureState(value, ("x", "y"), np.eye(2)),
+    "greek_labels": lambda value: BipartitePureState(("a", "b"), value, np.eye(2)),
+    "parts": lambda value: DensityMatrix(np.eye(2) / 2, value),
+    "parts[0]": lambda value: DensityMatrix(np.eye(2) / 2, (value,)),
+}
+
+
+@pytest.mark.parametrize("name", LABEL_FIELDS)
+@pytest.mark.parametrize("value", ["HV", {"H": 1}, None, 5],
+                         ids=["text", "mapping", "none", "number"])
+def test_label_fields_are_read_by_one_intake(name, value):
+    # Text and a mapping iterate as characters and keys, which would pass as labels.
+    with pytest.raises(ShapeError, match="^" + re.escape(
+            f"{name} is not an array of strings: {value!r}") + "$"):
+        LABEL_FIELDS[name](value)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: classical_mixture([(0.5, "H")]), "mixture term (0.5, 'H') is not a (weight, a, b)"),
+    (lambda: schmidt_decompose(example_state("psi0"), "1e-10"),
+     "rank threshold must be finite and positive, got '1e-10'"),
+    (lambda: schmidt_decompose(example_state("psi0"), np.array([1e-10, 1e-10])),
+     "rank threshold must be finite and positive, got array("),
+    (lambda: parse_state(None), "ket-v1 text must be a str, got None"),
+    (lambda: parse_expression(5), "ket-v1 text must be a str, got 5"),
+], ids=["mixture-pair", "threshold-text", "threshold-array", "parse-none", "expression-int"])
+def test_library_calls_name_the_argument_they_refuse(call, message):
+    # Unchecked, each ends in Python's or numpy's own error, which names no argument.
+    with pytest.raises(SchmidtError, match="^" + re.escape(message)):
+        call()
+
+
+def test_memory_layout_does_not_change_a_state():
+    # A Fortran-ordered copy holds the same matrix, so every bit of the state is the same.
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        rows, cols = rng.integers(2, 7, size=2)
+        amps = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        latin, greek = [f"a{i}" for i in range(rows)], [f"b{j}" for j in range(cols)]
+        c_order = BipartitePureState(latin, greek, amps)
+        f_order = BipartitePureState(latin, greek, np.asfortranarray(amps))
+        assert f_order.norm == c_order.norm
+        for name in ("amplitudes", "coefficients"):
+            assert getattr(f_order, name).tobytes() == getattr(c_order, name).tobytes()
 
 
 class TestRandomStateProperties:
