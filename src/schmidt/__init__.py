@@ -8,66 +8,38 @@ into paired Schmidt modes, and quantify its entanglement:
     >>> d = schmidt.schmidt_decompose(state)
     >>> round(schmidt.schmidt_number(d), 6)
     2.0
+
+Names resolve on first use: ``import schmidt`` loads neither numpy nor a
+submodule, and the first read of ``schmidt.X`` imports the module of ``X``.
 """
 
-from .density import (
-    DensityMatrix,
-    classical_mixture,
-    conditional_state,
-    partial_trace,
-    product_labels,
-    pure_density,
-    purity,
-)
-from .errors import (
-    ConvergenceError,
-    ImpossibleOutcomeError,
-    ParseError,
-    SchmidtError,
-    ShapeError,
-    ValidationError,
-)
-from .ketparse import KetExpression, KetTerm, format_state, parse_expression, parse_state
-from .modes import (
-    BipartitePureState,
-    SchmidtDecomposition,
-    entanglement_entropy,
-    gram_greek,
-    gram_latin,
-    is_entangled,
-    reconstruct,
-    schmidt_decompose,
-    schmidt_number,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartitePureState",
-    "ConvergenceError",
-    "DensityMatrix",
-    "ImpossibleOutcomeError",
-    "KetExpression",
-    "KetTerm",
-    "ParseError",
-    "SchmidtDecomposition",
-    "SchmidtError",
-    "ShapeError",
-    "ValidationError",
-    "classical_mixture",
-    "conditional_state",
-    "entanglement_entropy",
-    "format_state",
-    "gram_greek",
-    "gram_latin",
-    "is_entangled",
-    "parse_expression",
-    "parse_state",
-    "partial_trace",
-    "product_labels",
-    "pure_density",
-    "purity",
-    "reconstruct",
-    "schmidt_decompose",
-    "schmidt_number",
-]
+_EXPORTS = {
+    "density": ("DensityMatrix", "classical_mixture", "conditional_state", "partial_trace",
+                "product_labels", "pure_density", "purity"),
+    "errors": ("ConvergenceError", "ImpossibleOutcomeError", "ParseError", "SchmidtError",
+               "ShapeError", "ValidationError"),
+    "ketparse": ("KetExpression", "KetTerm", "format_state", "parse_expression", "parse_state"),
+    "modes": ("BipartitePureState", "SchmidtDecomposition", "entanglement_entropy", "gram_greek",
+              "gram_latin", "is_entangled", "reconstruct", "schmidt_decompose", "schmidt_number"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule the package used to import eagerly
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

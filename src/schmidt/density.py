@@ -124,23 +124,29 @@ def classical_mixture(terms: Sequence[tuple[float, str, str]]) -> DensityMatrix:
     """Statistical mixture of product states |a>(x)|b>, one per (weight, a, b).
 
     The result is diagonal in the product basis: classically correlated, with
-    no cross-particle coherences. Weights must be non-negative and sum to 1.
-    Each side's basis is the sorted labels that occur on it in ``terms``.
+    no cross-particle coherences. Weights must be non-negative and sum to 1,
+    and labels must be strings. Each side's basis is the sorted labels that
+    occur on it in ``terms``.
     """
+    if not isinstance(terms, Iterable):
+        raise ValidationError(
+            f"mixture terms is not an iterable of (weight, a, b) triples: {terms!r}")
+    terms = tuple(terms)
     if not terms:
         raise ValidationError("a classical mixture needs at least one term")
-    weights = []
     for term in terms:
         try:
-            w, _, _ = term
+            _, a, b = term
         except (TypeError, ValueError):  # not three items
             raise ValidationError(f"mixture term {term!r} is not a (weight, a, b) triple") from None
-        try:
-            weights.append(float(w))
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"mixture weight {w!r} is not a number") from None
-        if not weights[-1] >= -OUTCOME_ATOL:  # false for NaN too
-            raise ValidationError(f"mixture weights must be non-negative, got {weights[-1]!r}")
+        for label in (a, b):
+            if not isinstance(label, str):  # sorting needs one type, and None is no label
+                raise ValidationError(
+                    f"mixture term {term!r} has a label that is not a str: {label!r}")
+    weights = _frozen_array([w for w, _, _ in terms], float, 1, "mixture weights")
+    low = float(weights.min())
+    if not low >= -OUTCOME_ATOL:  # false for NaN too
+        raise ValidationError(f"mixture weights must be non-negative, got {low!r}")
     latin = tuple(sorted({a for _, a, _ in terms}))
     greek = tuple(sorted({b for _, _, b in terms}))
     gdim = len(greek)

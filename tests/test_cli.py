@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from schmidt import cli
@@ -744,6 +744,67 @@ def test_every_constructed_state_round_trips(rows, cols, data):
         assert (again.latin_labels, again.greek_labels) == (latin, greek)
         np.testing.assert_allclose(again.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
         assert again.norm == pytest.approx(state.norm, rel=1e-12)
+
+
+# Any JSON value: integers beyond 64 bits and beyond the float range too, no NaN or infinity.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([2**64, -(2**63) - 1, 10**400]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8)
+
+
+@st.composite
+def _state_documents(draw):
+    """A valid schmidt-state-v1 document, then at most one field, row, entry or the
+    nesting replaced by an arbitrary JSON value."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    part = st.sampled_from([0, 1, -2]) | st.floats(-1e3, 1e3)
+    doc = {"format": "schmidt-state-v1",
+           "latin_labels": [f"a{i}" for i in range(rows)],
+           "greek_labels": [f"b{j}" for j in range(cols)],
+           "amplitudes": [[[draw(part), draw(part)] for _ in range(cols)] for _ in range(rows)]}
+    value = draw(_JSON)
+    where = draw(st.sampled_from(["none", "field", "row", "entry", "label", "state", "document"]))
+    if where == "field":
+        doc[draw(st.sampled_from(sorted(doc)))] = value
+    elif where == "row":
+        doc["amplitudes"][draw(st.integers(0, rows - 1))] = value
+    elif where == "entry":
+        doc["amplitudes"][draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = value
+    elif where == "label":
+        doc[draw(st.sampled_from(["latin_labels", "greek_labels"]))][0] = value
+    elif where == "state":  # a report holding a state, as --format json writes it
+        doc = {"input": doc, "state": value}
+    elif where == "document":
+        doc = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_state_documents(), st.sampled_from(["1e-12", "1e-300", "0.5", "0", "-1", "nan"]))
+def test_any_state_document_exits_cleanly_with_a_sound_report(tmp_path, capsys, doc, threshold):
+    # Whatever the file holds, the CLI prints a report that meets the invariants, or one
+    # error line and nothing on stdout.
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc, allow_nan=False), encoding="utf-8")
+    for flags in ([], ["--no-modes"], ["--strict-norm"], ["--rank-threshold", threshold]):
+        for output in ([], ["--format", "json"]):
+            code, out, err = run(capsys, "analyze", "--file", str(path), *output, *flags)
+            assert code in (0, 2, 3), (code, err)
+            if code:
+                assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
+                continue
+            assert err == "" and out
+            if output:
+                report = json.loads(out)
+                lambdas = report["lambdas"]
+                assert lambdas == sorted(lambdas, reverse=True) and lambdas[-1] >= 0.0
+                assert abs(math.fsum(lambdas) - 1.0) <= 1e-12
+                assert report["reconstruction_residual"] <= 1e-9
 
 
 class TestTableText:

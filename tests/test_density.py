@@ -14,7 +14,7 @@ from schmidt.density import (
     purity,
 )
 from schmidt.catalog import example_state
-from schmidt.errors import ImpossibleOutcomeError, ShapeError, ValidationError
+from schmidt.errors import ImpossibleOutcomeError, SchmidtError, ShapeError, ValidationError
 from schmidt.modes import BipartitePureState, gram_greek, gram_latin, schmidt_number, schmidt_decompose
 
 RHO_CL = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
@@ -163,14 +163,34 @@ class TestClassicalMixture:
             classical_mixture(terms)
 
     def test_weights_are_converted_once(self):
-        # The weights are read with float(), for the check and for the sum alike.
-        rho = classical_mixture([("0.5", "H", "V"), ("0.5", "V", "H")])
-        np.testing.assert_allclose(rho.matrix, RHO_CL, atol=1e-15)
+        # The weights are read once, by the array intake, which refuses text as every
+        # number field does.
+        with pytest.raises(ShapeError, match=re.escape(
+                "mixture weights is not a rectangular array of numbers: dtype <U3")):
+            classical_mixture([("0.5", "H", "V"), ("0.5", "V", "H")])
 
     @pytest.mark.parametrize("weight", ["half", None, 0.5j])
     def test_unreadable_weight_rejected(self, weight):
-        with pytest.raises(ValidationError, match=f"mixture weight {weight!r} is not a number"):
+        with pytest.raises(ShapeError, match="^mixture weights is not a rectangular array of"):
             classical_mixture([(0.5, "H", "V"), (weight, "V", "H")])
+
+    def test_negative_weight_is_printed_as_a_python_float(self):
+        with pytest.raises(ValidationError, match=re.escape(
+                "mixture weights must be non-negative, got -0.5")):
+            classical_mixture([(1.5, "H", "V"), (-0.5, "V", "H")])
+
+    @pytest.mark.parametrize("terms,message", [
+        ([(0.5, "H", "V"), (0.5, 1, "H")],
+         "mixture term (0.5, 1, 'H') has a label that is not a str: 1"),
+        ([(1.0, ["H"], "V")],
+         "mixture term (1.0, ['H'], 'V') has a label that is not a str: ['H']"),
+        ([(1.0, None, "H")], "mixture term (1.0, None, 'H') has a label that is not a str: None"),
+        (5, "mixture terms is not an iterable of (weight, a, b) triples: 5"),
+    ], ids=["mixed-label-types", "list-label", "none-label", "not-iterable"])
+    def test_unreadable_terms_name_the_argument(self, terms, message):
+        # Unchecked, each ends in Python's own TypeError or in a 'None,H' basis.
+        with pytest.raises(SchmidtError, match="^" + re.escape(message) + "$"):
+            classical_mixture(terms)
 
 
 class TestPartialTrace:
