@@ -18,13 +18,13 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "density": ("DensityMatrix", "classical_mixture", "conditional_state", "partial_trace",
-                "product_labels", "pure_density", "purity"),
+    "density": ("DensityMatrix", "classical_mixture", "conditional_state", "gram_greek",
+                "gram_latin", "partial_trace", "product_labels", "pure_density", "purity"),
     "errors": ("ConvergenceError", "ImpossibleOutcomeError", "ParseError", "SchmidtError",
                "ShapeError", "ValidationError"),
     "ketparse": ("KetExpression", "KetTerm", "format_state", "parse_expression", "parse_state"),
-    "modes": ("BipartitePureState", "SchmidtDecomposition", "entanglement_entropy", "gram_greek",
-              "gram_latin", "is_entangled", "reconstruct", "schmidt_decompose", "schmidt_number"),
+    "modes": ("BipartitePureState", "SchmidtDecomposition", "entanglement_entropy",
+              "is_entangled", "reconstruct", "schmidt_decompose", "schmidt_number"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

@@ -29,11 +29,12 @@ from itertools import chain
 import numpy as np
 
 from . import catalog
-from .density import NORM_ATOL, conditional_state, partial_trace, pure_density
+from .density import conditional_state, partial_trace, pure_density
 from .errors import ConvergenceError, SchmidtError, ShapeError, ValidationError
 from .ketparse import FORMAT_VERSION, format_state, parse_state, _signed_sum
 from .modes import (
     DEFAULT_RANK_THRESHOLD,
+    NORM_ATOL,
     RESIDUAL_LIMIT,
     BipartitePureState,
     SchmidtDecomposition,

@@ -1,5 +1,6 @@
-"""Density-matrix formalism: pure-state projectors, classical mixtures,
-partial traces, purity, and post-measurement conditional states.
+"""Density-matrix formalism over ``modes``' states: pure-state projectors, classical
+mixtures, partial traces, the reduced states ``gram_latin``/``gram_greek`` taken
+straight from the amplitude matrix, purity, and post-measurement conditional states.
 
 Product-basis convention: the composite index of |n> (x) |nu> is
 ``n * greek_dim + nu`` (row-major), so two-qubit bases ordered H, V on each
@@ -12,22 +13,16 @@ the split from there and give their one-party result the kept basis.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, ShapeError, ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .modes import BipartitePureState
+from .modes import HERMITICITY_ATOL, NORM_ATOL, BipartitePureState, _frozen_array, _label_tuple
 
 TRACE_ATOL = 1e-10
-# Density matrices and hermitian_eigen inputs may deviate from Hermiticity by this.
-HERMITICITY_ATOL = 1e-10
-# --strict-norm input and projection vectors must have unit norm to within this.
-NORM_ATOL = 1e-9
 # Below this, a measurement outcome counts as impossible and cannot be
 # conditioned on.
 OUTCOME_ATOL = 1e-12
@@ -44,33 +39,6 @@ def product_labels(latin_labels: Sequence[str], greek_labels: Sequence[str]) -> 
     )
     sep = "" if plain else ","
     return tuple(f"{l}{sep}{g}" for l in latin_labels for g in greek_labels)
-
-
-def _frozen_array(value, dtype, ndim: int, name: str) -> np.ndarray:
-    """A record's field as a read-only ``dtype`` copy, the caller's array left writable.
-    ShapeError names the field unless ``np.asarray`` reads a bool, integer, float or, for a
-    complex ``dtype``, complex array of rank ``ndim``: for a ragged list, text or a dict."""
-    try:
-        array = np.asarray(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # a ragged list, ...
-        raise ShapeError(f"{name} is not a rectangular array of numbers: {exc}") from None
-    if array.dtype.kind not in ("biuf" if dtype is float else "biufc"):  # text, a dict, ...
-        numbers = "real numbers" if array.dtype.kind == "c" else "numbers"
-        raise ShapeError(f"{name} is not a rectangular array of {numbers}: dtype {array.dtype}")
-    if array.ndim != ndim:
-        raise ShapeError(f"{name} must be a {ndim}-d {'matrix' if ndim == 2 else 'array'}, "
-                         f"got shape {array.shape}")
-    array = array.astype(dtype)
-    array.setflags(write=False)
-    return array
-
-
-def _label_tuple(value, name: str) -> tuple:
-    """A label field as a tuple. ShapeError names the field for a value that does not
-    iterate, and for text, bytes or a mapping, which iterate as characters or keys."""
-    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
-        raise ShapeError(f"{name} is not an array of strings: {value!r}")
-    return tuple(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +71,10 @@ class DensityMatrix:
             raise ShapeError(
                 f"{len(labels)} basis labels for a {m.shape[0]}-dimensional matrix"
             )
-        defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        defect = float(np.max(np.abs(m - m.conj().T), initial=0.0))
         if not defect <= HERMITICITY_ATOL:  # false for NaN too
             raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
-        tr = complex(np.trace(m)).real if m.size else 0.0
+        tr = complex(np.trace(m)).real
         if not abs(tr - 1.0) <= TRACE_ATOL:  # false for NaN too
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
         object.__setattr__(self, "matrix", m)
@@ -180,6 +148,18 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     if keep == "B":
         return DensityMatrix(np.trace(t, axis1=0, axis2=2), rho.parts[1:])
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
+
+
+def gram_latin(state: BipartitePureState) -> DensityMatrix:
+    """Reduced density matrix on the Latin side: Tr_B |Psi><Psi| = C adj(C)."""
+    c = state.amplitudes
+    return DensityMatrix(c @ c.conj().T, (state.latin_labels,))
+
+
+def gram_greek(state: BipartitePureState) -> DensityMatrix:
+    """Reduced density matrix on the Greek side: Tr_A |Psi><Psi| = C^T conj(C)."""
+    c = state.amplitudes
+    return DensityMatrix(c.T @ c.conj(), (state.greek_labels,))
 
 
 def purity(rho: DensityMatrix) -> float:

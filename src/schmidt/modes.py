@@ -16,9 +16,9 @@ modes are stored as V's columns, so for complex amplitudes they are the
 conjugates of the kets Phi^s. The state factorizes exactly when a single
 term survives.
 
-``gram_latin``/``gram_greek`` build the reduced density matrices, and
-``hermitian_eigen`` diagonalizes one with the modes' phase convention. No
-code in the package calls ``hermitian_eigen`` or builds an ``EigenSystem``:
+``_frozen_array`` and ``_label_tuple`` are the records' one array and label
+intakes. No code in the package calls ``hermitian_eigen``, a Hermitian
+eigensolver with the modes' phase convention, or builds an ``EigenSystem``:
 they stay only because the benchmark's tracer wraps ``modes.hermitian_eigen``.
 """
 
@@ -27,11 +27,11 @@ from __future__ import annotations
 import math
 import numbers
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import HERMITICITY_ATOL, DensityMatrix, _frozen_array, _label_tuple
 from .errors import ConvergenceError, ShapeError, ValidationError
 
 DEFAULT_RANK_THRESHOLD = 1e-10
@@ -39,6 +39,37 @@ DEFAULT_RANK_THRESHOLD = 1e-10
 RESIDUAL_LIMIT = 1e-9
 # ket-v1's LABEL rule, which the constructor applies and the ket tokens embed.
 LABEL = r"[A-Za-z][A-Za-z0-9_]*"
+# Density matrices and hermitian_eigen inputs may deviate from Hermiticity by this.
+HERMITICITY_ATOL = 1e-10
+# --strict-norm input and projection vectors must have unit norm to within this.
+NORM_ATOL = 1e-9
+
+
+def _frozen_array(value, dtype, ndim: int, name: str) -> np.ndarray:
+    """A record's field as a read-only ``dtype`` copy, the caller's array left writable.
+    ShapeError names the field unless ``np.asarray`` reads a bool, integer, float or, for a
+    complex ``dtype``, complex array of rank ``ndim``: for a ragged list, text or a dict."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # a ragged list, ...
+        raise ShapeError(f"{name} is not a rectangular array of numbers: {exc}") from None
+    if array.dtype.kind not in ("biuf" if dtype is float else "biufc"):  # text, a dict, ...
+        numbers = "real numbers" if array.dtype.kind == "c" else "numbers"
+        raise ShapeError(f"{name} is not a rectangular array of {numbers}: dtype {array.dtype}")
+    if array.ndim != ndim:
+        raise ShapeError(f"{name} must be a {ndim}-d {'matrix' if ndim == 2 else 'array'}, "
+                         f"got shape {array.shape}")
+    array = array.astype(dtype)
+    array.setflags(write=False)
+    return array
+
+
+def _label_tuple(value, name: str) -> tuple:
+    """A label field as a tuple. ShapeError names the field for a value that does not
+    iterate, and for text, bytes or a mapping, which iterate as characters or keys."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise ShapeError(f"{name} is not an array of strings: {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,18 +197,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residual: float
-
-
-def gram_latin(state: BipartitePureState) -> DensityMatrix:
-    """Reduced density matrix on the Latin side: Tr_B |Psi><Psi| = C adj(C)."""
-    c = state.amplitudes
-    return DensityMatrix(c @ c.conj().T, (state.latin_labels,))
-
-
-def gram_greek(state: BipartitePureState) -> DensityMatrix:
-    """Reduced density matrix on the Greek side: Tr_A |Psi><Psi| = C^T conj(C)."""
-    c = state.amplitudes
-    return DensityMatrix(c.T @ c.conj(), (state.greek_labels,))
 
 
 def hermitian_eigen(h) -> EigenSystem:

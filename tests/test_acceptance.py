@@ -19,6 +19,8 @@ from schmidt.catalog import (
 )
 from schmidt.density import (
     conditional_state,
+    gram_greek,
+    gram_latin,
     partial_trace,
     pure_density,
     purity,
@@ -28,8 +30,6 @@ from schmidt.ketparse import format_state, parse_state
 from schmidt.modes import (
     BipartitePureState,
     entanglement_entropy,
-    gram_greek,
-    gram_latin,
     reconstruct,
     schmidt_decompose,
     schmidt_number,

@@ -8,6 +8,8 @@ from schmidt.density import (
     DensityMatrix,
     classical_mixture,
     conditional_state,
+    gram_greek,
+    gram_latin,
     partial_trace,
     product_labels,
     pure_density,
@@ -15,7 +17,7 @@ from schmidt.density import (
 )
 from schmidt.catalog import example_state
 from schmidt.errors import ImpossibleOutcomeError, SchmidtError, ShapeError, ValidationError
-from schmidt.modes import BipartitePureState, gram_greek, gram_latin, schmidt_number, schmidt_decompose
+from schmidt.modes import BipartitePureState, schmidt_number, schmidt_decompose
 
 RHO_CL = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
 RHO_QM = np.zeros((4, 4), dtype=complex)
@@ -42,6 +44,8 @@ class TestDensityMatrixType:
     def test_validates_trace(self):
         with pytest.raises(ValidationError, match="trace"):
             DensityMatrix(np.eye(2))
+        with pytest.raises(ValidationError, match=r"^density matrix trace is 0\.0, expected 1$"):
+            DensityMatrix(np.zeros((0, 0)))
 
     def test_nan_matrix_rejected(self):
         with pytest.raises(ValidationError, match="not Hermitian"):

@@ -6,15 +6,13 @@ import pytest
 
 from schmidt.catalog import example_state
 from schmidt.cli import AnalysisReport, build_report, render_report
-from schmidt.density import DensityMatrix, classical_mixture, pure_density
+from schmidt.density import DensityMatrix, classical_mixture, gram_greek, gram_latin, pure_density
 from schmidt.errors import ConvergenceError, SchmidtError, ShapeError, ValidationError
 from schmidt.ketparse import parse_expression, parse_state
 from schmidt.modes import (
     BipartitePureState,
     SchmidtDecomposition,
     entanglement_entropy,
-    gram_greek,
-    gram_latin,
     hermitian_eigen,
     is_entangled,
     reconstruct,

@@ -77,3 +77,17 @@ def test_unknown_name_raises_attribute_error_naming_it():
 
 def test_dir_lists_every_public_name():
     assert set(PUBLIC_NAMES) <= set(dir(schmidt))
+
+
+@pytest.mark.parametrize("core", ["modes", "ketparse"])
+def test_core_loads_without_density(core):
+    assert in_child(f"import json, sys, schmidt.{core}\n"
+                    "print(json.dumps('schmidt.density' in sys.modules))\n") is False
+
+
+def test_gram_matrices_live_in_density():
+    assert in_child(
+        "import json, schmidt, schmidt.density as density, schmidt.modes as modes\n"
+        "print(json.dumps([schmidt.gram_latin is density.gram_latin,\n"
+        "                  schmidt.gram_greek is density.gram_greek,\n"
+        "                  hasattr(modes, 'gram_latin')]))\n") == [True, True, False]
