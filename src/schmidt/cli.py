@@ -23,7 +23,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -37,7 +36,7 @@ from .modes import (
     NORM_ATOL,
     RESIDUAL_LIMIT,
     BipartitePureState,
-    SchmidtDecomposition,
+    _Record,
     entanglement_entropy,
     is_entangled,
     reconstruct,
@@ -122,8 +121,7 @@ def state_from_doc(doc) -> BipartitePureState:
     return BipartitePureState.from_amplitudes(latin, greek, amps)
 
 
-@dataclass(frozen=True, eq=False)
-class AnalysisReport:
+class AnalysisReport(_Record):
     """Everything the CLI prints about one state, modes as the decomposition's columns.
 
     Built from the state and its decomposition alone: the reconstruction
@@ -136,17 +134,8 @@ class AnalysisReport:
     the residual is at most RESIDUAL_LIMIT (a NaN residual is refused too).
     """
 
-    state: BipartitePureState
-    decomposition: SchmidtDecomposition
-    reconstruction_residual: float = field(init=False)
-    expression: str = field(init=False)
-    lambdas: tuple[float, ...] = field(init=False)
-    schmidt_number: float = field(init=False)
-    entropy: float = field(init=False)
-    entangled: bool = field(init=False)
-
-    def __post_init__(self):
-        state, d = self.state, self.decomposition
+    def __init__(self, state, decomposition):
+        d = decomposition
         for side, labels, modes in (("Latin", state.latin_labels, d.latin_modes),
                                     ("Greek", state.greek_labels, d.greek_modes)):
             if len(modes) != len(labels):
@@ -161,12 +150,11 @@ class AnalysisReport:
                 f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}")
         padded = d.lambdas.tolist()
         padded += [0.0] * (max(state.latin_dim, state.greek_dim) - len(padded))
-        object.__setattr__(self, "reconstruction_residual", residual)
-        object.__setattr__(self, "expression", format_state(state))
-        object.__setattr__(self, "lambdas", tuple(padded))
-        object.__setattr__(self, "schmidt_number", schmidt_number(d))
-        object.__setattr__(self, "entropy", entanglement_entropy(d))
-        object.__setattr__(self, "entangled", is_entangled(d))
+        # Keyword arguments run in order: format_state, then the three summaries.
+        vars(self).update(state=state, decomposition=d, reconstruction_residual=residual,
+                          expression=format_state(state), lambdas=tuple(padded),
+                          schmidt_number=schmidt_number(d), entropy=entanglement_entropy(d),
+                          entangled=is_entangled(d))
 
     @property
     def rank(self) -> int:

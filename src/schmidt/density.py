@@ -14,13 +14,13 @@ the split from there and give their one-party result the kept basis.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, ShapeError, ValidationError
-from .modes import HERMITICITY_ATOL, NORM_ATOL, BipartitePureState, _frozen_array, _label_tuple
+from .modes import (HERMITICITY_ATOL, NORM_ATOL, BipartitePureState, _frozen_array,
+                    _label_tuple, _Record)
 
 TRACE_ATOL = 1e-10
 # Below this, a measurement outcome counts as impossible and cannot be
@@ -41,45 +41,47 @@ def product_labels(latin_labels: Sequence[str], greek_labels: Sequence[str]) -> 
     return tuple(f"{l}{sep}{g}" for l in latin_labels for g in greek_labels)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Record):
     """Square, Hermitian, unit-trace matrix with labelled basis rows.
 
-    ``parts`` holds one basis per party, one or two of them. ``basis_labels``
-    is derived, not passed: the single basis, the two bases'
-    ``product_labels``, or "0", "1", ... when no part is given. Hermiticity
-    and trace are checked at construction; positive semidefiniteness is a
-    documented invariant left to the producer.
+    ``parts`` holds one basis of ``str`` labels per party, one or two of them.
+    ``basis_labels`` is derived, not passed: the single basis, the two bases'
+    ``product_labels``, or "0", "1", ... when no part is given; they must be
+    unique. Finite entries, Hermiticity and trace are checked at construction;
+    positive semidefiniteness is a documented invariant left to the producer.
     """
 
-    matrix: np.ndarray
-    parts: tuple[tuple[str, ...], ...] = ()
-    basis_labels: tuple[str, ...] = field(init=False)
-
-    def __post_init__(self):
-        m = _frozen_array(self.matrix, complex, 2, "matrix")
+    def __init__(self, matrix, parts=()):
+        m = _frozen_array(matrix, complex, 2, "matrix")
         if m.shape[0] != m.shape[1]:
             raise ShapeError(f"density matrix must be square, got shape {m.shape}")
         parts = tuple(_label_tuple(part, f"parts[{i}]")
-                      for i, part in enumerate(_label_tuple(self.parts, "parts")))
+                      for i, part in enumerate(_label_tuple(parts, "parts")))
         if len(parts) > 2:
             raise ShapeError(f"a density matrix has one or two parts, got {len(parts)}")
+        for i, part in enumerate(parts):
+            for label in part:
+                if not isinstance(label, str):
+                    raise ValidationError(f"parts[{i}] has a label that is not a str: {label!r}")
         labels = (product_labels(*parts) if len(parts) == 2 else parts[0] if parts
                   else tuple(str(i) for i in range(m.shape[0])))
         # Also catches parts whose sizes do not multiply to the dimension.
         if len(labels) != m.shape[0]:
-            raise ShapeError(
-                f"{len(labels)} basis labels for a {m.shape[0]}-dimensional matrix"
-            )
+            raise ShapeError(f"{len(labels)} basis labels for a {m.shape[0]}-dimensional matrix")
+        if len(set(labels)) != len(labels):
+            repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
+            raise ValidationError(f"basis label {repeated!r} is not unique")
+        if not np.isfinite(m).all():  # m - adj(m) would warn, and the defect be NaN
+            i, j = (int(k) for k in np.argwhere(~np.isfinite(m))[0])
+            raise ValidationError(f"density matrix is not Hermitian: entry {(i, j)} "
+                                  f"is not finite: {complex(m[i, j])!r}")
         defect = float(np.max(np.abs(m - m.conj().T), initial=0.0))
         if not defect <= HERMITICITY_ATOL:  # false for NaN too
             raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
         tr = complex(np.trace(m)).real
         if not abs(tr - 1.0) <= TRACE_ATOL:  # false for NaN too
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "basis_labels", labels)
-        object.__setattr__(self, "parts", parts)
+        vars(self).update(matrix=m, parts=parts, basis_labels=labels)
 
 
 def pure_density(state: BipartitePureState) -> DensityMatrix:

@@ -86,7 +86,7 @@ class _SyntaxError(Exception):
 
 
 def _same(record: tuple, other: object) -> bool:
-    """== of the records below, as for a dataclass: never equal to a plain tuple."""
+    """== of the records below, by value: never equal to a plain tuple."""
     return type(other) is type(record) and tuple.__eq__(record, other)
 
 

@@ -17,9 +17,10 @@ conjugates of the kets Phi^s. The state factorizes exactly when a single
 term survives.
 
 ``_frozen_array`` and ``_label_tuple`` are the records' one array and label
-intakes. No code in the package calls ``hermitian_eigen``, a Hermitian
-eigensolver with the modes' phase convention, or builds an ``EigenSystem``:
-they stay only because the benchmark's tracer wraps ``modes.hermitian_eigen``.
+intakes, and ``_Record`` their read-only base. No code in the package calls
+``hermitian_eigen``, a Hermitian eigensolver with the modes' phase convention,
+or builds an ``EigenSystem``: they stay only because the benchmark's tracer
+wraps ``modes.hermitian_eigen``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 import numbers
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,8 +72,22 @@ def _label_tuple(value, name: str) -> tuple:
     return tuple(value)
 
 
-@dataclass(frozen=True, eq=False)
-class BipartitePureState:
+class _Record:
+    """Base of the records: each constructor checks its arguments, then stores every
+    field once with ``vars(self).update``. Fields are read-only, and equality is identity."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class BipartitePureState(_Record):
     """Two-party pure state in a fixed product basis, unit-norm by construction.
 
     ``amplitudes[i, j]`` multiplies ``|latin_labels[i]> (x) |greek_labels[j]>``.
@@ -84,16 +98,10 @@ class BipartitePureState:
     the coefficients given, and ``norm``, their Euclidean norm.
     """
 
-    latin_labels: tuple[str, ...]
-    greek_labels: tuple[str, ...]
-    amplitudes: np.ndarray
-    coefficients: np.ndarray = field(init=False)
-    norm: float = field(init=False)
-
-    def __post_init__(self):
-        latin = _label_tuple(self.latin_labels, "latin_labels")
-        greek = _label_tuple(self.greek_labels, "greek_labels")
-        coefs = _frozen_array(self.amplitudes, complex, 2, "amplitudes")
+    def __init__(self, latin_labels, greek_labels, amplitudes):
+        latin = _label_tuple(latin_labels, "latin_labels")
+        greek = _label_tuple(greek_labels, "greek_labels")
+        coefs = _frozen_array(amplitudes, complex, 2, "amplitudes")
         if coefs.shape != (len(latin), len(greek)):
             raise ShapeError(
                 f"amplitude matrix is {coefs.shape[0]}x{coefs.shape[1]} but there are "
@@ -130,11 +138,8 @@ class BipartitePureState:
             )
         amps /= scaled_norm
         amps.setflags(write=False)
-        object.__setattr__(self, "latin_labels", latin)
-        object.__setattr__(self, "greek_labels", greek)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "coefficients", coefs)
-        object.__setattr__(self, "norm", norm)
+        vars(self).update(latin_labels=latin, greek_labels=greek, amplitudes=amps,
+                          coefficients=coefs, norm=norm)
 
     @classmethod
     def from_amplitudes(cls, latin_labels, greek_labels, amplitudes) -> "BipartitePureState":
@@ -151,8 +156,7 @@ class BipartitePureState:
         return len(self.greek_labels)
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
+class SchmidtDecomposition(_Record):
     """Schmidt data of a two-party pure state, as read-only copies of the arrays given.
 
     ``lambdas`` (1-d) holds all min(latin_dim, greek_dim) squared singular values
@@ -165,27 +169,21 @@ class SchmidtDecomposition:
     Other shapes raise ShapeError, and modes that do not pair up ValidationError.
     """
 
-    lambdas: np.ndarray
-    latin_modes: np.ndarray
-    greek_modes: np.ndarray
-
-    def __post_init__(self):
-        lam = _frozen_array(self.lambdas, float, 1, "lambdas")
-        f = _frozen_array(self.latin_modes, complex, 2, "latin_modes")
-        g = _frozen_array(self.greek_modes, complex, 2, "greek_modes")
+    def __init__(self, lambdas, latin_modes, greek_modes):
+        lam = _frozen_array(lambdas, float, 1, "lambdas")
+        f = _frozen_array(latin_modes, complex, 2, "latin_modes")
+        g = _frozen_array(greek_modes, complex, 2, "greek_modes")
         if not f.shape[1] == g.shape[1] <= len(lam):
             raise ValidationError(f"{f.shape[1]} Latin and {g.shape[1]} Greek modes for "
                                   f"{len(lam)} eigenvalues: one pair per leading eigenvalue")
-        for name, array in (("lambdas", lam), ("latin_modes", f), ("greek_modes", g)):
-            object.__setattr__(self, name, array)
+        vars(self).update(lambdas=lam, latin_modes=f, greek_modes=g)
 
     @property
     def rank(self) -> int:
         return self.latin_modes.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
+class EigenSystem(_Record):
     """Eigendecomposition of a Hermitian matrix.
 
     ``eigenvalues`` is sorted non-increasing; column ``s`` of ``eigenvectors``
@@ -194,9 +192,8 @@ class EigenSystem:
     returned eigenvectors.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    residual: float
+    def __init__(self, eigenvalues, eigenvectors, residual):
+        vars(self).update(eigenvalues=eigenvalues, eigenvectors=eigenvectors, residual=residual)
 
 
 def hermitian_eigen(h) -> EigenSystem:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -5,7 +6,6 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -615,7 +615,7 @@ class TestReportMatchesTheLibrary:
     def test_summaries_are_derived_not_passed(self):
         state = example_state("psi2")
         d = schmidt_decompose(state)
-        assert [f.name for f in fields(cli.AnalysisReport) if f.init] == ["state", "decomposition"]
+        assert list(inspect.signature(cli.AnalysisReport).parameters) == ["state", "decomposition"]
         report = cli.AnalysisReport(state, d)
         assert report.expression == cli.format_state(state)
         assert report.lambdas == (*d.lambdas.tolist(), 0.0, 0.0)

@@ -1,5 +1,6 @@
+import inspect
+import math
 import re
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -51,6 +52,29 @@ class TestDensityMatrixType:
         with pytest.raises(ValidationError, match="not Hermitian"):
             DensityMatrix(np.full((2, 2), np.nan))
 
+    # m - adj(m) of an infinite entry is inf - inf: numpy warns, and the defect is NaN.
+    @pytest.mark.parametrize("build,message", [
+        (lambda: DensityMatrix(np.diag([np.inf, 0.0])),
+         r"entry \(0, 0\) is not finite: \(inf\+0j\)$"),
+        (lambda: DensityMatrix([[0.5, 0.5], [-np.inf, 0.5]]), r"entry \(1, 0\) is not finite: "),
+        (lambda: classical_mixture([(math.inf, "a", "b")]), r"entry \(0, 0\) is not finite: "),
+    ], ids=["diagonal", "off-diagonal", "mixture-weight"])
+    def test_non_finite_entry_is_named_without_a_warning(self, build, message):
+        with pytest.raises(ValidationError, match=r"^density matrix is not Hermitian: " + message):
+            build()
+
+    @pytest.mark.parametrize("dim,parts,message", [
+        (4, (["H", "V"], ["H", "H"]), r"^basis label 'HH' is not unique$"),
+        (2, (["H", "H"],), r"^basis label 'H' is not unique$"),
+        # Each side is unique, but "a,b" (x) "c" and "a" (x) "b,c" print alike.
+        (4, (["a,b", "a"], ["c", "b,c"]), r"^basis label 'a,b,c' is not unique$"),
+        (2, ([1, None],), r"^parts\[0\] has a label that is not a str: 1$"),
+        (4, (["H", "V"], ["H", b"V"]), r"^parts\[1\] has a label that is not a str: b'V'$"),
+    ], ids=["product", "one-part", "joined", "number", "bytes"])
+    def test_labels_must_be_unique_strings(self, dim, parts, message):
+        with pytest.raises(ValidationError, match=message):
+            DensityMatrix(np.eye(dim) / dim, parts)
+
     def test_validates_shape_and_labels(self):
         with pytest.raises(ShapeError):
             DensityMatrix(np.zeros((2, 3)))
@@ -79,7 +103,7 @@ class TestDensityMatrixType:
         assert DensityMatrix(np.eye(2) / 2).parts == ()
 
     def test_basis_labels_are_derived_not_passed(self):
-        assert [f.name for f in fields(DensityMatrix) if f.init] == ["matrix", "parts"]
+        assert list(inspect.signature(DensityMatrix).parameters) == ["matrix", "parts"]
         with pytest.raises(TypeError):
             DensityMatrix(np.eye(2) / 2, basis_labels=("H", "V"))
 

@@ -85,6 +85,14 @@ def test_core_loads_without_density(core):
                     "print(json.dumps('schmidt.density' in sys.modules))\n") is False
 
 
+def test_cli_import_loads_no_dataclasses():
+    # The records are plain classes; the check holds unless numpy itself loads dataclasses.
+    assert in_child("import json, sys, numpy\n"
+                    "pre = 'dataclasses' in sys.modules\n"
+                    "import schmidt.cli\n"
+                    "print(json.dumps(pre or 'dataclasses' not in sys.modules))\n") is True
+
+
 def test_gram_matrices_live_in_density():
     assert in_child(
         "import json, schmidt, schmidt.density as density, schmidt.modes as modes\n"
