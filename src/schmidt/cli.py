@@ -151,10 +151,10 @@ class AnalysisReport(_Record):
         padded = d.lambdas.tolist()
         padded += [0.0] * (max(state.latin_dim, state.greek_dim) - len(padded))
         # Keyword arguments run in order: format_state, then the three summaries.
-        vars(self).update(state=state, decomposition=d, reconstruction_residual=residual,
-                          expression=format_state(state), lambdas=tuple(padded),
-                          schmidt_number=schmidt_number(d), entropy=entanglement_entropy(d),
-                          entangled=is_entangled(d))
+        self.__setstate__(dict(state=state, decomposition=d, reconstruction_residual=residual,
+                               expression=format_state(state), lambdas=tuple(padded),
+                               schmidt_number=schmidt_number(d), entropy=entanglement_entropy(d),
+                               entangled=is_entangled(d)))
 
     @property
     def rank(self) -> int:

@@ -75,13 +75,14 @@ class DensityMatrix(_Record):
             i, j = (int(k) for k in np.argwhere(~np.isfinite(m))[0])
             raise ValidationError(f"density matrix is not Hermitian: entry {(i, j)} "
                                   f"is not finite: {complex(m[i, j])!r}")
-        defect = float(np.max(np.abs(m - m.conj().T), initial=0.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN here is refused below
+            defect = float(np.max(np.abs(m - m.conj().T), initial=0.0))
+            tr = complex(np.trace(m)).real
         if not defect <= HERMITICITY_ATOL:  # false for NaN too
             raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
-        tr = complex(np.trace(m)).real
         if not abs(tr - 1.0) <= TRACE_ATOL:  # false for NaN too
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
-        vars(self).update(matrix=m, parts=parts, basis_labels=labels)
+        self.__setstate__(dict(matrix=m, parts=parts, basis_labels=labels))
 
 
 def pure_density(state: BipartitePureState) -> DensityMatrix:
@@ -119,12 +120,10 @@ def classical_mixture(terms: Sequence[tuple[float, str, str]]) -> DensityMatrix:
         raise ValidationError(f"mixture weights must be non-negative, got {low!r}")
     latin = tuple(sorted({a for _, a, _ in terms}))
     greek = tuple(sorted({b for _, _, b in terms}))
-    gdim = len(greek)
-    m = np.zeros((len(latin) * gdim, len(latin) * gdim), dtype=complex)
-    for w, (_, a, b) in zip(weights, terms):
-        idx = latin.index(a) * gdim + greek.index(b)
-        m[idx, idx] += w
-    return DensityMatrix(m, parts=(latin, greek))
+    diagonal = [0.0] * (len(latin) * len(greek))
+    for w, (_, a, b) in zip(weights.tolist(), terms):  # Python floats overflow to inf silently
+        diagonal[latin.index(a) * len(greek) + greek.index(b)] += w
+    return DensityMatrix(np.diag(diagonal), parts=(latin, greek))
 
 
 def _two_party(rho: DensityMatrix, what: str) -> np.ndarray:
@@ -145,10 +144,11 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     (Greek side); the result is labelled with the kept side's basis.
     """
     t = _two_party(rho, "a partial trace")
-    if keep == "A":
-        return DensityMatrix(np.trace(t, axis1=1, axis2=3), rho.parts[:1])
-    if keep == "B":
-        return DensityMatrix(np.trace(t, axis1=0, axis2=2), rho.parts[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sum is refused by entry
+        if keep == "A":
+            return DensityMatrix(np.trace(t, axis1=1, axis2=3), rho.parts[:1])
+        if keep == "B":
+            return DensityMatrix(np.trace(t, axis1=0, axis2=2), rho.parts[1:])
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 

@@ -16,11 +16,11 @@ modes are stored as V's columns, so for complex amplitudes they are the
 conjugates of the kets Phi^s. The state factorizes exactly when a single
 term survives.
 
-``_frozen_array`` and ``_label_tuple`` are the records' one array and label
-intakes, and ``_Record`` their read-only base. No code in the package calls
-``hermitian_eigen``, a Hermitian eigensolver with the modes' phase convention,
-or builds an ``EigenSystem``: they stay only because the benchmark's tracer
-wraps ``modes.hermitian_eigen``.
+``_frozen_array`` and ``_label_tuple`` are the records' array and label intakes,
+and ``_Record`` their read-only base, which also freezes arrays a pickle or copy
+restores. No code in the package calls ``hermitian_eigen``, a Hermitian eigensolver
+with the modes' phase convention, or builds an ``EigenSystem``: they stay only
+because the benchmark's tracer wraps ``modes.hermitian_eigen``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ NORM_ATOL = 1e-9
 
 
 def _frozen_array(value, dtype, ndim: int, name: str) -> np.ndarray:
-    """A record's field as a read-only ``dtype`` copy, the caller's array left writable.
+    """A record's field as a ``dtype`` copy for ``_Record`` to freeze; the caller's is only read.
     ShapeError names the field unless ``np.asarray`` reads a bool, integer, float or, for a
     complex ``dtype``, complex array of rank ``ndim``: for a ragged list, text or a dict."""
     try:
@@ -59,9 +59,7 @@ def _frozen_array(value, dtype, ndim: int, name: str) -> np.ndarray:
     if array.ndim != ndim:
         raise ShapeError(f"{name} must be a {ndim}-d {'matrix' if ndim == 2 else 'array'}, "
                          f"got shape {array.shape}")
-    array = array.astype(dtype)
-    array.setflags(write=False)
-    return array
+    return array.astype(dtype)
 
 
 def _label_tuple(value, name: str) -> tuple:
@@ -74,7 +72,14 @@ def _label_tuple(value, name: str) -> tuple:
 
 class _Record:
     """Base of the records: each constructor checks its arguments, then stores every
-    field once with ``vars(self).update``. Fields are read-only, and equality is identity."""
+    field once with ``__setstate__``. Fields and arrays are read-only, and equality is identity."""
+
+    def __setstate__(self, fields):
+        """Store ``fields``, arrays read-only: constructors, pickle and copy all end here."""
+        for value in fields.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        vars(self).update(fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -137,9 +142,8 @@ class BipartitePureState(_Record):
                 f"amplitude norm {scaled_norm!r} * 2**{exponent} exceeds the float range"
             )
         amps /= scaled_norm
-        amps.setflags(write=False)
-        vars(self).update(latin_labels=latin, greek_labels=greek, amplitudes=amps,
-                          coefficients=coefs, norm=norm)
+        self.__setstate__(dict(latin_labels=latin, greek_labels=greek, amplitudes=amps,
+                               coefficients=coefs, norm=norm))
 
     @classmethod
     def from_amplitudes(cls, latin_labels, greek_labels, amplitudes) -> "BipartitePureState":
@@ -176,7 +180,7 @@ class SchmidtDecomposition(_Record):
         if not f.shape[1] == g.shape[1] <= len(lam):
             raise ValidationError(f"{f.shape[1]} Latin and {g.shape[1]} Greek modes for "
                                   f"{len(lam)} eigenvalues: one pair per leading eigenvalue")
-        vars(self).update(lambdas=lam, latin_modes=f, greek_modes=g)
+        self.__setstate__(dict(lambdas=lam, latin_modes=f, greek_modes=g))
 
     @property
     def rank(self) -> int:
@@ -184,7 +188,7 @@ class SchmidtDecomposition(_Record):
 
 
 class EigenSystem(_Record):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, as read-only copies of the arrays given.
 
     ``eigenvalues`` is sorted non-increasing; column ``s`` of ``eigenvectors``
     is the unit-norm eigenvector belonging to ``eigenvalues[s]``.  ``residual``
@@ -193,7 +197,9 @@ class EigenSystem(_Record):
     """
 
     def __init__(self, eigenvalues, eigenvectors, residual):
-        vars(self).update(eigenvalues=eigenvalues, eigenvectors=eigenvectors, residual=residual)
+        values = _frozen_array(eigenvalues, float, 1, "eigenvalues")
+        vectors = _frozen_array(eigenvectors, complex, 2, "eigenvectors")
+        self.__setstate__(dict(eigenvalues=values, eigenvectors=vectors, residual=residual))
 
 
 def hermitian_eigen(h) -> EigenSystem:
@@ -221,13 +227,10 @@ def hermitian_eigen(h) -> EigenSystem:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"np.linalg.eigh failed on the {n}x{n} matrix: {exc}") from exc
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
+    values, vectors = values[::-1], vectors[:, ::-1]
     fix_phases(vectors)
     rotated = vectors.conj().T @ a @ vectors
     residual = float(np.max(np.abs(rotated - np.diag(np.diag(rotated)))))
-    values.setflags(write=False)
-    vectors.setflags(write=False)
     return EigenSystem(eigenvalues=values, eigenvectors=vectors, residual=residual)
 
 

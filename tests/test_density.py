@@ -63,6 +63,26 @@ class TestDensityMatrixType:
         with pytest.raises(ValidationError, match=r"^density matrix is not Hermitian: " + message):
             build()
 
+    # Finite entries whose difference or sum passes the float maximum: numpy would warn
+    # "overflow encountered" (or, for inf - inf in a pairwise sum, "invalid value").
+    @pytest.mark.parametrize("build,message", [
+        (lambda: DensityMatrix([[0.5, 1e308], [-1e308, 0.5]]),
+         r"^density matrix is not Hermitian \(defect inf\)$"),
+        (lambda: DensityMatrix(np.diag([1.7e308, 1.7e308])),
+         r"^density matrix trace is inf, expected 1$"),
+        (lambda: DensityMatrix(np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308, 0, 0, 0, 0, 1])),
+         r"^density matrix trace is nan, expected 1$"),
+        (lambda: classical_mixture([(1e308, "a", "b"), (1e308, "a", "b")]),
+         r"^density matrix is not Hermitian: entry \(0, 0\) is not finite: \(inf\+0j\)$"),
+        (lambda: partial_trace(DensityMatrix(
+            np.diag([0.25] * 4) + 1e308 * (np.eye(4, k=2) + np.eye(4, k=-2)),
+            (["a", "b"], ["c", "d"])), "A"),
+         r"^density matrix is not Hermitian: entry \(0, 1\) is not finite: \(inf\+0j\)$"),
+    ], ids=["hermiticity", "trace", "trace-inf-minus-inf", "mixture-weights", "partial-trace"])
+    def test_sum_past_the_float_range_is_refused_without_a_warning(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
     @pytest.mark.parametrize("dim,parts,message", [
         (4, (["H", "V"], ["H", "H"]), r"^basis label 'HH' is not unique$"),
         (2, (["H", "H"],), r"^basis label 'H' is not unique$"),

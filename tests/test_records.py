@@ -1,4 +1,4 @@
-"""The five records: read-only fields, and pickle and deepcopy round trips."""
+"""The five records: read-only fields and arrays, and pickle and copy round trips."""
 
 import copy
 import pickle
@@ -9,7 +9,8 @@ import pytest
 from schmidt.catalog import example_state
 from schmidt.cli import build_report
 from schmidt.density import classical_mixture
-from schmidt.modes import hermitian_eigen, schmidt_decompose
+from schmidt.errors import ShapeError
+from schmidt.modes import EigenSystem, _Record, hermitian_eigen, schmidt_decompose
 
 # Each record by class name: how to build one, and its fields in repr order.
 RECORDS = {
@@ -50,10 +51,10 @@ def test_fields_cannot_be_assigned_or_deleted(name):
     assert repr(record) == before
 
 
-# Both restore the instance __dict__ directly, not through the refused __setattr__;
+# Each restores the instance __dict__ directly, not through the refused __setattr__;
 # a __slots__ record would be restored through it.
 @pytest.mark.parametrize("clone", [lambda record: pickle.loads(pickle.dumps(record)),
-                                   copy.deepcopy], ids=["pickle", "deepcopy"])
+                                   copy.deepcopy, copy.copy], ids=["pickle", "deepcopy", "copy"])
 @pytest.mark.parametrize("name", RECORDS)
 def test_pickle_and_deepcopy_round_trip(name, clone):
     build, fields = RECORDS[name]
@@ -63,3 +64,33 @@ def test_pickle_and_deepcopy_round_trip(name, clone):
     assert repr(twin) == repr(record)
     with pytest.raises(AttributeError, match=f"^cannot assign to field '{fields[0]}'$"):
         setattr(twin, fields[0], None)
+    # numpy restores an array writable; the record's __setstate__ freezes it again.
+    kept = list(arrays(twin))
+    assert kept and not any(array.flags.writeable for array in kept)
+
+
+def arrays(record):
+    """Every array among the fields of ``record`` and of the records it holds."""
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, _Record):
+            yield from arrays(value)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_every_array_is_read_only_after_construction(name):
+    record = RECORDS[name][0]()
+    kept = list(arrays(record))
+    assert kept and not any(array.flags.writeable for array in kept)
+
+
+def test_eigen_system_keeps_read_only_copies_of_the_arrays_given():
+    values, vectors = np.array([2.0, 1.0]), np.eye(2, dtype=complex)
+    system = EigenSystem(values, vectors, 0.0)
+    for given, kept in ((values, system.eigenvalues), (vectors, system.eigenvectors)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given, kept)
+        np.testing.assert_array_equal(kept, given)
+    with pytest.raises(ShapeError, match="^eigenvalues must be a 1-d array, got shape"):
+        EigenSystem(np.eye(2), vectors, 0.0)
