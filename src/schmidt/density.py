@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, ShapeError, ValidationError
-from .modes import (HERMITICITY_ATOL, NORM_ATOL, BipartitePureState, _frozen_array,
+from .modes import (NORM_ATOL, BipartitePureState, _frozen_array, _hermitian_matrix,
                     _label_tuple, _Record)
 
 TRACE_ATOL = 1e-10
@@ -47,14 +47,12 @@ class DensityMatrix(_Record):
     ``parts`` holds one basis of ``str`` labels per party, one or two of them.
     ``basis_labels`` is derived, not passed: the single basis, the two bases'
     ``product_labels``, or "0", "1", ... when no part is given; they must be
-    unique. Finite entries, Hermiticity and trace are checked at construction;
-    positive semidefiniteness is a documented invariant left to the producer.
+    unique. ``_hermitian_matrix`` checks the shape, finite entries and Hermiticity, then
+    parts, labels and trace are checked; positive semidefiniteness is left to the producer.
     """
 
     def __init__(self, matrix, parts=()):
-        m = _frozen_array(matrix, complex, 2, "matrix")
-        if m.shape[0] != m.shape[1]:
-            raise ShapeError(f"density matrix must be square, got shape {m.shape}")
+        m = _hermitian_matrix(matrix, "density matrix")
         parts = tuple(_label_tuple(part, f"parts[{i}]")
                       for i, part in enumerate(_label_tuple(parts, "parts")))
         if len(parts) > 2:
@@ -71,15 +69,8 @@ class DensityMatrix(_Record):
         if len(set(labels)) != len(labels):
             repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
             raise ValidationError(f"basis label {repeated!r} is not unique")
-        if not np.isfinite(m).all():  # m - adj(m) would warn, and the defect be NaN
-            i, j = (int(k) for k in np.argwhere(~np.isfinite(m))[0])
-            raise ValidationError(f"density matrix is not Hermitian: entry {(i, j)} "
-                                  f"is not finite: {complex(m[i, j])!r}")
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN here is refused below
-            defect = float(np.max(np.abs(m - m.conj().T), initial=0.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace is refused below
             tr = complex(np.trace(m)).real
-        if not defect <= HERMITICITY_ATOL:  # false for NaN too
-            raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
         if not abs(tr - 1.0) <= TRACE_ATOL:  # false for NaN too
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
         self.__setstate__(dict(matrix=m, parts=parts, basis_labels=labels))
@@ -173,9 +164,9 @@ def purity(rho: DensityMatrix) -> float:
 def conditional_state(rho: DensityMatrix, projector_on_a) -> tuple[float, DensityMatrix]:
     """State of subsystem B after projecting subsystem A onto a unit vector.
 
-    Returns ``(probability, state)``, the state labelled with the Greek
-    basis. Raises ImpossibleOutcomeError when the outcome probability is
-    below ``OUTCOME_ATOL``, i.e. the measurement can essentially never give
+    Returns ``(probability, state)``, the state labelled with the Greek basis. Raises
+    ValidationError when the outcome probability is not finite, and ImpossibleOutcomeError
+    when it is below ``OUTCOME_ATOL``, i.e. the measurement can essentially never give
     this result.
     """
     t = _two_party(rho, "a conditional state")
@@ -185,11 +176,14 @@ def conditional_state(rho: DensityMatrix, projector_on_a) -> tuple[float, Densit
     norm = float(np.linalg.norm(p))
     if not abs(norm - 1.0) <= NORM_ATOL:  # false for NaN too
         raise ValidationError(f"projection vector must have unit norm, got {norm:.6g}")
-    reduced = np.einsum("i,iajb,j->ab", p.conj(), t, p)
-    probability = float(np.trace(reduced).real)
-    if probability < OUTCOME_ATOL:
-        raise ImpossibleOutcomeError(
-            f"outcome probability {probability:.3e} is below {OUTCOME_ATOL:g}; "
-            "cannot condition on it"
-        )
-    return probability, DensityMatrix(reduced / probability, rho.parts[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is refused below
+        reduced = np.einsum("i,iajb,j->ab", p.conj(), t, p)
+        probability = float(np.trace(reduced).real)
+        if not np.isfinite(probability):
+            raise ValidationError(f"outcome probability is not finite: {probability!r}")
+        if probability < OUTCOME_ATOL:
+            raise ImpossibleOutcomeError(
+                f"outcome probability {probability:.3e} is below {OUTCOME_ATOL:g}; "
+                "cannot condition on it"
+            )
+        return probability, DensityMatrix(reduced / probability, rho.parts[1:])

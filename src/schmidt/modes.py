@@ -16,10 +16,10 @@ modes are stored as V's columns, so for complex amplitudes they are the
 conjugates of the kets Phi^s. The state factorizes exactly when a single
 term survives.
 
-``_frozen_array`` and ``_label_tuple`` are the records' array and label intakes,
-and ``_Record`` their read-only base, which also freezes arrays a pickle or copy
-restores. No code in the package calls ``hermitian_eigen``, a Hermitian eigensolver
-with the modes' phase convention, or builds an ``EigenSystem``: they stay only
+``_frozen_array``, ``_label_tuple`` and ``_hermitian_matrix`` are the records' intakes of
+arrays, labels and Hermitian matrices, and ``_Record`` their read-only base, which also freezes
+arrays a pickle or copy restores. No code in the package calls ``hermitian_eigen``, a Hermitian
+eigensolver with the modes' phase convention, or builds an ``EigenSystem``: they stay only
 because the benchmark's tracer wraps ``modes.hermitian_eigen``.
 """
 
@@ -39,7 +39,7 @@ DEFAULT_RANK_THRESHOLD = 1e-10
 RESIDUAL_LIMIT = 1e-9
 # ket-v1's LABEL rule, which the constructor applies and the ket tokens embed.
 LABEL = r"[A-Za-z][A-Za-z0-9_]*"
-# Density matrices and hermitian_eigen inputs may deviate from Hermiticity by this.
+# _hermitian_matrix, the intake of DensityMatrix and hermitian_eigen, allows this defect.
 HERMITICITY_ATOL = 1e-10
 # --strict-norm input and projection vectors must have unit norm to within this.
 NORM_ATOL = 1e-9
@@ -68,6 +68,24 @@ def _label_tuple(value, name: str) -> tuple:
     if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
         raise ShapeError(f"{name} is not an array of strings: {value!r}")
     return tuple(value)
+
+
+def _hermitian_matrix(value, name: str) -> np.ndarray:
+    """A square, finite, Hermitian matrix as ``_frozen_array``'s complex copy. ShapeError
+    names ``name`` unless it is square; ValidationError names the first non-finite entry,
+    or the defect max |m - adj(m)| when it exceeds ``HERMITICITY_ATOL``."""
+    m = _frozen_array(value, complex, 2, "matrix")
+    if m.shape[0] != m.shape[1]:
+        raise ShapeError(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():  # m - adj(m) would warn, and the defect be NaN
+        i, j = (int(k) for k in np.argwhere(~np.isfinite(m))[0])
+        raise ValidationError(f"{name} is not Hermitian: entry {(i, j)} "
+                              f"is not finite: {complex(m[i, j])!r}")
+    with np.errstate(over="ignore"):  # finite entries can differ by more than the float maximum
+        defect = float(np.max(np.abs(m - m.conj().T), initial=0.0))
+    if defect > HERMITICITY_ATOL:
+        raise ValidationError(f"{name} is not Hermitian (defect {defect:.3e})")
+    return m
 
 
 class _Record:
@@ -205,23 +223,14 @@ class EigenSystem(_Record):
 def hermitian_eigen(h) -> EigenSystem:
     """Full eigensystem of a Hermitian matrix, by LAPACK's ``np.linalg.eigh``.
 
-    Raises ShapeError unless ``h`` is a square matrix, ValidationError when it
-    deviates from Hermiticity by more than ``HERMITICITY_ATOL``, and
-    ConvergenceError if LAPACK does not converge.
+    ``_hermitian_matrix`` checks ``h``: ShapeError unless it is square, ValidationError
+    for a non-finite entry or for a matrix too far from Hermitian.
+    Raises ConvergenceError if LAPACK does not converge.
     """
-    a = _frozen_array(h, complex, 2, "matrix")
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"eigendecomposition needs a square matrix, got shape {a.shape}")
+    a = _hermitian_matrix(h, "matrix")
     n = a.shape[0]
     if n == 0:
         return EigenSystem(np.zeros(0), np.zeros((0, 0), dtype=complex), 0.0)
-    defect = float(np.max(np.abs(a - a.conj().T)))
-    if not defect <= HERMITICITY_ATOL:  # false for NaN too
-        raise ValidationError(
-            f"matrix is not Hermitian: max |H - adj(H)| = {defect:.3e} "
-            f"exceeds {HERMITICITY_ATOL:g}"
-        )
-
     a = (a + a.conj().T) / 2.0  # eigh reads one triangle; use both
     try:
         values, vectors = np.linalg.eigh(a)

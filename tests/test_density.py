@@ -78,7 +78,12 @@ class TestDensityMatrixType:
             np.diag([0.25] * 4) + 1e308 * (np.eye(4, k=2) + np.eye(4, k=-2)),
             (["a", "b"], ["c", "d"])), "A"),
          r"^density matrix is not Hermitian: entry \(0, 1\) is not finite: \(inf\+0j\)$"),
-    ], ids=["hermiticity", "trace", "trace-inf-minus-inf", "mixture-weights", "partial-trace"])
+        (lambda: conditional_state(DensityMatrix(
+            np.diag([0.25] * 4) + 1e308 * (np.eye(4, k=2) + np.eye(4, k=-2)),
+            (["a", "b"], ["c", "d"])), [2**-0.5, 2**-0.5]),
+         r"^outcome probability is not finite: inf$"),
+    ], ids=["hermiticity", "trace", "trace-inf-minus-inf", "mixture-weights", "partial-trace",
+            "conditional-state"])
     def test_sum_past_the_float_range_is_refused_without_a_warning(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()

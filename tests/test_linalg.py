@@ -108,6 +108,17 @@ class TestHermitianEigen:
         with pytest.raises(ValidationError, match="not Hermitian"):
             hermitian_eigen(np.full((2, 2), np.nan))
 
+    # An infinite entry makes m - adj(m) inf - inf, and finite entries near the float
+    # maximum overflow it: numpy would warn before the ValidationError.
+    @pytest.mark.parametrize("h,message", [
+        ([[np.inf, 0], [0, 1]],
+         r"^matrix is not Hermitian: entry \(0, 0\) is not finite: \(inf\+0j\)$"),
+        ([[0.5, 1e308], [-1e308, 0.5]], r"^matrix is not Hermitian \(defect inf\)$"),
+    ], ids=["infinite-entry", "defect-overflow"])
+    def test_refused_without_a_warning(self, h, message):
+        with pytest.raises(ValidationError, match=message):
+            hermitian_eigen(h)
+
     def test_lapack_failure_raises_convergence_error(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
