@@ -2,13 +2,13 @@
 mixtures, partial traces, the reduced states ``gram_latin``/``gram_greek`` taken
 straight from the amplitude matrix, purity, and post-measurement conditional states.
 
-Product-basis convention: the composite index of |n> (x) |nu> is
-``n * greek_dim + nu`` (row-major), so two-qubit bases ordered H, V on each
-side produce the composite order HH, HV, VH, VV.
+Product-basis convention: the composite index of |n> (x) |nu> is ``n * greek_dim + nu``
+(row-major), so two-qubit bases ordered H, V on each side give the order HH, HV, VH, VV.
 
-``pure_density`` and ``classical_mixture`` record the Latin and Greek bases
-in ``DensityMatrix.parts``; ``partial_trace`` and ``conditional_state`` read
-the split from there and give their one-party result the kept basis.
+``pure_density`` and ``classical_mixture`` record the Latin and Greek bases in
+``DensityMatrix.parts``; ``partial_trace`` and ``conditional_state`` read the split from
+there and give their one-party result the kept basis. No ``DensityMatrix`` has an entry
+above 1 in magnitude, so no sum that this module takes can overflow.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ImpossibleOutcomeError, ShapeError, ValidationError
 from .modes import (NORM_ATOL, BipartitePureState, _frozen_array, _hermitian_matrix,
-                    _label_tuple, _Record)
+                    _label_tuple, _Record, _refuse_above_one)
 
 TRACE_ATOL = 1e-10
 # Below this, a measurement outcome counts as impossible and cannot be
@@ -44,11 +44,11 @@ def product_labels(latin_labels: Sequence[str], greek_labels: Sequence[str]) -> 
 class DensityMatrix(_Record):
     """Square, Hermitian, unit-trace matrix with labelled basis rows.
 
-    ``parts`` holds one basis of ``str`` labels per party, one or two of them.
-    ``basis_labels`` is derived, not passed: the single basis, the two bases'
-    ``product_labels``, or "0", "1", ... when no part is given; they must be
-    unique. ``_hermitian_matrix`` checks the shape, finite entries and Hermiticity, then
-    parts, labels and trace are checked; positive semidefiniteness is left to the producer.
+    ``parts`` holds one basis of ``str`` labels per party, one or two of them. ``basis_labels`` is
+    derived: the single basis, the two bases' ``product_labels``, or "0", "1", ... with no part;
+    they must be unique. ``_hermitian_matrix`` checks shape, finite entries and Hermiticity; then
+    parts, labels, no entry above 1 + ``TRACE_ATOL`` in magnitude (as in every positive semidefinite
+    matrix of trace 1) and trace. Full positive semidefiniteness is left to the producer.
     """
 
     def __init__(self, matrix, parts=()):
@@ -69,8 +69,8 @@ class DensityMatrix(_Record):
         if len(set(labels)) != len(labels):
             repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
             raise ValidationError(f"basis label {repeated!r} is not unique")
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN trace is refused below
-            tr = complex(np.trace(m)).real
+        _refuse_above_one(m, "density matrix entry", TRACE_ATOL)  # bounds every sum below
+        tr = complex(np.trace(m)).real
         if not abs(tr - 1.0) <= TRACE_ATOL:  # false for NaN too
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
         self.__setstate__(dict(matrix=m, parts=parts, basis_labels=labels))
@@ -135,11 +135,10 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     (Greek side); the result is labelled with the kept side's basis.
     """
     t = _two_party(rho, "a partial trace")
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sum is refused by entry
-        if keep == "A":
-            return DensityMatrix(np.trace(t, axis1=1, axis2=3), rho.parts[:1])
-        if keep == "B":
-            return DensityMatrix(np.trace(t, axis1=0, axis2=2), rho.parts[1:])
+    if keep == "A":
+        return DensityMatrix(np.trace(t, axis1=1, axis2=3), rho.parts[:1])
+    if keep == "B":
+        return DensityMatrix(np.trace(t, axis1=0, axis2=2), rho.parts[1:])
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -164,26 +163,21 @@ def purity(rho: DensityMatrix) -> float:
 def conditional_state(rho: DensityMatrix, projector_on_a) -> tuple[float, DensityMatrix]:
     """State of subsystem B after projecting subsystem A onto a unit vector.
 
-    Returns ``(probability, state)``, the state labelled with the Greek basis. Raises
-    ValidationError when the outcome probability is not finite, and ImpossibleOutcomeError
-    when it is below ``OUTCOME_ATOL``, i.e. the measurement can essentially never give
-    this result.
+    Returns ``(probability, state)``, the state labelled with the Greek basis. ValidationError
+    refuses a projection vector that is not a unit vector, and ImpossibleOutcomeError an
+    outcome probability below ``OUTCOME_ATOL``, which the measurement can essentially never give.
     """
     t = _two_party(rho, "a conditional state")
     p = _frozen_array(projector_on_a, complex, 1, "projection vector")
     if p.size != t.shape[0]:
         raise ShapeError(f"projection vector has {p.size} components, expected {t.shape[0]}")
+    _refuse_above_one(p, "projection vector component", NORM_ATOL)  # or the norm overflows
     norm = float(np.linalg.norm(p))
     if not abs(norm - 1.0) <= NORM_ATOL:  # false for NaN too
         raise ValidationError(f"projection vector must have unit norm, got {norm:.6g}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is refused below
-        reduced = np.einsum("i,iajb,j->ab", p.conj(), t, p)
-        probability = float(np.trace(reduced).real)
-        if not np.isfinite(probability):
-            raise ValidationError(f"outcome probability is not finite: {probability!r}")
-        if probability < OUTCOME_ATOL:
-            raise ImpossibleOutcomeError(
-                f"outcome probability {probability:.3e} is below {OUTCOME_ATOL:g}; "
-                "cannot condition on it"
-            )
-        return probability, DensityMatrix(reduced / probability, rho.parts[1:])
+    reduced = np.einsum("i,iajb,j->ab", p.conj(), t, p)
+    probability = float(np.trace(reduced).real)
+    if probability < OUTCOME_ATOL:
+        raise ImpossibleOutcomeError(f"outcome probability {probability:.3e} is below "
+                                     f"{OUTCOME_ATOL:g}; cannot condition on it")
+    return probability, DensityMatrix(reduced / probability, rho.parts[1:])

@@ -16,11 +16,11 @@ modes are stored as V's columns, so for complex amplitudes they are the
 conjugates of the kets Phi^s. The state factorizes exactly when a single
 term survives.
 
-``_frozen_array``, ``_label_tuple`` and ``_hermitian_matrix`` are the records' intakes of
-arrays, labels and Hermitian matrices, and ``_Record`` their read-only base, which also freezes
-arrays a pickle or copy restores. No code in the package calls ``hermitian_eigen``, a Hermitian
-eigensolver with the modes' phase convention, or builds an ``EigenSystem``: they stay only
-because the benchmark's tracer wraps ``modes.hermitian_eigen``.
+``_frozen_array``, ``_label_tuple``, ``_hermitian_matrix`` and ``_refuse_above_one`` are the
+records' intakes of arrays, labels, Hermitian matrices and entries bounded by 1, and ``_Record``
+their read-only base, which also freezes arrays a pickle or copy restores. No code in the
+package calls ``hermitian_eigen``, a Hermitian eigensolver with the modes' phase convention,
+or builds an ``EigenSystem``: they stay only because the benchmark's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -86,6 +86,16 @@ def _hermitian_matrix(value, name: str) -> np.ndarray:
     if defect > HERMITICITY_ATOL:
         raise ValidationError(f"{name} is not Hermitian (defect {defect:.3e})")
     return m
+
+
+def _refuse_above_one(values: np.ndarray, name: str, atol: float) -> np.ndarray:
+    """``np.abs(values)``; ValidationError names the first entry above 1 + ``atol`` (NaN passes)."""
+    magnitude = np.abs(values)
+    if (magnitude > 1.0 + atol).any():  # no unit vector or density matrix has such an entry
+        index = tuple(int(k) for k in np.argwhere(magnitude > 1.0 + atol)[0])  # row-major
+        raise ValidationError(f"{name} {index if len(index) > 1 else index[0]} has magnitude "
+                              f"{float(magnitude[index])!r}, above 1")
+    return magnitude
 
 
 class _Record:
@@ -181,14 +191,14 @@ class BipartitePureState(_Record):
 class SchmidtDecomposition(_Record):
     """Schmidt data of a two-party pure state, as read-only copies of the arrays given.
 
-    ``lambdas`` (1-d) holds all min(latin_dim, greek_dim) squared singular values
-    of the amplitude matrix in descending order. Column ``s`` of the 2-d
-    ``latin_modes`` / ``greek_modes`` is the paired mode vector for
-    ``lambdas[s]``; modes are only kept for the eigenvalues above the rank
-    threshold, so ``rank``, the number of mode pairs, is derived from them.
-    The Latin modes are the Schmidt kets F^s; the Greek modes are the columns
-    of V in C = U diag(s) adj(V), the complex conjugates of the kets Phi^s.
-    Other shapes raise ShapeError, and modes that do not pair up ValidationError.
+    ``lambdas`` (1-d) holds all min(latin_dim, greek_dim) squared singular values of the
+    amplitude matrix in descending order. Column ``s`` of the 2-d ``latin_modes`` / ``greek_modes``
+    is the paired mode vector for ``lambdas[s]``; only eigenvalues above the rank threshold keep
+    modes, so ``rank``, the number of mode pairs, is derived. The Latin modes are the Schmidt kets
+    F^s; the Greek modes are the columns of V in C = U diag(s) adj(V), the conjugates of kets Phi^s.
+    Other shapes raise ShapeError. ValidationError refuses modes that do not pair up, lambdas
+    not in [0, 1], rising, zero for a kept pair or not summing to 1, and mode columns not of norm 1,
+    each within ``NORM_ATOL``: no summary sees a bad spectrum. Orthogonality is the producer's.
     """
 
     def __init__(self, lambdas, latin_modes, greek_modes):
@@ -198,6 +208,21 @@ class SchmidtDecomposition(_Record):
         if not f.shape[1] == g.shape[1] <= len(lam):
             raise ValidationError(f"{f.shape[1]} Latin and {g.shape[1]} Greek modes for "
                                   f"{len(lam)} eigenvalues: one pair per leading eigenvalue")
+        values, rank = lam.tolist(), f.shape[1]
+        for s, value in enumerate(values):
+            if not 0.0 <= value <= 1.0 + NORM_ATOL:  # false for NaN too
+                raise ValidationError(f"lambda {s} is {value!r}, outside [0, 1]")
+            if s and value > values[s - 1]:
+                raise ValidationError(f"lambda {s} is {value!r}, above lambda {s - 1}")
+            if s < rank and value == 0.0:
+                raise ValidationError(f"lambda {s} is {value!r}, but its mode pair is kept")
+        if not abs(math.fsum(values) - 1.0) <= NORM_ATOL:
+            raise ValidationError(f"lambdas sum to {math.fsum(values)!r}, expected 1")
+        for name, modes in (("latin_modes", f), ("greek_modes", g)):
+            magnitude = _refuse_above_one(modes, f"{name} entry", NORM_ATOL)
+            for s, norm in enumerate(np.linalg.norm(magnitude, axis=0).tolist()):
+                if not abs(norm - 1.0) <= NORM_ATOL:  # false for NaN too
+                    raise ValidationError(f"{name} column {s} has norm {norm!r}, expected 1")
         self.__setstate__(dict(lambdas=lam, latin_modes=f, greek_modes=g))
 
     @property
@@ -270,10 +295,11 @@ def schmidt_decompose(
     get no mode pair. Each pair gets the phase that makes the first
     significant component of the smaller side's mode (Latin on a tie) real
     and positive. The state is unit-norm by construction, so only the
-    threshold is checked: ValidationError unless it is a finite positive real number.
+    threshold is checked: ValidationError unless it is a finite positive real, not a bool.
     Raises ConvergenceError if LAPACK does not converge or returns a non-finite factor.
     """
-    if not (isinstance(threshold, numbers.Real) and 0.0 < threshold < math.inf):  # NaN fails too
+    if isinstance(threshold, bool) or not (isinstance(threshold, numbers.Real)
+                                           and 0.0 < threshold < math.inf):  # NaN fails too
         raise ValidationError(f"rank threshold must be finite and positive, got {threshold!r}")
     try:
         # Thin factors: a full V of a 2 x 4096 state would hold 4096^2 entries.

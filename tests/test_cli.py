@@ -646,12 +646,11 @@ class TestReportMatchesTheLibrary:
             cli.AnalysisReport(bell_state(), d)
 
     def test_nan_mode_is_refused(self):
-        # A NaN in the modes makes the residual NaN, which no comparison with
-        # the limit can let through as a report.
-        d = SchmidtDecomposition([0.5, 0.5], [[np.nan, 0], [0, 1]], [[0, 1], [1, 0]])
-        with pytest.raises(ConvergenceError,
-                           match=r"^reconstruction residual nan exceeds 1e-09$"):
-            cli.AnalysisReport(bell_state(), d)
+        # A NaN in the modes would make the residual NaN; the record refuses it
+        # before any report sees it.
+        with pytest.raises(ValidationError,
+                           match=r"^latin_modes column 0 has norm nan, expected 1$"):
+            SchmidtDecomposition([0.5, 0.5], [[np.nan, 0], [0, 1]], [[0, 1], [1, 0]])
 
     def test_modes_must_fit_the_state(self):
         # One row per basis label on each side: zip would drop a surplus row.

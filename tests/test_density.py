@@ -69,24 +69,34 @@ class TestDensityMatrixType:
         (lambda: DensityMatrix([[0.5, 1e308], [-1e308, 0.5]]),
          r"^density matrix is not Hermitian \(defect inf\)$"),
         (lambda: DensityMatrix(np.diag([1.7e308, 1.7e308])),
-         r"^density matrix trace is inf, expected 1$"),
+         r"^density matrix entry \(0, 0\) has magnitude 1\.7e\+308, above 1$"),
         (lambda: DensityMatrix(np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308, 0, 0, 0, 0, 1])),
-         r"^density matrix trace is nan, expected 1$"),
+         r"^density matrix entry \(0, 0\) has magnitude 1\.7e\+308, above 1$"),
         (lambda: classical_mixture([(1e308, "a", "b"), (1e308, "a", "b")]),
          r"^density matrix is not Hermitian: entry \(0, 0\) is not finite: \(inf\+0j\)$"),
         (lambda: partial_trace(DensityMatrix(
             np.diag([0.25] * 4) + 1e308 * (np.eye(4, k=2) + np.eye(4, k=-2)),
             (["a", "b"], ["c", "d"])), "A"),
-         r"^density matrix is not Hermitian: entry \(0, 1\) is not finite: \(inf\+0j\)$"),
+         r"^density matrix entry \(0, 2\) has magnitude 1e\+308, above 1$"),
         (lambda: conditional_state(DensityMatrix(
             np.diag([0.25] * 4) + 1e308 * (np.eye(4, k=2) + np.eye(4, k=-2)),
             (["a", "b"], ["c", "d"])), [2**-0.5, 2**-0.5]),
-         r"^outcome probability is not finite: inf$"),
+         r"^density matrix entry \(0, 2\) has magnitude 1e\+308, above 1$"),
     ], ids=["hermiticity", "trace", "trace-inf-minus-inf", "mixture-weights", "partial-trace",
             "conditional-state"])
     def test_sum_past_the_float_range_is_refused_without_a_warning(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
+
+    # Hermitian and of trace 1, but no positive semidefinite matrix of trace 1 has an entry
+    # above 1; purity read 8.5 for the first and inf for the second.
+    @pytest.mark.parametrize("matrix,magnitude", [
+        ([[0.5, 2], [2, 0.5]], r"2\.0"), ([[0.5, 1e200], [1e200, 0.5]], r"1e\+200"),
+    ], ids=["two", "past-the-square-root-of-the-float-maximum"])
+    def test_entry_above_one_is_refused(self, matrix, magnitude):
+        with pytest.raises(ValidationError, match=r"^density matrix entry \(0, 1\) has "
+                                                  f"magnitude {magnitude}, above 1$"):
+            DensityMatrix(matrix)
 
     @pytest.mark.parametrize("dim,parts,message", [
         (4, (["H", "V"], ["H", "H"]), r"^basis label 'HH' is not unique$"),
@@ -332,6 +342,13 @@ class TestConditionalState:
         rho = pure_density(bell_state())
         with pytest.raises(ValidationError, match="unit norm, got nan"):
             conditional_state(rho, [np.nan, 0.0])
+
+    def test_projector_component_above_one_is_refused_without_a_warning(self):
+        # No unit vector has such a component; its square would overflow the norm.
+        rho = pure_density(bell_state())
+        with pytest.raises(ValidationError, match=r"^projection vector component 0 has "
+                                                  r"magnitude 1e\+300, above 1$"):
+            conditional_state(rho, [1e300, 0])
 
     def test_projector_dimension_checked(self):
         rho = pure_density(bell_state())

@@ -312,6 +312,12 @@ class TestSchmidtDecompose:
         with pytest.raises(ValidationError):
             schmidt_decompose(demo_state(), threshold=0.0)
 
+    def test_boolean_threshold_is_refused(self):
+        # A bool is a numbers.Real: True would be read as 1.0 and leave no mode pair.
+        with pytest.raises(ValidationError, match="^rank threshold must be finite and "
+                                                  "positive, got True$"):
+            schmidt_decompose(demo_state(), threshold=True)
+
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
     def test_threshold_must_be_finite(self, threshold):
         with pytest.raises(ValidationError, match="finite and positive"):
@@ -404,6 +410,25 @@ class TestReconstruct:
         with pytest.raises(ShapeError, match=re.escape(
                 "lambdas must be a 1-d array, got shape (1, 1)")):
             SchmidtDecomposition([[1.0]], [[1.0]], [[1.0]])
+
+    # Each broke a summary: the entropy read 0.0 and K nan for [nan, 1], K read 0.4 for
+    # [-0.5, 1.5], and the others warned in log2, sqrt, square or matmul.
+    @pytest.mark.parametrize("lambdas,latin,greek,message", [
+        ([np.nan, 1.0], np.eye(2), np.eye(2), "lambda 0 is nan, outside [0, 1]"),
+        ([1e200, 0.0], [[1], [0]], [[1], [0]], "lambda 0 is 1e+200, outside [0, 1]"),
+        ([-0.5, 1.5], np.eye(2), np.eye(2), "lambda 0 is -0.5, outside [0, 1]"),
+        ([np.inf, 0.0], [[1], [0]], [[1], [0]], "lambda 0 is inf, outside [0, 1]"),
+        ([1.0, 0.0], [[1e300], [0]], [[1], [0]],
+         "latin_modes entry (0, 0) has magnitude 1e+300, above 1"),
+        ([1.0, 0.0], np.eye(2), np.eye(2), "lambda 1 is 0.0, but its mode pair is kept"),
+        ([0.4, 0.6], np.eye(2), np.eye(2), "lambda 1 is 0.6, above lambda 0"),
+        ([0.5, 0.25], np.eye(2), np.eye(2), "lambdas sum to 0.75, expected 1"),
+        ([1.0, 0.0], [[1], [0]], [[0.5], [0.5]], "greek_modes column 0 has norm 0.7071"),
+    ], ids=["nan", "huge", "negative", "inf", "huge-mode", "kept-zero", "increasing",
+            "sum", "mode-norm"])
+    def test_values_that_break_a_summary_are_refused(self, lambdas, latin, greek, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            SchmidtDecomposition(lambdas, latin, greek)
 
     def test_rank_is_derived_not_passed(self):
         assert list(inspect.signature(SchmidtDecomposition).parameters) == [
