@@ -52,7 +52,7 @@ class DensityMatrix(_Record):
     """
 
     def __init__(self, matrix, parts=()):
-        m = _hermitian_matrix(matrix, "density matrix")
+        m = _hermitian_matrix(matrix)
         parts = tuple(_label_tuple(part, f"parts[{i}]")
                       for i, part in enumerate(_label_tuple(parts, "parts")))
         if len(parts) > 2:

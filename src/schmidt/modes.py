@@ -18,9 +18,9 @@ term survives.
 
 ``_frozen_array``, ``_label_tuple``, ``_hermitian_matrix`` and ``_refuse_above_one`` are the
 records' intakes of arrays, labels, Hermitian matrices and entries bounded by 1, and ``_Record``
-their read-only base, which also freezes arrays a pickle or copy restores. No code in the
-package calls ``hermitian_eigen``, a Hermitian eigensolver with the modes' phase convention,
-or builds an ``EigenSystem``: they stay only because the benchmark's tracer wraps it.
+their read-only base, which also freezes arrays a pickle or copy restores. The SVD in
+``schmidt_decompose`` is the one factorization; ``hermitian_eigen`` only raises, and its name
+stays because the benchmark's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ DEFAULT_RANK_THRESHOLD = 1e-10
 RESIDUAL_LIMIT = 1e-9
 # ket-v1's LABEL rule, which the constructor applies and the ket tokens embed.
 LABEL = r"[A-Za-z][A-Za-z0-9_]*"
-# _hermitian_matrix, the intake of DensityMatrix and hermitian_eigen, allows this defect.
+# _hermitian_matrix, the intake of DensityMatrix, allows this defect.
 HERMITICITY_ATOL = 1e-10
 # --strict-norm input and projection vectors must have unit norm to within this.
 NORM_ATOL = 1e-9
@@ -70,21 +70,21 @@ def _label_tuple(value, name: str) -> tuple:
     return tuple(value)
 
 
-def _hermitian_matrix(value, name: str) -> np.ndarray:
-    """A square, finite, Hermitian matrix as ``_frozen_array``'s complex copy. ShapeError
-    names ``name`` unless it is square; ValidationError names the first non-finite entry,
+def _hermitian_matrix(value) -> np.ndarray:
+    """A square, finite, Hermitian density matrix as ``_frozen_array``'s complex copy.
+    ShapeError unless it is square; ValidationError names the first non-finite entry,
     or the defect max |m - adj(m)| when it exceeds ``HERMITICITY_ATOL``."""
     m = _frozen_array(value, complex, 2, "matrix")
     if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {m.shape}")
+        raise ShapeError(f"density matrix must be square, got shape {m.shape}")
     if not np.isfinite(m).all():  # m - adj(m) would warn, and the defect be NaN
         i, j = (int(k) for k in np.argwhere(~np.isfinite(m))[0])
-        raise ValidationError(f"{name} is not Hermitian: entry {(i, j)} "
+        raise ValidationError(f"density matrix is not Hermitian: entry {(i, j)} "
                               f"is not finite: {complex(m[i, j])!r}")
     with np.errstate(over="ignore"):  # finite entries can differ by more than the float maximum
         defect = float(np.max(np.abs(m - m.conj().T), initial=0.0))
     if defect > HERMITICITY_ATOL:
-        raise ValidationError(f"{name} is not Hermitian (defect {defect:.3e})")
+        raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
     return m
 
 
@@ -230,59 +230,9 @@ class SchmidtDecomposition(_Record):
         return self.latin_modes.shape[1]
 
 
-class EigenSystem(_Record):
-    """Eigendecomposition of a Hermitian matrix, as read-only copies of the arrays given.
-
-    ``eigenvalues`` is sorted non-increasing; column ``s`` of ``eigenvectors``
-    is the unit-norm eigenvector belonging to ``eigenvalues[s]``.  ``residual``
-    is the largest off-diagonal magnitude of ``adj(V) H V``, measured on the
-    returned eigenvectors.
-    """
-
-    def __init__(self, eigenvalues, eigenvectors, residual):
-        values = _frozen_array(eigenvalues, float, 1, "eigenvalues")
-        vectors = _frozen_array(eigenvectors, complex, 2, "eigenvectors")
-        self.__setstate__(dict(eigenvalues=values, eigenvectors=vectors, residual=residual))
-
-
-def hermitian_eigen(h) -> EigenSystem:
-    """Full eigensystem of a Hermitian matrix, by LAPACK's ``np.linalg.eigh``.
-
-    ``_hermitian_matrix`` checks ``h``: ShapeError unless it is square, ValidationError
-    for a non-finite entry or for a matrix too far from Hermitian.
-    Raises ConvergenceError if LAPACK does not converge.
-    """
-    a = _hermitian_matrix(h, "matrix")
-    n = a.shape[0]
-    if n == 0:
-        return EigenSystem(np.zeros(0), np.zeros((0, 0), dtype=complex), 0.0)
-    a = (a + a.conj().T) / 2.0  # eigh reads one triangle; use both
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"np.linalg.eigh failed on the {n}x{n} matrix: {exc}") from exc
-    values, vectors = values[::-1], vectors[:, ::-1]
-    fix_phases(vectors)
-    rotated = vectors.conj().T @ a @ vectors
-    residual = float(np.max(np.abs(rotated - np.diag(np.diag(rotated)))))
-    return EigenSystem(eigenvalues=values, eigenvectors=vectors, residual=residual)
-
-
-def fix_phases(vecs: np.ndarray, partner: np.ndarray | None = None) -> None:
-    """Give each column of ``vecs`` its deterministic phase, in place.
-
-    Column ``s`` is multiplied by the unit phase that makes its first
-    component larger than RESIDUAL_LIMIT in magnitude real and positive, which
-    makes non-degenerate vectors unique. Column ``s`` of ``partner`` (a
-    Schmidt mode paired with ``vecs[:, s]``) is multiplied by the same phase,
-    which leaves the product ``vecs[:, s] adj(partner[:, s])`` unchanged.
-    A finite unit-norm column always has such a component.
-    """
-    pivots = vecs[(np.abs(vecs) > RESIDUAL_LIMIT).argmax(axis=0), np.arange(vecs.shape[1])]
-    phases = pivots.conj() / np.abs(pivots)
-    vecs *= phases
-    if partner is not None:
-        partner *= phases
+def hermitian_eigen(h):
+    """Retired: no code factorizes a Hermitian matrix; the Schmidt data come from one SVD."""
+    raise NotImplementedError("hermitian_eigen is retired; use schmidt_decompose")
 
 
 def schmidt_decompose(
@@ -292,10 +242,13 @@ def schmidt_decompose(
     """Schmidt spectrum and paired modes from one SVD of the amplitude matrix.
 
     Eigenvalues at or below ``threshold`` keep their slot in ``lambdas`` but
-    get no mode pair. Each pair gets the phase that makes the first
-    significant component of the smaller side's mode (Latin on a tie) real
-    and positive. The state is unit-norm by construction, so only the
-    threshold is checked: ValidationError unless it is a finite positive real, not a bool.
+    get no mode pair. Both modes of a pair are multiplied by conj(p)/|p|, where
+    p is the first component above RESIDUAL_LIMIT in magnitude of the smaller
+    side's mode (Latin on a tie); a unit-norm column always has one. p becomes
+    real and positive, which makes non-degenerate pairs unique, and the shared
+    phase leaves the product f adj(g) unchanged. The state is unit-norm by
+    construction, so only the threshold is checked: ValidationError unless it
+    is a finite positive real, not a bool.
     Raises ConvergenceError if LAPACK does not converge or returns a non-finite factor.
     """
     if isinstance(threshold, bool) or not (isinstance(threshold, numbers.Real)
@@ -314,10 +267,11 @@ def schmidt_decompose(
     rank = int(np.sum(lambdas > threshold))
     latin_modes = u[:, :rank]
     greek_modes = vh[:rank].conj().T
-    if state.latin_dim <= state.greek_dim:
-        fix_phases(latin_modes, greek_modes)
-    else:
-        fix_phases(greek_modes, latin_modes)
+    side = latin_modes if state.latin_dim <= state.greek_dim else greek_modes
+    pivots = side[(np.abs(side) > RESIDUAL_LIMIT).argmax(axis=0), np.arange(rank)]
+    phases = pivots.conj() / np.abs(pivots)
+    latin_modes *= phases
+    greek_modes *= phases
     return SchmidtDecomposition(lambdas, latin_modes, greek_modes)
 
 

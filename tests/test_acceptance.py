@@ -175,10 +175,10 @@ def test_c08_random_state_properties():
 
             assert abs(np.sum(d.lambdas) - 1.0) <= 1e-10
 
-            lam_latin = eigvals_desc(gram_latin(state).matrix)
-            lam_greek = eigvals_desc(gram_greek(state).matrix)
-            common = min(len(lam_latin), len(lam_greek))
-            np.testing.assert_allclose(lam_latin[:common], lam_greek[:common], atol=1e-10)
+            # Both reduced states have the Schmidt spectrum, padded with zeros.
+            for gram in (gram_latin(state), gram_greek(state)):
+                padded = np.pad(d.lambdas, (0, len(gram.basis_labels) - len(d.lambdas)))
+                np.testing.assert_allclose(eigvals_desc(gram.matrix), padded, atol=1e-10)
 
             k = schmidt_number(d)
             assert 1.0 - 1e-9 <= k <= min(rows, cols) + 1e-9

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import schmidt.modes
 from schmidt.catalog import example_state
 from schmidt.cli import AnalysisReport, build_report, render_report
 from schmidt.density import DensityMatrix, classical_mixture, gram_greek, gram_latin, pure_density
@@ -13,7 +14,6 @@ from schmidt.modes import (
     BipartitePureState,
     SchmidtDecomposition,
     entanglement_entropy,
-    hermitian_eigen,
     is_entangled,
     reconstruct,
     schmidt_decompose,
@@ -160,11 +160,18 @@ def test_array_holders_compare_and_hash_by_identity():
     first, second = demo_state(), demo_state()
     for a, b in ((first, second),
                  (schmidt_decompose(first), schmidt_decompose(second)),
-                 (hermitian_eigen(np.eye(2)), hermitian_eigen(np.eye(2))),
                  (pure_density(first), pure_density(second)),
                  (build_report(first), build_report(second))):
         assert a == a and a != b
         assert len({a, b, a}) == 2
+
+
+def test_hermitian_eigen_is_a_placeholder_for_schmidt_decompose():
+    # The name stays for the benchmark tracer, which wraps it; the SVD is the one path.
+    with pytest.raises(NotImplementedError, match="schmidt_decompose"):
+        schmidt.modes.hermitian_eigen(np.eye(2))
+    assert not hasattr(schmidt.modes, "EigenSystem")
+    assert not hasattr(schmidt.modes, "fix_phases")
 
 
 class TestGramMatrices:
@@ -225,7 +232,7 @@ class TestSchmidtDecompose:
         )
 
     def test_non_finite_svd_factor_is_refused(self, monkeypatch):
-        # No NaN mode reaches fix_phases, whose pivot needs a finite column.
+        # No NaN mode reaches the phase rule, whose pivot needs a finite column.
         svd = np.linalg.svd
 
         def planted_nan(a, full_matrices=True):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from schmidt import cli
 from schmidt.errors import SchmidtError, ValidationError
 from schmidt.ketparse import format_state, parse_state
-from schmidt.modes import LABEL, BipartitePureState
+from schmidt.modes import LABEL, RESIDUAL_LIMIT, BipartitePureState
 
 ENTRIES = (1, -1, 1j, -1j, 2, 0.5, 0)
 HALF = sys.float_info.max / 2
@@ -92,6 +92,12 @@ def test_every_state_is_reported_correctly_or_refused(case):
         d = report.decomposition
         for modes in (d.latin_modes, d.greek_modes):
             assert np.max(np.abs(modes.conj().T @ modes - np.eye(d.rank))) <= 1e-12
+        # The phase rule: on the smaller side (Latin on a tie), each mode's first component
+        # above RESIDUAL_LIMIT is real and positive, up to the rounding of the complex product.
+        pivot_side = d.latin_modes if len(latin) <= len(greek) else d.greek_modes
+        for mode in pivot_side.T:
+            p = mode[np.flatnonzero(np.abs(mode) > RESIDUAL_LIMIT)[0]]
+            assert abs(p.imag) <= 4 * np.finfo(float).eps * abs(p) and p.real > 0.0
         assert report.reconstruction_residual <= 1e-9
         assert isinstance(cli.render_report(report), str)
 

@@ -1,4 +1,4 @@
-"""The five records: read-only fields and arrays, and pickle and copy round trips."""
+"""The four records: read-only fields and arrays, and pickle and copy round trips."""
 
 import copy
 import pickle
@@ -9,8 +9,7 @@ import pytest
 from schmidt.catalog import example_state
 from schmidt.cli import build_report
 from schmidt.density import classical_mixture
-from schmidt.errors import ShapeError
-from schmidt.modes import EigenSystem, _Record, hermitian_eigen, schmidt_decompose
+from schmidt.modes import _Record, schmidt_decompose
 
 # Each record by class name: how to build one, and its fields in repr order.
 RECORDS = {
@@ -23,8 +22,6 @@ RECORDS = {
         "schmidt_number", "entropy", "entangled")),
     "DensityMatrix": (lambda: classical_mixture([(0.5, "H", "V"), (0.5, "V", "H")]), (
         "matrix", "parts", "basis_labels")),
-    "EigenSystem": (lambda: hermitian_eigen(np.array([[2.0, 1j], [-1j, 1.0]])), (
-        "eigenvalues", "eigenvectors", "residual")),
 }
 
 
@@ -84,13 +81,3 @@ def test_every_array_is_read_only_after_construction(name):
     kept = list(arrays(record))
     assert kept and not any(array.flags.writeable for array in kept)
 
-
-def test_eigen_system_keeps_read_only_copies_of_the_arrays_given():
-    values, vectors = np.array([2.0, 1.0]), np.eye(2, dtype=complex)
-    system = EigenSystem(values, vectors, 0.0)
-    for given, kept in ((values, system.eigenvalues), (vectors, system.eigenvectors)):
-        assert given.flags.writeable and not kept.flags.writeable
-        assert not np.shares_memory(given, kept)
-        np.testing.assert_array_equal(kept, given)
-    with pytest.raises(ShapeError, match="^eigenvalues must be a 1-d array, got shape"):
-        EigenSystem(np.eye(2), vectors, 0.0)
