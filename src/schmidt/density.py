@@ -7,8 +7,8 @@ Product-basis convention: the composite index of |n> (x) |nu> is ``n * greek_dim
 
 ``pure_density`` and ``classical_mixture`` record the Latin and Greek bases in
 ``DensityMatrix.parts``; ``partial_trace`` and ``conditional_state`` read the split from
-there and give their one-party result the kept basis. No ``DensityMatrix`` has an entry
-above 1 in magnitude, so no sum that this module takes can overflow.
+there and give their one-party result the kept basis. ``DensityMatrix`` refuses an entry
+above 1 in magnitude before it takes m - adj(m), so no sum this module takes can overflow.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, ShapeError, ValidationError
-from .modes import (NORM_ATOL, BipartitePureState, _frozen_array, _hermitian_matrix,
-                    _label_tuple, _Record, _refuse_above_one)
+from .modes import (NORM_ATOL, BipartitePureState, _frozen_array, _label_tuple, _Record,
+                    _refuse_above_one)
 
+# The one tolerance of a density matrix: its Hermitian defect, its entry bound and its trace.
 TRACE_ATOL = 1e-10
 # Below this, a measurement outcome counts as impossible and cannot be
 # conditioned on.
@@ -46,13 +47,24 @@ class DensityMatrix(_Record):
 
     ``parts`` holds one basis of ``str`` labels per party, one or two of them. ``basis_labels`` is
     derived: the single basis, the two bases' ``product_labels``, or "0", "1", ... with no part;
-    they must be unique. ``_hermitian_matrix`` checks shape, finite entries and Hermiticity; then
-    parts, labels, no entry above 1 + ``TRACE_ATOL`` in magnitude (as in every positive semidefinite
-    matrix of trace 1) and trace. Full positive semidefiniteness is left to the producer.
+    they must be unique. The checks run in this order: the matrix is square, its entries are
+    finite, none is above 1 + ``TRACE_ATOL`` in magnitude (as in no positive semidefinite matrix
+    of trace 1), its Hermitian defect max |m - adj(m)| is within ``TRACE_ATOL``; then parts,
+    labels and trace. Full positive semidefiniteness is left to the producer.
     """
 
     def __init__(self, matrix, parts=()):
-        m = _hermitian_matrix(matrix)
+        m = _frozen_array(matrix, complex, 2, "matrix")
+        if m.shape[0] != m.shape[1]:
+            raise ShapeError(f"density matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            i, j = (int(k) for k in np.argwhere(~np.isfinite(m))[0])
+            raise ValidationError(f"density matrix is not Hermitian: entry {(i, j)} "
+                                  f"is not finite: {complex(m[i, j])!r}")
+        _refuse_above_one(m, "density matrix entry", TRACE_ATOL)  # bounds every sum below
+        defect = float(np.max(np.abs(m - m.conj().T), initial=0.0))
+        if defect > TRACE_ATOL:
+            raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
         parts = tuple(_label_tuple(part, f"parts[{i}]")
                       for i, part in enumerate(_label_tuple(parts, "parts")))
         if len(parts) > 2:
@@ -69,7 +81,6 @@ class DensityMatrix(_Record):
         if len(set(labels)) != len(labels):
             repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
             raise ValidationError(f"basis label {repeated!r} is not unique")
-        _refuse_above_one(m, "density matrix entry", TRACE_ATOL)  # bounds every sum below
         tr = complex(np.trace(m)).real
         if not abs(tr - 1.0) <= TRACE_ATOL:  # false for NaN too
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")

@@ -16,11 +16,11 @@ modes are stored as V's columns, so for complex amplitudes they are the
 conjugates of the kets Phi^s. The state factorizes exactly when a single
 term survives.
 
-``_frozen_array``, ``_label_tuple``, ``_hermitian_matrix`` and ``_refuse_above_one`` are the
-records' intakes of arrays, labels, Hermitian matrices and entries bounded by 1, and ``_Record``
-their read-only base, which also freezes arrays a pickle or copy restores. The SVD in
-``schmidt_decompose`` is the one factorization; ``hermitian_eigen`` only raises, and its name
-stays because the benchmark's tracer wraps it.
+``_frozen_array``, ``_label_tuple`` and ``_refuse_above_one`` are the records' intakes of
+arrays, labels and entries bounded by 1, and ``_Record`` their read-only base, which also
+freezes arrays a pickle or copy restores. The SVD in ``schmidt_decompose`` is the one
+factorization; ``hermitian_eigen`` only raises, and its name stays because the benchmark's
+tracer wraps it.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ DEFAULT_RANK_THRESHOLD = 1e-10
 RESIDUAL_LIMIT = 1e-9
 # ket-v1's LABEL rule, which the constructor applies and the ket tokens embed.
 LABEL = r"[A-Za-z][A-Za-z0-9_]*"
-# _hermitian_matrix, the intake of DensityMatrix, allows this defect.
-HERMITICITY_ATOL = 1e-10
 # --strict-norm input and projection vectors must have unit norm to within this.
 NORM_ATOL = 1e-9
 
@@ -68,24 +66,6 @@ def _label_tuple(value, name: str) -> tuple:
     if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
         raise ShapeError(f"{name} is not an array of strings: {value!r}")
     return tuple(value)
-
-
-def _hermitian_matrix(value) -> np.ndarray:
-    """A square, finite, Hermitian density matrix as ``_frozen_array``'s complex copy.
-    ShapeError unless it is square; ValidationError names the first non-finite entry,
-    or the defect max |m - adj(m)| when it exceeds ``HERMITICITY_ATOL``."""
-    m = _frozen_array(value, complex, 2, "matrix")
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"density matrix must be square, got shape {m.shape}")
-    if not np.isfinite(m).all():  # m - adj(m) would warn, and the defect be NaN
-        i, j = (int(k) for k in np.argwhere(~np.isfinite(m))[0])
-        raise ValidationError(f"density matrix is not Hermitian: entry {(i, j)} "
-                              f"is not finite: {complex(m[i, j])!r}")
-    with np.errstate(over="ignore"):  # finite entries can differ by more than the float maximum
-        defect = float(np.max(np.abs(m - m.conj().T), initial=0.0))
-    if defect > HERMITICITY_ATOL:
-        raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
-    return m
 
 
 def _refuse_above_one(values: np.ndarray, name: str, atol: float) -> np.ndarray:

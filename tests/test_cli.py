@@ -933,6 +933,13 @@ class TestGoldenOutputs:
         assert_json_matches(run_json(capsys, *self.argv(case)), expected)
 
 
+@pytest.mark.parametrize("name", ["bell", "classical"])
+def test_comparison_json(capsys, name):
+    """Both names print the one comparison committed as tests/golden/comparison.json."""
+    expected = json.loads((GOLDEN / "comparison.json").read_text(encoding="utf-8"))
+    assert_json_matches(run_json(capsys, "examples", name), expected)
+
+
 class TestReadme:
     README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from schmidt.density import (
+    TRACE_ATOL,
     DensityMatrix,
     classical_mixture,
     conditional_state,
@@ -67,7 +68,7 @@ class TestDensityMatrixType:
     # "overflow encountered" (or, for inf - inf in a pairwise sum, "invalid value").
     @pytest.mark.parametrize("build,message", [
         (lambda: DensityMatrix([[0.5, 1e308], [-1e308, 0.5]]),
-         r"^density matrix is not Hermitian \(defect inf\)$"),
+         r"^density matrix entry \(0, 1\) has magnitude 1e\+308, above 1$"),
         (lambda: DensityMatrix(np.diag([1.7e308, 1.7e308])),
          r"^density matrix entry \(0, 0\) has magnitude 1\.7e\+308, above 1$"),
         (lambda: DensityMatrix(np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308, 0, 0, 0, 0, 1])),
@@ -97,6 +98,20 @@ class TestDensityMatrixType:
         with pytest.raises(ValidationError, match=r"^density matrix entry \(0, 1\) has "
                                                   f"magnitude {magnitude}, above 1$"):
             DensityMatrix(matrix)
+
+    # TRACE_ATOL is the one tolerance of each check: 0.9e-10 past exact passes, 1.1e-10 fails.
+    @pytest.mark.parametrize("build,message", [
+        (lambda d: [[0.5, 0.25], [0.25 + d, 0.5]], r"is not Hermitian \(defect 1\.100e-10\)"),
+        (lambda d: np.diag([1 + d, -d]), r"entry \(0, 0\) has magnitude 1\.00000000011, above 1"),
+        (lambda d: np.diag([0.5, 0.5 + d]), r"trace is 1\.00000000011, expected 1"),
+    ], ids=["hermiticity", "entry", "trace"])
+    @pytest.mark.parametrize("offset", [0.9e-10, 1.1e-10], ids=["inside", "outside"])
+    def test_each_check_allows_trace_atol(self, build, message, offset):
+        if offset < TRACE_ATOL:
+            DensityMatrix(build(offset))
+        else:
+            with pytest.raises(ValidationError, match=f"^density matrix {message}$"):
+                DensityMatrix(build(offset))
 
     @pytest.mark.parametrize("dim,parts,message", [
         (4, (["H", "V"], ["H", "H"]), r"^basis label 'HH' is not unique$"),
