@@ -23,7 +23,6 @@ import gc
 import json
 import os
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -67,40 +66,35 @@ def state_to_doc(state: BipartitePureState) -> dict:
 
 
 def _amplitude_matrix(rows) -> np.ndarray:
-    """Rows of [re, im] pairs as a complex matrix. Raises ValueError unless
-    ``rows`` is an array of arrays, naming a row whose length differs from
-    row 0's, and an entry that is not exactly two numbers or holds an integer
-    beyond the float range by its row and column."""
+    """Rows of [re, im] pairs as a complex matrix, read in one row-major pass.
+    Raises ValueError unless ``rows`` is an array of arrays, then at the first
+    fault met, a row's length before its entries: a row whose length differs
+    from row 0's, or an entry that is not two numbers (a boolean is none) or
+    holds an integer beyond the float range, named by its row and column."""
     # A JSON string or object iterates too, as characters or keys.
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError("amplitudes must be an array of rows")
-    try:
-        amps = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-        # complex(True, False) is 1+0j. Only a part of exactly 0 or 1 can be a
-        # JSON boolean, so the entry types are scanned only when there is one.
-        if (np.isin(amps.view(float), (0.0, 1.0)).any()
-                and bool in map(type, chain.from_iterable(chain.from_iterable(rows)))):
-            raise TypeError("a boolean is not a number")
-        return amps
-    except (TypeError, ValueError, OverflowError):
-        lengths = [len(row) for row in rows]
-        for i, row in enumerate(rows):
-            if lengths[i] != lengths[0]:
-                raise ValueError(f"amplitude row {i} has length {lengths[i]}, "
-                                 f"row 0 has length {lengths[0]}") from None
-            for j, entry in enumerate(row):
-                try:
-                    re, im = entry
-                    if bool in (type(re), type(im)):
-                        raise TypeError("a boolean is not a number")
-                    complex(re, im)
-                except OverflowError:  # a JSON integer such as 10**330
-                    raise ValueError(f"amplitude entry at row {i}, column {j} "
-                                     "overflows the float range") from None
-                except (TypeError, ValueError):
-                    raise ValueError(f"amplitude entry at row {i}, column {j} is not "
-                                     f"an [re, im] pair of numbers: {entry!r}") from None
-        raise
+    width = len(rows[0]) if rows else 0
+    matrix = []
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"amplitude row {i} has length {len(row)}, "
+                             f"row 0 has length {width}")
+        values = []
+        for j, entry in enumerate(row):
+            try:
+                re, im = entry
+                if type(re) is bool or type(im) is bool:  # complex(True, False) is 1+0j
+                    raise TypeError("a boolean is not a number")
+                values.append(complex(re, im))
+            except OverflowError:  # a JSON integer such as 10**330
+                raise ValueError(f"amplitude entry at row {i}, column {j} "
+                                 "overflows the float range") from None
+            except (TypeError, ValueError):
+                raise ValueError(f"amplitude entry at row {i}, column {j} is not "
+                                 f"an [re, im] pair of numbers: {entry!r}") from None
+        matrix.append(values)
+    return np.array(matrix, dtype=complex)
 
 
 def state_from_doc(doc) -> BipartitePureState:

@@ -21,8 +21,9 @@ state or parenthesized combination works as in ordinary arithmetic.
 
 ``parse_state`` reports the first error in this order: a character outside
 the grammar, wherever it stands; a syntax error or a scalar that overflows the
-float range; a coefficient product or sum that overflows. ``parse_expression``
-checks the first two, ``KetExpression.to_state`` the last.
+float range; a coefficient product that overflows, in any term; a sum of
+finite products that overflows. ``parse_expression`` checks the first two,
+``KetExpression.to_state`` the last two.
 
 Text is tokenized once and parsed in one loop over the tokens. A ket, a
 bracketed scalar ``(re±im i)`` and the tensor ``(x)`` are each one token,
@@ -111,8 +112,15 @@ class KetExpression(NamedTuple):
     __eq__, __ne__ = _same, _differ
 
     def to_state(self) -> BipartitePureState:
-        """Distribute the tensor products into an amplitude matrix."""
-        terms = self.terms
+        """Distribute the tensor products into an amplitude matrix.
+
+        Raises ValidationError for the first product, in term order, that
+        overflows the float range, naming the term and its kets; only when
+        every product is finite, for the first entry whose products sum
+        beyond it, naming its kets. The amplitude alone would show inf+nanj
+        or inf, values the text never held.
+        """
+        terms, isfinite = self.terms, cmath.isfinite
         greek = {label: None for _, _, items in terms for _, label in items}
         greek = dict(zip(greek, range(len(greek))))
         zeros = [0j] * len(greek)
@@ -121,7 +129,7 @@ class KetExpression(NamedTuple):
         # Latin ket's row is appended where the ket first appears.
         latin: dict[str, int] = {}
         flat: list[complex] = []
-        for coefficient, latin_items, greek_items in terms:
+        for number, (coefficient, latin_items, greek_items) in enumerate(terms, start=1):
             for lcoef, llabel in latin_items:
                 scaled = coefficient * lcoef
                 try:
@@ -130,33 +138,17 @@ class KetExpression(NamedTuple):
                     row = latin[llabel] = len(flat)
                     flat += zeros
                 for gcoef, glabel in greek_items:
-                    flat[row + greek[glabel]] += scaled * gcoef
+                    product = scaled * gcoef
+                    if not isfinite(product):
+                        raise ValidationError(f"the coefficient product of term {number} at "
+                                              f"|{llabel}>(x)|{glabel}> overflows the float range")
+                    flat[row + greek[glabel]] += product
         amps = np.array(flat, dtype=complex).reshape(len(latin), len(greek))
         if not np.isfinite(amps).all():
-            self._check_products(amps, tuple(latin), tuple(greek))
+            row, col = np.argwhere(~np.isfinite(amps))[0]
+            raise ValidationError(f"the coefficients of |{tuple(latin)[row]}>(x)|"
+                                  f"{tuple(greek)[col]}> sum beyond the float range")
         return BipartitePureState.from_amplitudes(tuple(latin), tuple(greek), amps)
-
-    def _check_products(self, amps: np.ndarray, latin: tuple[str, ...],
-                        greek: tuple[str, ...]) -> None:
-        """Raise for the first term whose product of finite scalars overflows,
-        or else for the first entry of ``amps`` whose finite products sum
-        beyond the float range.
-
-        The amplitude alone would show inf+nanj or inf, values the text never
-        held.
-        """
-        for number, term in enumerate(self.terms, start=1):
-            for lcoef, llabel in term.latin:
-                for gcoef, glabel in term.greek:
-                    if not cmath.isfinite(term.coefficient * lcoef * gcoef):
-                        raise ValidationError(
-                            f"the coefficient product of term {number} at "
-                            f"|{llabel}>(x)|{glabel}> overflows the float range"
-                        )
-        row, col = np.argwhere(~np.isfinite(amps))[0]
-        raise ValidationError(
-            f"the coefficients of |{latin[row]}>(x)|{greek[col]}> sum beyond the float range"
-        )
 
 
 def _kind(token: str) -> str:
@@ -424,13 +416,15 @@ def format_state(state: BipartitePureState) -> str:
     """Render a state as canonical ket-v1 text.
 
     The state's ``coefficients`` are printed as given, with 15 significant
-    digits: every decimal of at most 15 digits prints as it was typed, and
-    format -> parse drift stays below 1e-12. A state whose norm is within
-    1e-12 of the float maximum prints with 17 digits instead, which parse back
-    bit for bit: rounded to 15, its norm could round past the float range. The
-    first Greek group lists every Latin ket, zeros included, so that parsing
-    the result restores the exact basis order; later groups skip zero entries,
-    and a group of one term has no parentheses.
+    digits: every normal float typed with at most 15 digits prints as it
+    was typed, and format -> parse drift stays below 1e-12. A subnormal float
+    carries fewer significant digits than that, so 1e-320 prints as
+    9.99988867182683e-321, which parses back to the same float. A state whose
+    norm is within 1e-12 of the float maximum prints with 17 digits instead,
+    which parse back bit for bit: rounded to 15, its norm could round past the
+    float range. The first Greek group lists every Latin ket, zeros included,
+    so that parsing the result restores the exact basis order; later groups
+    skip zero entries, and a group of one term has no parentheses.
     """
     coefs = state.coefficients.T  # a row per Greek ket
     keep = coefs != 0

@@ -113,11 +113,17 @@ class TestAnalyze:
         assert out == ""
         assert "scalar '1e999' overflows the float range (position 1)" in err
 
-    def test_overflowing_coefficient_product_exits_2(self, capsys):
-        code, out, err = run(capsys, "analyze", "--expr", "|c>(x)|d> + 1e200(1e200|a>)(x)|b>")
+    @pytest.mark.parametrize("expr,where", [
+        ("|c>(x)|d> + 1e200(1e200|a>)(x)|b>", "term 2 at |a>(x)|b>"),
+        # a product overflow is named before an earlier sum overflow
+        ("1e308|a>(x)|b> + 1e308|a>(x)|b> + 1e200(1e200|c>)(x)|d>", "term 3 at |c>(x)|d>"),
+        ("1e200(1e200|a>)(x)|b> + 1e300(1e300|c>)(x)|d>", "term 1 at |a>(x)|b>"),
+    ], ids=["later-term", "after-a-sum-overflow", "first-of-two"])
+    def test_overflowing_coefficient_product_exits_2(self, capsys, expr, where):
+        code, out, err = run(capsys, "analyze", "--expr", expr)
         assert code == 2
         assert out == ""
-        assert "coefficient product of term 2 at |a>(x)|b> overflows the float range" in err
+        assert f"coefficient product of {where} overflows the float range" in err
         assert "nan" not in err
 
     def test_overflowing_coefficient_sum_exits_2(self, capsys):
@@ -356,8 +362,19 @@ class TestFileInput:
         ({"x": 1}, "amplitudes must be an array of rows"),
         ([""], "amplitudes must be an array of rows"),
         ([], "amplitudes must be a rectangular matrix"),
+        # Of several faults, the first in row-major order is named, a row's
+        # length before its entries.
+        ([[[1, 0], [False, 1]], [[0.5]]],
+         "amplitude entry at row 0, column 1 is not an [re, im] pair of numbers: [False, 1]"),
+        ([[[1, 0]], [[1, 0], [True, 0]]], "amplitude row 1 has length 2, row 0 has length 1"),
+        ([[[10**330, 0], [True, 0]]],
+         "amplitude entry at row 0, column 0 overflows the float range"),
+        ([[[True, 0], [10**330, 0]]],
+         "amplitude entry at row 0, column 0 is not an [re, im] pair of numbers: [True, 0]"),
     ], ids=["ragged", "ragged-last", "number", "array-of-numbers", "null", "string",
-            "array-of-strings", "object", "array-of-empty-string", "empty"])
+            "array-of-strings", "object", "array-of-empty-string", "empty",
+            "entry-before-later-row-length", "row-length-before-its-entries",
+            "overflow-before-later-boolean", "boolean-before-later-overflow"])
     def test_malformed_amplitude_rows_rejected(self, capsys, tmp_path, amplitudes, message):
         # The amplitudes are read before their shape is checked against the labels.
         doc = {"format": "schmidt-state-v1", "latin_labels": ["a", "b"],

@@ -321,6 +321,15 @@ class TestFormat:
         assert again.coefficients.tobytes() == state.coefficients.tobytes()
         assert again.norm == state.norm
 
+    @pytest.mark.parametrize("value", [5e-324, 1e-320, 2.5e-310, 1.23456789e-315])
+    def test_subnormal_coefficients_parse_back(self, value):
+        # A subnormal carries fewer than 15 significant digits, so its 15-digit
+        # text need not be the one typed, but it names the same float.
+        state = BipartitePureState(("a",), ("b", "c"), [[value, 1]])
+        again = parse_state(format_state(state))
+        assert again.coefficients.tobytes() == state.coefficients.tobytes()
+        assert again.norm == state.norm
+
     def test_unit_coefficients_are_written_as_given(self):
         # Rescaled to unit norm and back, the |b> and -i|c> coefficients come
         # out 1 ulp away from 1; the state keeps the ones it was given.
