@@ -7,8 +7,8 @@ Product-basis convention: the composite index of |n> (x) |nu> is ``n * greek_dim
 
 ``pure_density`` and ``classical_mixture`` record the Latin and Greek bases in
 ``DensityMatrix.parts``; ``partial_trace`` and ``conditional_state`` read the split from
-there and give their one-party result the kept basis. ``DensityMatrix`` refuses an entry
-above 1 in magnitude before it takes m - adj(m), so no sum this module takes can overflow.
+there and give their one-party result the kept basis. ``DensityMatrix`` refuses a NaN entry or
+one above 1 in magnitude before it takes m - adj(m), so no sum this module takes can overflow.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ class DensityMatrix(_Record):
 
     ``parts`` holds one basis of ``str`` labels per party, one or two of them. ``basis_labels`` is
     derived: the single basis, the two bases' ``product_labels``, or "0", "1", ... with no part;
-    they must be unique. The checks run in this order: the matrix is square, its entries are
-    finite, none is above 1 + ``TRACE_ATOL`` in magnitude (as in no positive semidefinite matrix
-    of trace 1), its Hermitian defect max |m - adj(m)| is within ``TRACE_ATOL``; then parts,
+    they must be unique. The checks run in this order: the matrix is square, every entry is a
+    number of magnitude at most 1 + ``TRACE_ATOL`` (as in a positive semidefinite matrix of
+    trace 1), its Hermitian defect max |m - adj(m)| is within ``TRACE_ATOL``; then parts,
     labels and trace. Full positive semidefiniteness is left to the producer.
     """
 
@@ -57,10 +57,6 @@ class DensityMatrix(_Record):
         m = _frozen_array(matrix, complex, 2, "matrix")
         if m.shape[0] != m.shape[1]:
             raise ShapeError(f"density matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            i, j = (int(k) for k in np.argwhere(~np.isfinite(m))[0])
-            raise ValidationError(f"density matrix is not Hermitian: entry {(i, j)} "
-                                  f"is not finite: {complex(m[i, j])!r}")
         _refuse_above_one(m, "density matrix entry", TRACE_ATOL)  # bounds every sum below
         defect = float(np.max(np.abs(m - m.conj().T), initial=0.0))
         if defect > TRACE_ATOL:
@@ -82,7 +78,7 @@ class DensityMatrix(_Record):
             repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
             raise ValidationError(f"basis label {repeated!r} is not unique")
         tr = complex(np.trace(m)).real
-        if not abs(tr - 1.0) <= TRACE_ATOL:  # false for NaN too
+        if abs(tr - 1.0) > TRACE_ATOL:
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
         self.__setstate__(dict(matrix=m, parts=parts, basis_labels=labels))
 
@@ -184,7 +180,7 @@ def conditional_state(rho: DensityMatrix, projector_on_a) -> tuple[float, Densit
         raise ShapeError(f"projection vector has {p.size} components, expected {t.shape[0]}")
     _refuse_above_one(p, "projection vector component", NORM_ATOL)  # or the norm overflows
     norm = float(np.linalg.norm(p))
-    if not abs(norm - 1.0) <= NORM_ATOL:  # false for NaN too
+    if abs(norm - 1.0) > NORM_ATOL:
         raise ValidationError(f"projection vector must have unit norm, got {norm:.6g}")
     reduced = np.einsum("i,iajb,j->ab", p.conj(), t, p)
     probability = float(np.trace(reduced).real)

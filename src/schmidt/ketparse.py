@@ -415,9 +415,9 @@ def _signed_sum(values: np.ndarray, starts: np.ndarray, opens: np.ndarray | bool
 def format_state(state: BipartitePureState) -> str:
     """Render a state as canonical ket-v1 text.
 
-    The state's ``coefficients`` are printed as given, with 15 significant
-    digits: every normal float typed with at most 15 digits prints as it
-    was typed, and format -> parse drift stays below 1e-12. A subnormal float
+    The state's ``coefficients`` are printed in ``%.15g`` form: a normal float
+    typed with at most 15 digits prints as the same float (1e-2 as 0.01, 1.50
+    as 1.5), and format -> parse drift stays below 1e-12. A subnormal float
     carries fewer significant digits than that, so 1e-320 prints as
     9.99988867182683e-321, which parses back to the same float. A state whose
     norm is within 1e-12 of the float maximum prints with 17 digits instead,

@@ -69,12 +69,14 @@ def _label_tuple(value, name: str) -> tuple:
 
 
 def _refuse_above_one(values: np.ndarray, name: str, atol: float) -> np.ndarray:
-    """``np.abs(values)``; ValidationError names the first entry above 1 + ``atol`` (NaN passes)."""
+    """``np.abs(values)``; ValidationError names the first entry that is NaN or above 1 + ``atol``."""
     magnitude = np.abs(values)
-    if (magnitude > 1.0 + atol).any():  # no unit vector or density matrix has such an entry
-        index = tuple(int(k) for k in np.argwhere(magnitude > 1.0 + atol)[0])  # row-major
-        raise ValidationError(f"{name} {index if len(index) > 1 else index[0]} has magnitude "
-                              f"{float(magnitude[index])!r}, above 1")
+    if not (magnitude <= 1.0 + atol).all():  # no unit vector or density matrix has such an entry
+        index = tuple(int(k) for k in np.argwhere(~(magnitude <= 1.0 + atol))[0])  # row-major
+        where = f"{name} {index if len(index) > 1 else index[0]}"
+        if np.isnan(magnitude[index]):
+            raise ValidationError(f"{where} is not a number: {complex(values[index])!r}")
+        raise ValidationError(f"{where} has magnitude {float(magnitude[index])!r}, above 1")
     return magnitude
 
 
@@ -177,8 +179,9 @@ class SchmidtDecomposition(_Record):
     modes, so ``rank``, the number of mode pairs, is derived. The Latin modes are the Schmidt kets
     F^s; the Greek modes are the columns of V in C = U diag(s) adj(V), the conjugates of kets Phi^s.
     Other shapes raise ShapeError. ValidationError refuses modes that do not pair up, lambdas
-    not in [0, 1], rising, zero for a kept pair or not summing to 1, and mode columns not of norm 1,
-    each within ``NORM_ATOL``: no summary sees a bad spectrum. Orthogonality is the producer's.
+    not in [0, 1], rising, zero for a kept pair or not summing to 1, a mode entry that is NaN or
+    above 1 in magnitude, and mode columns not of norm 1, each within ``NORM_ATOL``: no summary
+    sees a bad spectrum. Orthogonality is the producer's.
     """
 
     def __init__(self, lambdas, latin_modes, greek_modes):
@@ -201,7 +204,7 @@ class SchmidtDecomposition(_Record):
         for name, modes in (("latin_modes", f), ("greek_modes", g)):
             magnitude = _refuse_above_one(modes, f"{name} entry", NORM_ATOL)
             for s, norm in enumerate(np.linalg.norm(magnitude, axis=0).tolist()):
-                if not abs(norm - 1.0) <= NORM_ATOL:  # false for NaN too
+                if abs(norm - 1.0) > NORM_ATOL:
                     raise ValidationError(f"{name} column {s} has norm {norm!r}, expected 1")
         self.__setstate__(dict(lambdas=lam, latin_modes=f, greek_modes=g))
 

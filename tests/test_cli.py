@@ -666,7 +666,7 @@ class TestReportMatchesTheLibrary:
         # A NaN in the modes would make the residual NaN; the record refuses it
         # before any report sees it.
         with pytest.raises(ValidationError,
-                           match=r"^latin_modes column 0 has norm nan, expected 1$"):
+                           match=r"^latin_modes entry \(0, 0\) is not a number: \(nan\+0j\)$"):
             SchmidtDecomposition([0.5, 0.5], [[np.nan, 0], [0, 1]], [[0, 1], [1, 0]])
 
     def test_modes_must_fit_the_state(self):

@@ -50,18 +50,22 @@ class TestDensityMatrixType:
             DensityMatrix(np.zeros((0, 0)))
 
     def test_nan_matrix_rejected(self):
-        with pytest.raises(ValidationError, match="not Hermitian"):
+        with pytest.raises(ValidationError,
+                           match=r"^density matrix entry \(0, 0\) is not a number: \(nan\+0j\)$"):
             DensityMatrix(np.full((2, 2), np.nan))
 
     # m - adj(m) of an infinite entry is inf - inf: numpy warns, and the defect is NaN.
+    # The entry bound refuses it first; a NaN pair would pass a Hermitian check of NaN.
     @pytest.mark.parametrize("build,message", [
-        (lambda: DensityMatrix(np.diag([np.inf, 0.0])),
-         r"entry \(0, 0\) is not finite: \(inf\+0j\)$"),
-        (lambda: DensityMatrix([[0.5, 0.5], [-np.inf, 0.5]]), r"entry \(1, 0\) is not finite: "),
-        (lambda: classical_mixture([(math.inf, "a", "b")]), r"entry \(0, 0\) is not finite: "),
-    ], ids=["diagonal", "off-diagonal", "mixture-weight"])
+        (lambda: DensityMatrix(np.diag([np.inf, 0.0])), r"\(0, 0\) has magnitude inf, above 1"),
+        (lambda: DensityMatrix([[0.5, 0.5], [-np.inf, 0.5]]),
+         r"\(1, 0\) has magnitude inf, above 1"),
+        (lambda: classical_mixture([(math.inf, "a", "b")]), r"\(0, 0\) has magnitude inf, above 1"),
+        (lambda: DensityMatrix([[0.5, np.nan], [np.nan, 0.5]]),
+         r"\(0, 1\) is not a number: \(nan\+0j\)"),
+    ], ids=["diagonal", "off-diagonal", "mixture-weight", "nan-hermitian-pair"])
     def test_non_finite_entry_is_named_without_a_warning(self, build, message):
-        with pytest.raises(ValidationError, match=r"^density matrix is not Hermitian: " + message):
+        with pytest.raises(ValidationError, match=r"^density matrix entry " + message + "$"):
             build()
 
     # Finite entries whose difference or sum passes the float maximum: numpy would warn
@@ -74,7 +78,7 @@ class TestDensityMatrixType:
         (lambda: DensityMatrix(np.diag([1.7e308, 1.7e308, -1.7e308, -1.7e308, 0, 0, 0, 0, 1])),
          r"^density matrix entry \(0, 0\) has magnitude 1\.7e\+308, above 1$"),
         (lambda: classical_mixture([(1e308, "a", "b"), (1e308, "a", "b")]),
-         r"^density matrix is not Hermitian: entry \(0, 0\) is not finite: \(inf\+0j\)$"),
+         r"^density matrix entry \(0, 0\) has magnitude inf, above 1$"),
         (lambda: partial_trace(DensityMatrix(
             np.diag([0.25] * 4) + 1e308 * (np.eye(4, k=2) + np.eye(4, k=-2)),
             (["a", "b"], ["c", "d"])), "A"),
@@ -355,7 +359,8 @@ class TestConditionalState:
 
     def test_nan_projector_rejected(self):
         rho = pure_density(bell_state())
-        with pytest.raises(ValidationError, match="unit norm, got nan"):
+        with pytest.raises(ValidationError, match=r"^projection vector component 0 is not a "
+                                                  r"number: \(nan\+0j\)$"):
             conditional_state(rho, [np.nan, 0.0])
 
     def test_projector_component_above_one_is_refused_without_a_warning(self):

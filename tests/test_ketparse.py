@@ -330,6 +330,11 @@ class TestFormat:
         assert again.coefficients.tobytes() == state.coefficients.tobytes()
         assert again.norm == state.norm
 
+    @pytest.mark.parametrize("typed,printed", [("1e-2", "0.01"), ("1.50", "1.5"), ("2e1", "20")])
+    def test_coefficients_print_as_the_same_float_not_as_typed(self, typed, printed):
+        # 15 significant digits in %.15g form: the value is kept, the spelling is not.
+        assert format_state(parse_state(f"{typed}|a>(x)|b>")) == f"{printed}|a>(x)|b>"
+
     def test_unit_coefficients_are_written_as_given(self):
         # Rescaled to unit norm and back, the |b> and -i|c> coefficients come
         # out 1 ulp away from 1; the state keeps the ones it was given.

@@ -431,8 +431,10 @@ class TestReconstruct:
         ([0.4, 0.6], np.eye(2), np.eye(2), "lambda 1 is 0.6, above lambda 0"),
         ([0.5, 0.25], np.eye(2), np.eye(2), "lambdas sum to 0.75, expected 1"),
         ([1.0, 0.0], [[1], [0]], [[0.5], [0.5]], "greek_modes column 0 has norm 0.7071"),
+        ([0.5, 0.5], np.eye(2), [[1, 0], [0, np.nan]],
+         "greek_modes entry (1, 1) is not a number: (nan+0j)"),
     ], ids=["nan", "huge", "negative", "inf", "huge-mode", "kept-zero", "increasing",
-            "sum", "mode-norm"])
+            "sum", "mode-norm", "nan-greek-mode"])
     def test_values_that_break_a_summary_are_refused(self, lambdas, latin, greek, message):
         with pytest.raises(ValidationError, match="^" + re.escape(message)):
             SchmidtDecomposition(lambdas, latin, greek)

@@ -14,6 +14,7 @@ from numpy.polynomial.hermite import hermval
 
 from schmidt.cli import build_report
 from schmidt.errors import ConvergenceError
+from schmidt.ketparse import parse_state
 from schmidt.modes import BipartitePureState, schmidt_decompose, schmidt_number
 
 
@@ -101,17 +102,26 @@ class TestRankFloorRefusal:
     # At d = 16, R = 1.5 the spectrum runs down past the 1e-10 floor: the
     # first dropped term has lambda ~ 6e-12, amplitude sqrt(lambda) ~ 2.5e-6,
     # so dropping it leaves a reconstruction residual far above the 1e-9 gate.
+    # Two product terms of amplitude ratio 1e5 are the simplest such state:
+    # the smaller lambda, 1 / (1 + 1e10), is just under the floor.
+    # Each state with the rank of its exact Schmidt form.
+    STATES = {"double-gaussian-16": (lambda: double_gaussian_state(16, 1.5), 16),
+              "two-terms": (lambda: parse_state("|a>(x)|b> + 1e5|c>(x)|d>"), 2)}
 
     @pytest.mark.xfail(
         strict=True,
         raises=ConvergenceError,
         reason="the 1e-10 rank floor drops terms the 1e-9 residual gate needs",
     )
-    def test_valid_state_is_reported(self):
-        report = build_report(double_gaussian_state(16, 1.5))
+    @pytest.mark.parametrize("name", STATES)
+    def test_valid_state_is_reported(self, name):
+        build, _ = self.STATES[name]
+        report = build_report(build())
         assert report.reconstruction_residual <= 1e-9
 
-    def test_refusal_comes_from_the_floor_not_the_solver(self):
-        report = build_report(double_gaussian_state(16, 1.5), rank_threshold=1e-30)
-        assert report.rank == 16
+    @pytest.mark.parametrize("name", STATES)
+    def test_refusal_comes_from_the_floor_not_the_solver(self, name):
+        build, rank = self.STATES[name]
+        report = build_report(build(), rank_threshold=1e-30)
+        assert report.rank == rank
         assert report.reconstruction_residual <= 1e-14
