@@ -94,7 +94,7 @@ def _amplitude_matrix(rows) -> np.ndarray:
                 raise ValueError(f"amplitude entry at row {i}, column {j} is not "
                                  f"an [re, im] pair of numbers: {entry!r}") from None
         matrix.append(values)
-    return np.array(matrix, dtype=complex)
+    return np.array(matrix, dtype=complex).reshape(len(rows), width)
 
 
 def state_from_doc(doc) -> BipartitePureState:
@@ -108,8 +108,6 @@ def state_from_doc(doc) -> BipartitePureState:
     try:
         latin, greek = doc["latin_labels"], doc["greek_labels"]
         amps = _amplitude_matrix(doc["amplitudes"])
-        if amps.ndim != 2:
-            raise ValueError("amplitudes must be a rectangular matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {STATE_FORMAT} document: {exc}") from exc
     return BipartitePureState.from_amplitudes(latin, greek, amps)
@@ -122,22 +120,18 @@ class AnalysisReport(_Record):
     residual ``max|reconstruct(decomposition) - amplitudes|``, the ket-v1
     expression and the summaries are derived. ``lambdas`` is padded with zeros
     up to the larger subsystem dimension, as the smaller reduced matrix can
-    always be embedded in the bigger space. Raises ShapeError unless each
-    side's modes have one row per basis label of that side and there is one
-    eigenvalue per dimension of the smaller side, then ConvergenceError unless
-    the residual is at most RESIDUAL_LIMIT (a NaN residual is refused too).
+    always be embedded in the bigger space. Raises ShapeError unless the modes'
+    row counts are the state's shape (the decomposition fixes the eigenvalue
+    count from them), then ConvergenceError unless the residual is at most
+    RESIDUAL_LIMIT (a NaN residual is refused too).
     """
 
     def __init__(self, state, decomposition):
         d = decomposition
-        for side, labels, modes in (("Latin", state.latin_labels, d.latin_modes),
-                                    ("Greek", state.greek_labels, d.greek_modes)):
-            if len(modes) != len(labels):
-                raise ShapeError(f"{side} modes have {len(modes)} rows for "
-                                 f"{len(labels)} {side} labels")
-        if len(d.lambdas) != min(state.latin_dim, state.greek_dim):
-            raise ShapeError(f"{len(d.lambdas)} eigenvalues for a {state.latin_dim} x "
-                             f"{state.greek_dim} state: one per dimension of the smaller side")
+        rows = (len(d.latin_modes), len(d.greek_modes))
+        if rows != state.amplitudes.shape:
+            raise ShapeError(f"modes with {rows[0]} Latin and {rows[1]} Greek rows for a "
+                             f"{state.latin_dim} x {state.greek_dim} state")
         residual = float(np.max(np.abs(reconstruct(d) - state.amplitudes)))
         if not residual <= RESIDUAL_LIMIT:  # false for NaN too
             raise ConvergenceError(

@@ -173,15 +173,15 @@ class BipartitePureState(_Record):
 class SchmidtDecomposition(_Record):
     """Schmidt data of a two-party pure state, as read-only copies of the arrays given.
 
-    ``lambdas`` (1-d) holds all min(latin_dim, greek_dim) squared singular values of the
-    amplitude matrix in descending order. Column ``s`` of the 2-d ``latin_modes`` / ``greek_modes``
-    is the paired mode vector for ``lambdas[s]``; only eigenvalues above the rank threshold keep
-    modes, so ``rank``, the number of mode pairs, is derived. The Latin modes are the Schmidt kets
-    F^s; the Greek modes are the columns of V in C = U diag(s) adj(V), the conjugates of kets Phi^s.
-    Other shapes raise ShapeError. ValidationError refuses modes that do not pair up, lambdas
-    not in [0, 1], rising, zero for a kept pair or not summing to 1, a mode entry that is NaN or
-    above 1 in magnitude, and mode columns not of norm 1, each within ``NORM_ATOL``: no summary
-    sees a bad spectrum. Orthogonality is the producer's.
+    ``lambdas`` (1-d) holds the squared singular values of the amplitude matrix in descending
+    order, one per row of the shorter mode array. Column ``s`` of the 2-d ``latin_modes`` /
+    ``greek_modes`` is the paired mode vector for ``lambdas[s]``; only eigenvalues above the rank
+    threshold keep modes, so ``rank``, the number of mode pairs, is derived. The Latin modes are
+    the Schmidt kets F^s; the Greek modes are the columns of V in C = U diag(s) adj(V), the
+    conjugates of kets Phi^s. Other shapes and counts raise ShapeError. ValidationError refuses
+    modes that do not pair up, lambdas not in [0, 1], rising, zero for a kept pair or not summing
+    to 1, a mode entry that is NaN or above 1 in magnitude, and mode columns not of norm 1, each
+    within ``NORM_ATOL``: no summary sees a bad spectrum. Orthogonality is the producer's.
     """
 
     def __init__(self, lambdas, latin_modes, greek_modes):
@@ -191,6 +191,9 @@ class SchmidtDecomposition(_Record):
         if not f.shape[1] == g.shape[1] <= len(lam):
             raise ValidationError(f"{f.shape[1]} Latin and {g.shape[1]} Greek modes for "
                                   f"{len(lam)} eigenvalues: one pair per leading eigenvalue")
+        if len(lam) != min(len(f), len(g)):
+            raise ShapeError(f"{len(lam)} eigenvalues for modes with {len(f)} Latin and {len(g)} "
+                             "Greek rows: one per row of the shorter side")
         values, rank = lam.tolist(), f.shape[1]
         for s, value in enumerate(values):
             if not 0.0 <= value <= 1.0 + NORM_ATOL:  # false for NaN too

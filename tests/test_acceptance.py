@@ -59,7 +59,7 @@ def eigvals_desc(h):
 
 
 def eigvals_desc_2x2(a):
-    # quadratic-formula oracle, independent of the Jacobi solver
+    # quadratic-formula oracle, independent of the SVD
     a = np.asarray(a, dtype=float)
     tr = a[0, 0] + a[1, 1]
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]

@@ -361,7 +361,6 @@ class TestFileInput:
         (["ab", "cd"], "amplitudes must be an array of rows"),
         ({"x": 1}, "amplitudes must be an array of rows"),
         ([""], "amplitudes must be an array of rows"),
-        ([], "amplitudes must be a rectangular matrix"),
         # Of several faults, the first in row-major order is named, a row's
         # length before its entries.
         ([[[1, 0], [False, 1]], [[0.5]]],
@@ -372,7 +371,7 @@ class TestFileInput:
         ([[[True, 0], [10**330, 0]]],
          "amplitude entry at row 0, column 0 is not an [re, im] pair of numbers: [True, 0]"),
     ], ids=["ragged", "ragged-last", "number", "array-of-numbers", "null", "string",
-            "array-of-strings", "object", "array-of-empty-string", "empty",
+            "array-of-strings", "object", "array-of-empty-string",
             "entry-before-later-row-length", "row-length-before-its-entries",
             "overflow-before-later-boolean", "boolean-before-later-overflow"])
     def test_malformed_amplitude_rows_rejected(self, capsys, tmp_path, amplitudes, message):
@@ -387,9 +386,10 @@ class TestFileInput:
         assert err == f"error: malformed schmidt-state-v1 document: {message}\n"
 
     @pytest.mark.parametrize("amplitudes,message", [
+        ([], "amplitude matrix is 0x0 but there are 2 Latin and 2 Greek labels"),
         ([[]], "amplitude matrix is 1x0 but there are 2 Latin and 2 Greek labels"),
         ([[[0, 0]]], "amplitude matrix is 1x1 but there are 2 Latin and 2 Greek labels"),
-    ], ids=["empty-row", "one-zero-entry"])
+    ], ids=["no-rows", "empty-row", "one-zero-entry"])
     def test_shape_checked_before_values(self, capsys, tmp_path, amplitudes, message):
         doc = {"format": "schmidt-state-v1", "latin_labels": ["a", "b"],
                "greek_labels": ["c", "d"], "amplitudes": amplitudes}
@@ -671,18 +671,20 @@ class TestReportMatchesTheLibrary:
 
     def test_modes_must_fit_the_state(self):
         # One row per basis label on each side: zip would drop a surplus row.
-        for latin, greek, message in ((np.eye(3)[:, :2], np.eye(2), "Latin modes have 3 rows"),
-                                      (np.eye(2), np.eye(3)[:, :2], "Greek modes have 3 rows")):
-            with pytest.raises(ShapeError, match=f"{message} for 2 "):
+        for latin, greek, rows in ((np.eye(3)[:, :2], np.eye(2), "3 Latin and 2 Greek"),
+                                   (np.eye(2), np.eye(3)[:, :2], "2 Latin and 3 Greek")):
+            with pytest.raises(ShapeError, match=f"^modes with {rows} rows for a 2 x 2 state$"):
                 cli.AnalysisReport(bell_state(), SchmidtDecomposition([.5, .5], latin, greek))
 
     @pytest.mark.parametrize("lambdas", [[0.5, 0.3, 0.2], [1.0]])
     def test_eigenvalues_must_fit_the_state(self, lambdas):
-        # One eigenvalue per dimension of the smaller side: a surplus one
-        # would print as an eigenvalue of the 2 x 2 Bell state.
-        decomposition = SchmidtDecomposition(lambdas, [[1], [0]], [[0], [1]])
-        with pytest.raises(ShapeError, match=f"^{len(lambdas)} eigenvalues for a 2 x 2 state"):
-            cli.AnalysisReport(bell_state(), decomposition)
+        # One eigenvalue per row of the shorter side: the record refuses a surplus
+        # one, which a report would print as an eigenvalue of the 2 x 2 state, and
+        # a missing one, so no report checks the count again.
+        with pytest.raises(ShapeError, match=f"^{len(lambdas)} eigenvalues for modes with 2 "
+                                             "Latin and 2 Greek rows: one per row of the "
+                                             "shorter side$"):
+            SchmidtDecomposition(lambdas, [[1], [0]], [[0], [1]])
 
     def test_json_modes_are_the_decomposition_columns(self, capsys, state_file):
         path, d = state_file

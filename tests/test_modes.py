@@ -388,7 +388,7 @@ class TestReconstruct:
 
     def test_manual_rank_one_decomposition(self):
         d = SchmidtDecomposition(
-            lambdas=np.array([1.0]),
+            lambdas=[1.0, 0.0],
             latin_modes=np.array([[1.0], [0.0]], dtype=complex),
             greek_modes=np.array([[1.0], [0.0], [0.0]], dtype=complex),
         )

@@ -44,6 +44,16 @@ def test_import_loads_no_numpy_and_no_submodule():
     assert same_env
 
 
+def test_cli_import_leaves_the_environment_alone():
+    # A library import of the CLI module sets no variable, a BLAS thread count included.
+    changed = in_child("import json, os\n"
+                       "env = dict(os.environ)\n"
+                       "import schmidt.cli\n"
+                       "print(json.dumps(sorted(key for key in env.keys() | os.environ.keys()\n"
+                       "                        if env.get(key) != os.environ.get(key))))\n")
+    assert changed == []
+
+
 def test_all_lists_the_public_names():
     assert in_child("import json, schmidt; print(json.dumps(schmidt.__all__))") == PUBLIC_NAMES
 
