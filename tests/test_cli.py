@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -422,43 +423,6 @@ class TestFileInput:
         assert code == 2
 
 
-# `schmidt examples bell` and `examples classical` print this, byte for byte.
-COMPARISON_TABLE = """\
-classical mixture rho_CL (basis HH, HV, VH, VV):
-         0         0         0         0
-         0       0.5         0         0
-         0         0       0.5         0
-         0         0         0         0
-reduced on A:
-       0.5         0
-         0       0.5
-reduced on B:
-       0.5         0
-         0       0.5
-B conditioned on measuring A in |H> (probability 0.5):
-         0         0
-         0         1
-
-Bell state rho_QM (basis HH, HV, VH, VV):
-         0         0         0         0
-         0       0.5       0.5         0
-         0       0.5       0.5         0
-         0         0         0         0
-reduced on A:
-       0.5         0
-         0       0.5
-reduced on B:
-       0.5         0
-         0       0.5
-B conditioned on measuring A in |H> (probability 0.5):
-         0         0
-         0         1
-
-The reduced matrices and conditional outcomes agree; only the Bell state
-carries the cross-particle coherences at HV-VH and VH-HV.
-"""
-
-
 class TestExamples:
     def test_sign_flipped_example(self, capsys):
         doc = run_json(capsys, "examples", "psi1")
@@ -490,13 +454,6 @@ class TestExamples:
         code, out, _ = run(capsys, "examples", "classical")
         assert code == 0
         assert "rho_CL" in out and "rho_QM" in out
-
-    @pytest.mark.parametrize("name", ["bell", "classical"])
-    def test_comparison_table_text(self, capsys, name):
-        # Every printed value is 0, 0.5 or 1, so no digit depends on the BLAS build.
-        code, out, err = run(capsys, "examples", name)
-        assert (code, err) == (0, "")
-        assert out == COMPARISON_TABLE
 
     @pytest.mark.parametrize("name", ["bell", "classical"])
     @pytest.mark.parametrize("flags", [["--rank-threshold", "nan"], ["--rank-threshold", "-1"],
@@ -909,6 +866,7 @@ class TestTableText:
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CASES = json.loads((GOLDEN / "cli" / "cases.json").read_text(encoding="utf-8"))
 
 
 def assert_json_matches(actual, expected, path="report"):
@@ -928,35 +886,53 @@ def assert_json_matches(actual, expected, path="report"):
         assert actual == expected, path
 
 
-@pytest.mark.parametrize("case", ["psi0", "psi1", "psi2", "psi3", "state", "shared", "edge"])
 class TestGoldenOutputs:
-    """Reports against the stdout committed under tests/golden: the paper's
-    examples, and the state files that CI feeds to the installed script."""
+    """Every case of tests/golden/cli/cases.json through ``cli.main``: its exit code
+    and stderr exactly, and its stdout against the file it names under
+    tests/golden (``regen.py`` there rewrites them). A case's section says how
+    stdout is compared: a report table after ``mask_roundoff``, JSON through
+    ``assert_json_matches``, and any other text (help, the comparison table,
+    whose values are all 0, 0.5 or 1, and the empty stdout of a refusal) exactly."""
 
     @staticmethod
-    def argv(case):
-        if case in EXPRESSIONS:
-            return ["examples", case]
-        return ["analyze", "--file", str(GOLDEN / "input" / f"{case}.json")]
+    def run_case(capsys, monkeypatch, case):
+        monkeypatch.chdir(GOLDEN / "input")  # argv paths are relative to it
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal width
+        try:
+            code = cli.main(case["argv"])
+        except SystemExit as exc:  # argparse exits on --help and on a bad choice
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, err) == (case["exit"], case["stderr"])
+        return out, (GOLDEN / case["stdout"]).read_text(encoding="utf-8") if case["stdout"] else ""
 
-    def test_table(self, capsys, case):
-        code, out, err = run(capsys, *self.argv(case))
-        assert (code, err) == (0, "")
-        expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    @pytest.mark.parametrize("name", CASES["table"])
+    def test_table(self, capsys, monkeypatch, name):
+        out, expected = self.run_case(capsys, monkeypatch, CASES["table"][name])
         assert [mask_roundoff(line) for line in out.splitlines()] == [
             mask_roundoff(line) for line in expected.splitlines()
         ]
 
-    def test_json(self, capsys, case):
-        expected = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
-        assert_json_matches(run_json(capsys, *self.argv(case)), expected)
+    @pytest.mark.parametrize("name", CASES["json"])
+    def test_json(self, capsys, monkeypatch, name):
+        out, expected = self.run_case(capsys, monkeypatch, CASES["json"][name])
+        assert_json_matches(json.loads(out), json.loads(expected))
 
+    @pytest.mark.parametrize("name", CASES["exact"])
+    def test_exact(self, capsys, monkeypatch, name):
+        out, expected = self.run_case(capsys, monkeypatch, CASES["exact"][name])
+        assert out == expected
 
-@pytest.mark.parametrize("name", ["bell", "classical"])
-def test_comparison_json(capsys, name):
-    """Both names print the one comparison committed as tests/golden/comparison.json."""
-    expected = json.loads((GOLDEN / "comparison.json").read_text(encoding="utf-8"))
-    assert_json_matches(run_json(capsys, "examples", name), expected)
+    NAMED = Counter(case["stdout"] for cases in CASES.values() for case in cases.values())
+
+    @pytest.mark.parametrize("path", sorted(path for path, n in NAMED.items() if path and n > 1))
+    def test_cases_naming_one_file_print_the_same_bytes(self, capsys, monkeypatch, path):
+        # The round trips: a state file, its JSON report fed back through --file,
+        # and the ket-v1 input line of its table given as --expr; and bell and
+        # classical, which print one comparison.
+        outs = {self.run_case(capsys, monkeypatch, case)[0] for cases in CASES.values()
+                for case in cases.values() if case["stdout"] == path}
+        assert len(outs) == 1
 
 
 class TestReadme:
