@@ -209,7 +209,9 @@ def test_c09_equal_weights_count_exactly():
             tuple(f"s{i}" for i in range(n)),
             np.eye(n),
         )
-        assert schmidt_number(schmidt_decompose(state)) == pytest.approx(n, abs=1e-9)
+        d = schmidt_decompose(state)
+        assert schmidt_number(d) == pytest.approx(n, abs=1e-9)
+        assert d.rank == n
 
 
 @criterion(10, "parser: exact fixture matrices, 500 round trips, fuzz safety")
