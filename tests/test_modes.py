@@ -610,3 +610,12 @@ class TestRandomStateProperties:
             assert entanglement_entropy(d) == pytest.approx(
                 entanglement_entropy(d2), abs=1e-9
             )
+
+    def test_equal_eigenvalues_count_exactly(self):
+        for n in range(1, 7):
+            labels_l = tuple(f"m{i}" for i in range(n))
+            labels_g = tuple(f"s{i}" for i in range(n))
+            state = BipartitePureState.from_amplitudes(labels_l, labels_g, np.eye(n))
+            d = schmidt_decompose(state)
+            assert schmidt_number(d) == pytest.approx(n, abs=1e-9)
+            assert d.rank == n
