@@ -11,6 +11,8 @@ into paired Schmidt modes, and quantify its entanglement:
 
 Names resolve on first use: ``import schmidt`` loads neither numpy nor a
 submodule, and the first read of ``schmidt.X`` imports the module of ``X``.
+``__all__`` is derived from one table of each module's names, and the
+submodules of that table resolve as attributes too.
 """
 
 import importlib

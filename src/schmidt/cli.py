@@ -278,7 +278,7 @@ def _load_state_file(path: str) -> BipartitePureState:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
     # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer with
     # more digits than int() accepts; deep nesting exhausts the parser's stack.
     except (ValueError, RecursionError) as exc:

@@ -7,8 +7,9 @@ Product-basis convention: the composite index of |n> (x) |nu> is ``n * greek_dim
 
 ``pure_density`` and ``classical_mixture`` record the Latin and Greek bases in
 ``DensityMatrix.parts``; ``partial_trace`` and ``conditional_state`` read the split from
-there and give their one-party result the kept basis. ``DensityMatrix`` refuses a NaN entry or
-one above 1 in magnitude before it takes m - adj(m), so no sum this module takes can overflow.
+there, give their one-party result the kept basis, and raise ShapeError for a one-party
+matrix. ``DensityMatrix`` refuses a NaN entry or one above 1 in magnitude before it takes
+m - adj(m), so no sum this module takes can overflow.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def classical_mixture(terms: Sequence[tuple[float, str, str]]) -> DensityMatrix:
     The result is diagonal in the product basis: classically correlated, with
     no cross-particle coherences. Weights must be non-negative and sum to 1,
     and labels must be strings. Each side's basis is the sorted labels that
-    occur on it in ``terms``.
+    occur on it in ``terms``; the weights of a repeated pair add, as Python floats.
     """
     if not isinstance(terms, Iterable):
         raise ValidationError(
@@ -171,7 +172,8 @@ def conditional_state(rho: DensityMatrix, projector_on_a) -> tuple[float, Densit
     """State of subsystem B after projecting subsystem A onto a unit vector.
 
     Returns ``(probability, state)``, the state labelled with the Greek basis. ValidationError
-    refuses a projection vector that is not a unit vector, and ImpossibleOutcomeError an
+    refuses a projection vector that is not a unit vector, a component that is NaN or above
+    1 + ``NORM_ATOL`` in magnitude before the norm is taken, and ImpossibleOutcomeError an
     outcome probability below ``OUTCOME_ATOL``, which the measurement can essentially never give.
     """
     t = _two_party(rho, "a conditional state")

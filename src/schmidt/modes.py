@@ -69,7 +69,8 @@ def _label_tuple(value, name: str) -> tuple:
 
 
 def _refuse_above_one(values: np.ndarray, name: str, atol: float) -> np.ndarray:
-    """``np.abs(values)``; ValidationError names the first entry that is NaN or above 1 + ``atol``."""
+    """``np.abs(values)``; ValidationError names the first entry that is NaN or above 1 + ``atol``.
+    Entries that pass can be squared and summed without overflow."""
     magnitude = np.abs(values)
     if not (magnitude <= 1.0 + atol).all():  # no unit vector or density matrix has such an entry
         index = tuple(int(k) for k in np.argwhere(~(magnitude <= 1.0 + atol))[0])  # row-major
@@ -82,7 +83,10 @@ def _refuse_above_one(values: np.ndarray, name: str, atol: float) -> np.ndarray:
 
 class _Record:
     """Base of the records: each constructor checks its arguments, then stores every
-    field once with ``__setstate__``. Fields and arrays are read-only, and equality is identity."""
+    field once with ``__setstate__``. Fields and arrays are read-only, and equality is identity.
+    The records are plain classes, not dataclasses, and ``repr`` lists their fields in order as
+    ``Name(field=value, ...)``. pickle and copy restore a record through ``__setstate__`` too,
+    not the refused ``__setattr__``, so the arrays numpy restores writable are frozen again."""
 
     def __setstate__(self, fields):
         """Store ``fields``, arrays read-only: constructors, pickle and copy all end here."""
@@ -181,7 +185,8 @@ class SchmidtDecomposition(_Record):
     conjugates of kets Phi^s. Other shapes and counts raise ShapeError. ValidationError refuses
     modes that do not pair up, lambdas not in [0, 1], rising, zero for a kept pair or not summing
     to 1, a mode entry that is NaN or above 1 in magnitude, and mode columns not of norm 1, each
-    within ``NORM_ATOL``: no summary sees a bad spectrum. Orthogonality is the producer's.
+    within ``NORM_ATOL``: no summary sees a bad spectrum. Each refusal names the index and the
+    value. Nested lists are read as arrays. Orthogonality is the producer's.
     """
 
     def __init__(self, lambdas, latin_modes, greek_modes):

@@ -28,12 +28,12 @@ from schmidt.density import (
 from schmidt.errors import ParseError, ValidationError
 from schmidt.ketparse import format_state, parse_state
 from schmidt.modes import (
-    BipartitePureState,
     entanglement_entropy,
     reconstruct,
     schmidt_decompose,
     schmidt_number,
 )
+from states import AMPLITUDES, labelled_state, random_unitary
 
 
 def criterion(number, description):
@@ -165,12 +165,8 @@ def test_c08_random_state_properties():
     rng = np.random.default_rng(20240817)
     for rows, cols in shapes:
         for _ in range(200):
-            amps = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-            state = BipartitePureState.from_amplitudes(
-                tuple(f"m{i}" for i in range(rows)),
-                tuple(f"s{j}" for j in range(cols)),
-                amps,
-            )
+            state = labelled_state(rng.normal(size=(rows, cols))
+                                   + 1j * rng.normal(size=(rows, cols)))
             d = schmidt_decompose(state)
 
             assert abs(np.sum(d.lambdas) - 1.0) <= 1e-10
@@ -185,57 +181,32 @@ def test_c08_random_state_properties():
 
             assert np.max(np.abs(reconstruct(d) - state.amplitudes)) <= 1e-9
 
-            u = _random_unitary(rng, rows)
-            rotated = BipartitePureState.from_amplitudes(
-                state.latin_labels, state.greek_labels, u @ state.amplitudes
-            )
+            rotated = labelled_state(random_unitary(rng, rows) @ state.amplitudes)
             assert schmidt_number(schmidt_decompose(rotated)) == pytest.approx(k, abs=1e-9)
 
             assert purity(gram_latin(state)) == pytest.approx(1.0 / k, abs=1e-9)
             assert purity(gram_greek(state)) == pytest.approx(1.0 / k, abs=1e-9)
 
 
-def _random_unitary(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @criterion(9, "N equal Schmidt weights give K = N for N = 1..6")
 def test_c09_equal_weights_count_exactly():
     for n in range(1, 7):
-        state = BipartitePureState.from_amplitudes(
-            tuple(f"m{i}" for i in range(n)),
-            tuple(f"s{i}" for i in range(n)),
-            np.eye(n),
-        )
-        d = schmidt_decompose(state)
+        d = schmidt_decompose(labelled_state(np.eye(n)))
         assert schmidt_number(d) == pytest.approx(n, abs=1e-9)
         assert d.rank == n
 
 
 @criterion(10, "parser: exact fixture matrices, 500 round trips, fuzz safety")
 def test_c10_parser_suite():
-    expected = {
-        "psi0": np.array([[2, 1, 1], [1, 2, 1]], dtype=complex),
-        "psi1": np.array([[2, 1, 1], [1, 2, -1]], dtype=complex),
-        "psi2": np.array([[2, 1, 1, -1], [1, 2, -1, 1]], dtype=complex),
-        "psi3": np.array([[2, 1j, 1], [1j, 2, 1]], dtype=complex),
-    }
-    for name, matrix in expected.items():
-        state = parse_state(EXPRESSIONS[name])
-        np.testing.assert_allclose(state.amplitudes * state.norm, matrix, atol=1e-12)
+    for name, expression in EXPRESSIONS.items():
+        state = parse_state(expression)
+        np.testing.assert_allclose(state.amplitudes * state.norm, AMPLITUDES[name], atol=1e-12)
 
     rng = np.random.default_rng(99)
     for _ in range(500):
         rows = int(rng.integers(1, 6))
         cols = int(rng.integers(1, 6))
-        amps = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-        state = BipartitePureState.from_amplitudes(
-            tuple(f"m{i}" for i in range(rows)),
-            tuple(f"s{j}" for j in range(cols)),
-            amps,
-        )
+        state = labelled_state(rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))
         again = parse_state(format_state(state))
         assert again.latin_labels == state.latin_labels
         assert again.greek_labels == state.greek_labels

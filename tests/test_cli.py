@@ -21,6 +21,7 @@ from schmidt.density import conditional_state, partial_trace, pure_density
 from schmidt.errors import ConvergenceError, ShapeError, ValidationError
 from schmidt.modes import (BipartitePureState, SchmidtDecomposition, entanglement_entropy,
                            is_entangled, reconstruct, schmidt_decompose, schmidt_number)
+from states import child_env, labelled_state
 
 PSI0 = EXPRESSIONS["psi0"]
 
@@ -46,15 +47,6 @@ def mask_roundoff(line):
     return NUMBER.sub(
         lambda m: "~" if abs(float(m.group().replace(" ", ""))) < 1e-12 else m.group(), line
     )
-
-
-def child_env(**extra):
-    """The environment of a child Python that imports this checkout's package."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    env.update(extra)
-    return env
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -357,17 +349,15 @@ class TestBenchmarkHooks:
 class TestReportMatchesTheLibrary:
     """The CLI prints the library's arrays, without reordering or rounding them."""
 
-    LATIN = tuple(f"m{i}" for i in range(5))
-    GREEK = tuple(f"s{j}" for j in range(7))
-
     @pytest.fixture
     def state_file(self, tmp_path):
+        """A 5 x 7 state's file, the state read back from it, and its decomposition."""
         rng = np.random.default_rng(11)
-        amps = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-        state = BipartitePureState.from_amplitudes(self.LATIN, self.GREEK, amps)
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(cli.state_to_doc(state)))
-        return str(path), schmidt_decompose(cli._load_state_file(str(path)))
+        path.write_text(json.dumps(cli.state_to_doc(
+            labelled_state(rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))))))
+        state = cli._load_state_file(str(path))
+        return str(path), state, schmidt_decompose(state)
 
     def test_summaries_are_derived_not_passed(self):
         state = example_state("psi2")
@@ -427,11 +417,11 @@ class TestReportMatchesTheLibrary:
             SchmidtDecomposition(lambdas, [[1], [0]], [[0], [1]])
 
     def test_json_modes_are_the_decomposition_columns(self, capsys, state_file):
-        path, d = state_file
+        path, state, d = state_file
         doc = run_json(capsys, "analyze", "--file", path)
         assert d.rank == 5
-        for key, labels, modes in (("latin_modes", self.LATIN, d.latin_modes),
-                                   ("greek_modes", self.GREEK, d.greek_modes)):
+        for key, labels, modes in (("latin_modes", state.latin_labels, d.latin_modes),
+                                   ("greek_modes", state.greek_labels, d.greek_modes)):
             assert len(doc[key]) == d.rank
             for s, mode in enumerate(doc[key]):
                 assert mode["eigenvalue"] == d.lambdas[s]
@@ -440,7 +430,7 @@ class TestReportMatchesTheLibrary:
                 assert column == modes[:, s].tolist()
 
     def test_table_mode_lines_render_the_decomposition_columns(self, capsys, state_file):
-        path, d = state_file
+        path, state, d = state_file
         code, out, _ = run(capsys, "analyze", "--file", path)
         assert code == 0
 
@@ -458,8 +448,8 @@ class TestReportMatchesTheLibrary:
         expected = []
         for s in range(d.rank):
             expected.append(f"mode {s + 1} (eigenvalue {cli._fmt(d.lambdas[s])}):")
-            expected.append("  A: " + line(self.LATIN, d.latin_modes[:, s]))
-            expected.append("  B: " + line(self.GREEK, d.greek_modes[:, s]))
+            expected.append("  A: " + line(state.latin_labels, d.latin_modes[:, s]))
+            expected.append("  B: " + line(state.greek_labels, d.greek_modes[:, s]))
         lines = out.splitlines()
         start = lines.index(expected[0])
         assert lines[start:start + 3 * d.rank] == expected
@@ -491,15 +481,13 @@ _PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, np.nan, np.inf, -np.
 def test_every_constructed_state_round_trips(rows, cols, data):
     entries = data.draw(st.lists(st.builds(complex, _PARTS, _PARTS),
                                  min_size=rows * cols, max_size=rows * cols))
-    latin = tuple(f"m{i}" for i in range(rows))
-    greek = tuple(f"s{j}" for j in range(cols))
     try:
-        state = BipartitePureState(latin, greek, np.reshape(entries, (rows, cols)))
+        state = labelled_state(np.reshape(entries, (rows, cols)))
     except ValidationError:  # non-finite, all-zero, or a norm beyond the float range
         return
     text = json.dumps(cli.state_to_doc(state), allow_nan=False)
     for again in (cli.parse_state(cli.format_state(state)), cli.state_from_doc(json.loads(text))):
-        assert (again.latin_labels, again.greek_labels) == (latin, greek)
+        assert (again.latin_labels, again.greek_labels) == (state.latin_labels, state.greek_labels)
         np.testing.assert_allclose(again.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
         assert again.norm == pytest.approx(state.norm, rel=1e-12)
 

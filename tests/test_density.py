@@ -20,6 +20,7 @@ from schmidt.density import (
 from schmidt.catalog import example_state
 from schmidt.errors import ImpossibleOutcomeError, SchmidtError, ShapeError, ValidationError
 from schmidt.modes import BipartitePureState, schmidt_number, schmidt_decompose
+from states import example
 
 RHO_CL = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
 RHO_QM = np.zeros((4, 4), dtype=complex)
@@ -27,15 +28,6 @@ RHO_QM[1:3, 1:3] = 0.5
 NEEDS_TWO_PARTIES = ("needs a two-party density matrix, "
                      "as built by pure_density or classical_mixture")
 
-
-def bell_state():
-    return BipartitePureState.from_amplitudes(("H", "V"), ("H", "V"), [[0, 1], [1, 0]])
-
-
-def demo_state():
-    return BipartitePureState.from_amplitudes(
-        ("a", "b"), ("alpha", "beta", "gamma"), [[2, 1, 1], [1, 2, 1]]
-    )
 
 
 class TestDensityMatrixType:
@@ -182,7 +174,7 @@ class TestDensityMatrixType:
 
 class TestPureDensity:
     def test_bell_state_matches_printed_matrix(self):
-        rho = pure_density(bell_state())
+        rho = pure_density(example("bell"))
         np.testing.assert_allclose(rho.matrix, RHO_QM, atol=1e-15)
         assert rho.basis_labels == ("HH", "HV", "VH", "VV")
 
@@ -194,7 +186,7 @@ class TestPureDensity:
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-15)
 
     def test_projector_purity_is_one(self):
-        assert purity(pure_density(demo_state())) == pytest.approx(1.0, abs=1e-10)
+        assert purity(pure_density(example("psi0"))) == pytest.approx(1.0, abs=1e-10)
 
     def test_partial_traces_match_gram_matrices(self):
         for name in ("psi0", "psi1", "psi2", "psi3"):
@@ -277,7 +269,7 @@ class TestClassicalMixture:
 
 class TestPartialTrace:
     def test_bell_reduces_to_maximal_mixture_on_both_sides(self):
-        rho = pure_density(bell_state())
+        rho = pure_density(example("bell"))
         for keep in ("A", "B"):
             reduced = partial_trace(rho, keep)
             np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-10)
@@ -289,20 +281,20 @@ class TestPartialTrace:
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-10)
 
     def test_trace_is_preserved(self):
-        rho = pure_density(demo_state())
+        rho = pure_density(example("psi0"))
         reduced = partial_trace(rho, "B")
         assert np.trace(reduced.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("keep", ["A", "B"])
     def test_one_party_matrix_rejected(self, keep):
-        reduced = partial_trace(pure_density(bell_state()), keep)
+        reduced = partial_trace(pure_density(example("bell")), keep)
         assert reduced.parts == (("H", "V"),)
         for rho in (DensityMatrix(np.eye(4) / 4), reduced):
             with pytest.raises(ShapeError, match=f"a partial trace {NEEDS_TWO_PARTIES}"):
                 partial_trace(rho, keep)
 
     def test_bad_keep_flag_rejected(self):
-        rho = pure_density(bell_state())
+        rho = pure_density(example("bell"))
         with pytest.raises(ValidationError):
             partial_trace(rho, "C")
 
@@ -317,7 +309,7 @@ class TestPurity:
         assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_reduced_demo_state_purity_is_reciprocal_schmidt_number(self):
-        state = demo_state()
+        state = example("psi0")
         assert purity(gram_latin(state)) == pytest.approx(122 / 144, abs=1e-12)
         k = schmidt_number(schmidt_decompose(state))
         assert purity(gram_greek(state)) == pytest.approx(1.0 / k, abs=1e-9)
@@ -325,7 +317,7 @@ class TestPurity:
 
 class TestConditionalState:
     def test_entangled_and_classical_agree_on_projection(self):
-        for rho in (pure_density(bell_state()),
+        for rho in (pure_density(example("bell")),
                     classical_mixture([(0.5, "H", "V"), (0.5, "V", "H")])):
             prob, cond = conditional_state(rho, [1.0, 0.0])
             assert prob == pytest.approx(0.5, abs=1e-12)
@@ -333,7 +325,7 @@ class TestConditionalState:
             assert cond.basis_labels == ("H", "V")
 
     def test_result_is_labelled_with_the_greek_basis(self):
-        _, cond = conditional_state(pure_density(demo_state()), [1.0, 0.0])
+        _, cond = conditional_state(pure_density(example("psi0")), [1.0, 0.0])
         assert cond.basis_labels == ("alpha", "beta", "gamma")
 
     def test_one_party_matrix_rejected(self):
@@ -347,31 +339,31 @@ class TestConditionalState:
             conditional_state(rho, [0.0, 1.0])
 
     def test_probabilities_over_a_basis_sum_to_one(self):
-        rho = pure_density(demo_state())
+        rho = pure_density(example("psi0"))
         basis = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         total = sum(conditional_state(rho, v)[0] for v in basis)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_projector_must_be_normalized(self):
-        rho = pure_density(bell_state())
+        rho = pure_density(example("bell"))
         with pytest.raises(ValidationError):
             conditional_state(rho, [1.0, 1.0])
 
     def test_nan_projector_rejected(self):
-        rho = pure_density(bell_state())
+        rho = pure_density(example("bell"))
         with pytest.raises(ValidationError, match=r"^projection vector component 0 is not a "
                                                   r"number: \(nan\+0j\)$"):
             conditional_state(rho, [np.nan, 0.0])
 
     def test_projector_component_above_one_is_refused_without_a_warning(self):
         # No unit vector has such a component; its square would overflow the norm.
-        rho = pure_density(bell_state())
+        rho = pure_density(example("bell"))
         with pytest.raises(ValidationError, match=r"^projection vector component 0 has "
                                                   r"magnitude 1e\+300, above 1$"):
             conditional_state(rho, [1e300, 0])
 
     def test_projector_dimension_checked(self):
-        rho = pure_density(bell_state())
+        rho = pure_density(example("bell"))
         with pytest.raises(ShapeError):
             conditional_state(rho, [1.0, 0.0, 0.0])
 
@@ -383,12 +375,12 @@ class TestConditionalState:
     def test_projector_is_read_by_the_array_intake(self, projector, message):
         # Text and a ragged list are not vectors of numbers, and a column is not a vector.
         with pytest.raises(ShapeError, match="^" + re.escape(message)):
-            conditional_state(pure_density(bell_state()), projector)
+            conditional_state(pure_density(example("bell")), projector)
 
 
 def test_coherence_difference_sits_in_mixed_particle_positions():
     rho_cl = classical_mixture([(0.5, "H", "V"), (0.5, "V", "H")])
-    rho_qm = pure_density(bell_state())
+    rho_qm = pure_density(example("bell"))
     diff = rho_qm.matrix - rho_cl.matrix
     support = {(i, j) for i, j in zip(*np.nonzero(np.abs(diff) > 1e-15))}
     assert support == {(1, 2), (2, 1)}

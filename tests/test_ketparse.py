@@ -13,6 +13,7 @@ from schmidt.catalog import BELL_AMPLITUDES, EXPRESSIONS, bell_state
 from schmidt.errors import ParseError, SchmidtError, ValidationError
 from schmidt.ketparse import KetExpression, KetTerm, format_state, parse_expression, parse_state
 from schmidt.modes import BipartitePureState
+from states import AMPLITUDES, labelled_state
 
 
 def raw(state):
@@ -24,24 +25,22 @@ class TestParseFixtures:
         state = parse_state(EXPRESSIONS["psi0"])
         assert state.latin_labels == ("a", "b")
         assert state.greek_labels == ("alpha", "beta", "gamma")
-        np.testing.assert_allclose(raw(state), [[2, 1, 1], [1, 2, 1]], atol=1e-12)
+        np.testing.assert_allclose(raw(state), AMPLITUDES["psi0"], atol=1e-12)
         assert state.norm == pytest.approx(np.sqrt(12.0), abs=1e-12)
 
     def test_sign_flip_expression(self):
         state = parse_state(EXPRESSIONS["psi1"])
-        np.testing.assert_allclose(raw(state), [[2, 1, 1], [1, 2, -1]], atol=1e-12)
+        np.testing.assert_allclose(raw(state), AMPLITUDES["psi1"], atol=1e-12)
 
     def test_product_of_combinations_expression(self):
         state = parse_state(EXPRESSIONS["psi2"])
         assert state.greek_labels == ("alpha", "beta", "gamma", "delta")
-        np.testing.assert_allclose(
-            raw(state), [[2, 1, 1, -1], [1, 2, -1, 1]], atol=1e-12
-        )
+        np.testing.assert_allclose(raw(state), AMPLITUDES["psi2"], atol=1e-12)
         assert state.norm**2 == pytest.approx(14.0, abs=1e-12)
 
     def test_complex_coefficients_expression(self):
         state = parse_state(EXPRESSIONS["psi3"])
-        np.testing.assert_allclose(raw(state), [[2, 1j, 1], [1j, 2, 1]], atol=1e-12)
+        np.testing.assert_allclose(raw(state), AMPLITUDES["psi3"], atol=1e-12)
         assert state.norm == pytest.approx(np.sqrt(12.0), abs=1e-12)
         # the resulting Latin Gram matrix pins the cross terms: 2*conj(i)+i*conj(2)+1 = 1
         gram = state.amplitudes @ state.amplitudes.conj().T
@@ -351,11 +350,7 @@ class TestFormat:
             rows = rng.integers(1, 5)
             cols = rng.integers(1, 5)
             amps = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-            state = BipartitePureState.from_amplitudes(
-                tuple(f"m{i}" for i in range(rows)),
-                tuple(f"s{j}" for j in range(cols)),
-                amps,
-            )
+            state = labelled_state(amps)
             again = parse_state(format_state(state))
             assert again.latin_labels == state.latin_labels
             assert again.greek_labels == state.greek_labels
@@ -366,9 +361,7 @@ class TestFormat:
     def test_wide_states_round_trip_with_random_whitespace(self, rows, cols):
         rng = np.random.default_rng(rows * cols)
         amps = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-        state = BipartitePureState.from_amplitudes(
-            tuple(f"m{i}" for i in range(rows)), tuple(f"s{j}" for j in range(cols)), amps
-        )
+        state = labelled_state(amps)
         text = format_state(state)
         # Split on ket-v1 token boundaries and rejoin with random whitespace.
         pieces = re.findall(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|[A-Za-z][A-Za-z0-9_]*|\S", text)
@@ -458,10 +451,7 @@ def test_random_spacing_never_changes_the_parse(seed):
 def test_stray_character_is_reported_where_it_was_inserted(rows, cols, seed, char, where):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=(rows, cols)) + 1j * rng.integers(-2, 3, size=(rows, cols))
-    state = BipartitePureState.from_amplitudes(
-        tuple(f"a{i}" for i in range(rows)), tuple(f"b{j}" for j in range(cols)), amps
-    )
-    text = format_state(state)
+    text = format_state(labelled_state(amps))
     offset = round(where * len(text))
     before = text[offset - 1] if offset else " "
     # '.' continues a number and '_' a name; anywhere else they are stray.
@@ -544,10 +534,7 @@ def _canonical_text(draw):
     amps = np.array(draw(st.lists(st.builds(complex, parts, parts),
                                   min_size=rows * cols, max_size=rows * cols)))
     assume(np.any(amps != 0))
-    state = BipartitePureState(tuple(f"m{i}" for i in range(rows)),
-                               tuple(f"s{j}" for j in range(cols)),
-                               amps.reshape(rows, cols))
-    return format_state(state)
+    return format_state(labelled_state(amps.reshape(rows, cols)))
 
 
 @st.composite

@@ -19,55 +19,15 @@ from schmidt.modes import (
     schmidt_decompose,
     schmidt_number,
 )
-
-LATIN = ("a", "b")
-GREEK = ("alpha", "beta", "gamma")
-
-
-def demo_state():
-    # Two photon modes against three atom states; barely entangled.
-    return BipartitePureState.from_amplitudes(LATIN, GREEK, [[2, 1, 1], [1, 2, 1]])
-
-
-def sign_flipped_state():
-    return BipartitePureState.from_amplitudes(LATIN, GREEK, [[2, 1, 1], [1, 2, -1]])
-
-
-def four_level_state():
-    return BipartitePureState.from_amplitudes(
-        LATIN, ("alpha", "beta", "gamma", "delta"), [[2, 1, 1, -1], [1, 2, -1, 1]]
-    )
-
-
-def complex_state():
-    return BipartitePureState.from_amplitudes(LATIN, GREEK, [[2, 1j, 1], [1j, 2, 1]])
-
-
-def bell_state():
-    return BipartitePureState.from_amplitudes(("H", "V"), ("H", "V"), [[0, 1], [1, 0]])
-
-
-def random_state(rng, rows, cols):
-    amps = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-    labels_l = tuple(f"m{i}" for i in range(rows))
-    labels_g = tuple(f"s{j}" for j in range(cols))
-    return BipartitePureState.from_amplitudes(labels_l, labels_g, amps)
-
-
-def random_unitary(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from states import AMPLITUDES, GREEK, LATIN, example, labelled_state, random_unitary
 
 
 class TestBipartitePureState:
     def test_from_amplitudes_normalizes_and_records_norm(self):
-        state = demo_state()
+        state = BipartitePureState.from_amplitudes(LATIN, GREEK, AMPLITUDES["psi0"])
         assert state.norm == pytest.approx(np.sqrt(12.0), abs=1e-12)
         assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(
-            state.amplitudes * state.norm, [[2, 1, 1], [1, 2, 1]], atol=1e-12
-        )
+        np.testing.assert_allclose(state.amplitudes * state.norm, AMPLITUDES["psi0"], atol=1e-12)
 
     def test_constructor_leaves_the_callers_array_writable(self):
         amps = np.array([[2.0 + 0j]])
@@ -82,9 +42,10 @@ class TestBipartitePureState:
         state = BipartitePureState(("a",), ("b",), [[2.0]])
         assert state.amplitudes.tolist() == [[1.0]]
         assert state.norm == 2.0
-        direct = BipartitePureState(LATIN, GREEK, [[2, 1, 1], [1, 2, 1]])
-        assert np.array_equal(direct.amplitudes, demo_state().amplitudes)
-        assert direct.norm == demo_state().norm
+        direct = BipartitePureState(LATIN, GREEK, AMPLITUDES["psi0"])
+        named = BipartitePureState.from_amplitudes(LATIN, GREEK, AMPLITUDES["psi0"])
+        assert np.array_equal(direct.amplitudes, named.amplitudes)
+        assert direct.norm == named.norm
 
     def test_norm_is_derived_not_passed(self):
         assert list(inspect.signature(BipartitePureState).parameters) == [
@@ -122,7 +83,7 @@ class TestBipartitePureState:
                 BipartitePureState.from_amplitudes(LATIN, GREEK, amplitudes)
 
     def test_amplitudes_are_read_only(self):
-        state = demo_state()
+        state = example("psi0")
         with pytest.raises(ValueError):
             state.amplitudes[0, 0] = 5.0
 
@@ -157,7 +118,7 @@ class TestBipartitePureState:
 def test_array_holders_compare_and_hash_by_identity():
     # Equal arrays of more than one entry have no single truth value, so a
     # generated __eq__ or __hash__ could only raise.
-    first, second = demo_state(), demo_state()
+    first, second = example("psi0"), example("psi0")
     for a, b in ((first, second),
                  (schmidt_decompose(first), schmidt_decompose(second)),
                  (pure_density(first), pure_density(second)),
@@ -176,26 +137,26 @@ def test_hermitian_eigen_is_a_placeholder_for_schmidt_decompose():
 
 class TestGramMatrices:
     def test_latin_gram_of_demo_state(self):
-        rho = gram_latin(demo_state())
+        rho = gram_latin(example("psi0"))
         np.testing.assert_allclose(rho.matrix, np.array([[6, 5], [5, 6]]) / 12.0, atol=1e-12)
         assert rho.basis_labels == LATIN
 
     def test_greek_gram_of_demo_state(self):
-        rho = gram_greek(demo_state())
+        rho = gram_greek(example("psi0"))
         expected = np.array([[5, 4, 3], [4, 5, 3], [3, 3, 2]]) / 12.0
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
 
     def test_latin_gram_of_sign_flipped_state(self):
-        rho = gram_latin(sign_flipped_state())
+        rho = gram_latin(example("psi1"))
         np.testing.assert_allclose(rho.matrix, np.array([[6, 3], [3, 6]]) / 12.0, atol=1e-12)
 
     def test_greek_gram_of_sign_flipped_state(self):
-        rho = gram_greek(sign_flipped_state())
+        rho = gram_greek(example("psi1"))
         expected = np.array([[5, 4, 1], [4, 5, -1], [1, -1, 2]]) / 12.0
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
 
     def test_greek_gram_of_four_level_state(self):
-        state = four_level_state()
+        state = example("psi2")
         assert state.norm**2 == pytest.approx(14.0, abs=1e-12)
         expected = np.array(
             [[5, 4, 1, -1], [4, 5, -1, 1], [1, -1, 2, -2], [-1, 1, -2, 2]]
@@ -215,7 +176,7 @@ class TestGramMatrices:
 
 class TestSchmidtDecompose:
     def test_demo_state_eigenvalues_and_modes(self):
-        d = schmidt_decompose(demo_state())
+        d = schmidt_decompose(example("psi0"))
         np.testing.assert_allclose(d.lambdas, [11 / 12, 1 / 12], atol=1e-12)
         assert d.rank == 2
         np.testing.assert_allclose(
@@ -243,7 +204,7 @@ class TestSchmidtDecompose:
         monkeypatch.setattr(np.linalg, "svd", planted_nan)
         with pytest.raises(ConvergenceError, match="^" + re.escape(
                 "np.linalg.svd returned a non-finite factor of the 2x3 amplitude matrix")):
-            schmidt_decompose(demo_state())
+            schmidt_decompose(example("psi0"))
 
     def test_greek_modes_are_the_conjugated_schmidt_kets(self):
         # With C = U diag(s) adj(V), greek_modes holds V; the Schmidt ket
@@ -263,7 +224,7 @@ class TestSchmidtDecompose:
         assert np.max(np.abs(rho_b @ first - d.lambdas[0] * first)) > 0.1
 
     def test_bell_state_is_maximally_entangled(self):
-        d = schmidt_decompose(bell_state())
+        d = schmidt_decompose(example("bell"))
         np.testing.assert_allclose(d.lambdas, [0.5, 0.5], atol=1e-12)
         assert d.rank == 2
 
@@ -295,9 +256,7 @@ class TestSchmidtDecompose:
 
     def test_tall_matrix_uses_greek_side(self):
         # Transposing the demo amplitudes swaps the roles of the two bases.
-        state = BipartitePureState.from_amplitudes(
-            ("p", "q", "r"), ("x", "y"), np.array([[2, 1, 1], [1, 2, 1]]).T
-        )
+        state = labelled_state(np.transpose(AMPLITUDES["psi0"]))
         d = schmidt_decompose(state)
         np.testing.assert_allclose(d.lambdas, [11 / 12, 1 / 12], atol=1e-12)
         assert d.latin_modes.shape == (3, 2)
@@ -317,37 +276,37 @@ class TestSchmidtDecompose:
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValidationError):
-            schmidt_decompose(demo_state(), threshold=0.0)
+            schmidt_decompose(example("psi0"), threshold=0.0)
 
     def test_boolean_threshold_is_refused(self):
         # A bool is a numbers.Real: True would be read as 1.0 and leave no mode pair.
         with pytest.raises(ValidationError, match="^rank threshold must be finite and "
                                                   "positive, got True$"):
-            schmidt_decompose(demo_state(), threshold=True)
+            schmidt_decompose(example("psi0"), threshold=True)
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
     def test_threshold_must_be_finite(self, threshold):
         with pytest.raises(ValidationError, match="finite and positive"):
-            schmidt_decompose(demo_state(), threshold=threshold)
+            schmidt_decompose(example("psi0"), threshold=threshold)
 
 
 class TestMeasures:
     def test_schmidt_numbers_of_the_fixture_family(self):
-        assert schmidt_number(schmidt_decompose(demo_state())) == pytest.approx(
+        assert schmidt_number(schmidt_decompose(example("psi0"))) == pytest.approx(
             144 / 122, abs=1e-9
         )
-        assert schmidt_number(schmidt_decompose(sign_flipped_state())) == pytest.approx(
+        assert schmidt_number(schmidt_decompose(example("psi1"))) == pytest.approx(
             1.6, abs=1e-9
         )
-        assert schmidt_number(schmidt_decompose(four_level_state())) == pytest.approx(
+        assert schmidt_number(schmidt_decompose(example("psi2"))) == pytest.approx(
             196 / 106, abs=1e-9
         )
-        assert schmidt_number(schmidt_decompose(complex_state())) == pytest.approx(
+        assert schmidt_number(schmidt_decompose(example("psi3"))) == pytest.approx(
             144 / 74, abs=1e-9
         )
 
     def test_entropy_of_bell_state_is_one_bit(self):
-        assert entanglement_entropy(schmidt_decompose(bell_state())) == pytest.approx(
+        assert entanglement_entropy(schmidt_decompose(example("bell"))) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -357,7 +316,7 @@ class TestMeasures:
 
     def test_rank_zero_has_zero_entropy(self):
         # Both Bell eigenvalues, 0.5, sit below the threshold: no term survives.
-        d = schmidt_decompose(bell_state(), threshold=0.9)
+        d = schmidt_decompose(example("bell"), threshold=0.9)
         assert d.rank == 0
         entropy = entanglement_entropy(d)
         assert entropy == 0.0 and not np.signbit(entropy)
@@ -365,24 +324,24 @@ class TestMeasures:
 
     def test_entropy_of_demo_state(self):
         expected = -(11 / 12) * np.log2(11 / 12) - (1 / 12) * np.log2(1 / 12)
-        assert entanglement_entropy(schmidt_decompose(demo_state())) == pytest.approx(
+        assert entanglement_entropy(schmidt_decompose(example("psi0"))) == pytest.approx(
             expected, abs=1e-12
         )
 
     def test_is_entangled(self):
-        assert is_entangled(schmidt_decompose(demo_state()))
+        assert is_entangled(schmidt_decompose(example("psi0")))
         product = BipartitePureState.from_amplitudes(("a",), ("alpha",), [[1.0]])
         assert not is_entangled(schmidt_decompose(product))
 
 
 class TestReconstruct:
     def test_demo_state_round_trip(self):
-        state = demo_state()
+        state = example("psi0")
         rebuilt = reconstruct(schmidt_decompose(state))
         assert np.max(np.abs(rebuilt - state.amplitudes)) < 1e-9
 
     def test_complex_state_round_trip(self):
-        state = complex_state()
+        state = example("psi3")
         rebuilt = reconstruct(schmidt_decompose(state))
         assert np.max(np.abs(rebuilt - state.amplitudes)) < 1e-9
 
@@ -554,9 +513,8 @@ def test_memory_layout_does_not_change_a_state():
     for _ in range(2000):
         rows, cols = rng.integers(2, 7, size=2)
         amps = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-        latin, greek = [f"a{i}" for i in range(rows)], [f"b{j}" for j in range(cols)]
-        c_order = BipartitePureState(latin, greek, amps)
-        f_order = BipartitePureState(latin, greek, np.asfortranarray(amps))
+        c_order = labelled_state(amps)
+        f_order = labelled_state(np.asfortranarray(amps))
         assert f_order.norm == c_order.norm
         for name in ("amplitudes", "coefficients"):
             assert getattr(f_order, name).tobytes() == getattr(c_order, name).tobytes()
@@ -569,7 +527,8 @@ class TestRandomStateProperties:
         rng = np.random.default_rng(2024)
         for rows, cols in self.SHAPES:
             for _ in range(40):
-                state = random_state(rng, rows, cols)
+                state = labelled_state(rng.normal(size=(rows, cols))
+                                       + 1j * rng.normal(size=(rows, cols)))
                 d = schmidt_decompose(state)
 
                 assert np.sum(d.lambdas) == pytest.approx(1.0, abs=1e-10)
@@ -598,13 +557,10 @@ class TestRandomStateProperties:
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(99)
         for _ in range(25):
-            state = random_state(rng, 3, 4)
+            state = labelled_state(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
             d = schmidt_decompose(state)
             u = random_unitary(rng, 3)
-            rotated = BipartitePureState.from_amplitudes(
-                state.latin_labels, state.greek_labels, u @ state.amplitudes
-            )
-            d2 = schmidt_decompose(rotated)
+            d2 = schmidt_decompose(labelled_state(u @ state.amplitudes))
             np.testing.assert_allclose(d.lambdas, d2.lambdas, atol=1e-9)
             assert schmidt_number(d) == pytest.approx(schmidt_number(d2), abs=1e-9)
             assert entanglement_entropy(d) == pytest.approx(
@@ -613,9 +569,6 @@ class TestRandomStateProperties:
 
     def test_equal_eigenvalues_count_exactly(self):
         for n in range(1, 7):
-            labels_l = tuple(f"m{i}" for i in range(n))
-            labels_g = tuple(f"s{i}" for i in range(n))
-            state = BipartitePureState.from_amplitudes(labels_l, labels_g, np.eye(n))
-            d = schmidt_decompose(state)
+            d = schmidt_decompose(labelled_state(np.eye(n)))
             assert schmidt_number(d) == pytest.approx(n, abs=1e-9)
             assert d.rank == n

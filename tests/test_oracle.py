@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from schmidt.errors import ValidationError
 from schmidt.modes import (
     DEFAULT_RANK_THRESHOLD,
-    BipartitePureState,
     entanglement_entropy,
     schmidt_decompose,
     schmidt_number,
 )
+from states import labelled_state
 from test_pipeline import cases
 
 
@@ -40,10 +40,8 @@ def oracle_lambdas(amplitudes):
 @given(st.one_of(cases().map(lambda case: case[2]), random_states()))
 @example(amplitudes=np.random.default_rng(16).normal(size=(16, 17)))  # the top size
 def test_spectrum_number_and_entropy_match_a_40_digit_svd(amplitudes):
-    rows, cols = amplitudes.shape
     try:
-        state = BipartitePureState([f"a{i}" for i in range(rows)],
-                                   [f"g{j}" for j in range(cols)], amplitudes)
+        state = labelled_state(amplitudes)
     except ValidationError:  # scaled beyond the float range
         reject()
     exact = oracle_lambdas(state.amplitudes)

@@ -1,14 +1,13 @@
 """The ``schmidt`` package namespace, each check in a fresh interpreter."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import schmidt
+from states import child_env
 
 # The public names, as the package exported them when it imported every module eagerly.
 PUBLIC_NAMES = [
@@ -24,10 +23,7 @@ SUBMODULES = ["density", "errors", "ketparse", "modes"]
 
 def in_child(code: str):
     """Run ``code`` in a fresh interpreter that imports this ``schmidt``; its JSON stdout."""
-    src = str(Path(schmidt.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                           text=True, check=True)
     return json.loads(proc.stdout)
 

@@ -15,19 +15,8 @@ from numpy.polynomial.hermite import hermval
 from schmidt.cli import build_report
 from schmidt.errors import ConvergenceError
 from schmidt.ketparse import parse_state
-from schmidt.modes import BipartitePureState, schmidt_decompose, schmidt_number
-
-
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def labelled_state(amplitudes):
-    rows, cols = np.shape(amplitudes)
-    return BipartitePureState.from_amplitudes(
-        [f"a{i}" for i in range(rows)], [f"g{j}" for j in range(cols)], amplitudes
-    )
+from schmidt.modes import schmidt_decompose, schmidt_number
+from states import labelled_state, random_unitary
 
 
 def double_gaussian_state(d, ratio):
