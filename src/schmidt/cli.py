@@ -98,7 +98,12 @@ def _amplitude_matrix(rows) -> np.ndarray:
 
 
 def state_from_doc(doc) -> BipartitePureState:
-    """Rebuild a state from a schmidt-state-v1 document (or a report holding one)."""
+    """Rebuild a state from a schmidt-state-v1 document, or from a JSON report, whose
+    ``state`` holds one: a report fed back through ``--file`` reproduces itself, since
+    ``state_to_doc`` writes the coefficients as given (unit-norm amplitudes scaled back
+    by the norm would not restore them bit for bit). The amplitudes are read first, by
+    ``_amplitude_matrix``; the constructor then checks their shape against the labels
+    before any value, so a NaN, which ``json.load`` reads, is refused by its entry."""
     if isinstance(doc, dict) and doc.get("format") != STATE_FORMAT:
         nested = doc.get("state")
         if isinstance(nested, dict):
@@ -123,7 +128,8 @@ class AnalysisReport(_Record):
     always be embedded in the bigger space. Raises ShapeError unless the modes'
     row counts are the state's shape (the decomposition fixes the eigenvalue
     count from them), then ConvergenceError unless the residual is at most
-    RESIDUAL_LIMIT (a NaN residual is refused too).
+    RESIDUAL_LIMIT (a NaN residual is refused too). So a rank threshold that drops
+    modes of real weight ends in a refusal, never in a report that is wrong.
     """
 
     def __init__(self, state, decomposition):
@@ -287,6 +293,10 @@ def _load_state_file(path: str) -> BipartitePureState:
 
 
 def _emit_report(state: BipartitePureState, args) -> None:
+    """Print the report of ``state`` as ``args`` ask; a refusal prints nothing to stdout.
+    Expressions, files and examples all end here, so ``--strict-norm`` is one check for
+    each, and an input error it would also report, such as an all-zero state, is refused
+    first, where the state is built."""
     if args.unit_norm and abs(state.norm - 1.0) > NORM_ATOL:
         raise ValidationError(
             f"strict normalization requested but the amplitude norm is {state.norm!r}"
@@ -373,7 +383,11 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         # The reader is gone (`schmidt ... | head -1`): drop the rest quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return EXIT_CLOSED_STDOUT
     except ConvergenceError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

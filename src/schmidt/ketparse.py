@@ -424,7 +424,9 @@ def format_state(state: BipartitePureState) -> str:
     which parse back bit for bit: rounded to 15, its norm could round past the
     float range. The first Greek group lists every Latin ket, zeros included,
     so that parsing the result restores the exact basis order; later groups
-    skip zero entries, and a group of one term has no parentheses.
+    skip zero entries, and a group of one term has no parentheses. Every label
+    matches ``LABEL``, which the state's constructor checks, so the text parses
+    back: a label outside that rule is refused before any report is written.
     """
     coefs = state.coefficients.T  # a row per Greek ket
     keep = coefs != 0

@@ -266,6 +266,17 @@ class TestExamples:
         assert child.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
         assert err == b""
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_stdout_leaves_no_descriptor_open(self, monkeypatch):
+        # In process, main points stdout at the null device; its own descriptor is closed.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            before = len(os.listdir("/proc/self/fd"))
+            assert cli.main(["examples", "psi0"]) == cli.EXIT_CLOSED_STDOUT
+            assert len(os.listdir("/proc/self/fd")) == before
+
     @pytest.mark.parametrize("build,name,choices", [
         (example_state, "psi9", "['psi0', 'psi1', 'psi2', 'psi3']"),
         (bell_state, "phi", "['phi_minus', 'phi_plus', 'psi_minus', 'psi_plus']"),

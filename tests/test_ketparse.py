@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import ketparse_reference
 from schmidt import ketparse
 from schmidt.catalog import BELL_AMPLITUDES, EXPRESSIONS, bell_state
-from schmidt.errors import ParseError, SchmidtError, ValidationError
+from schmidt.errors import ParseError, ValidationError
 from schmidt.ketparse import KetExpression, KetTerm, format_state, parse_expression, parse_state
 from schmidt.modes import BipartitePureState
 from states import AMPLITUDES, labelled_state
@@ -421,7 +421,7 @@ def test_fuzzed_text_never_crashes(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="0123456789.+-*/()|><xi sqrtabe_⊗", max_size=40))
+@given(st.text(alphabet="0123456789.+-*/()|><xi sqrtabe_⊗@#", max_size=40))
 def test_fuzzed_grammar_charset_never_crashes(text):
     try:
         parse_state(text)

@@ -1,8 +1,11 @@
-"""The ``schmidt`` package namespace, each check in a fresh interpreter."""
+"""The ``schmidt`` package namespace, each check in a fresh interpreter, and the
+imports of the package's and the suite's modules."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,3 +108,30 @@ def test_gram_matrices_live_in_density():
         "print(json.dumps([schmidt.gram_latin is density.gram_latin,\n"
         "                  schmidt.gram_greek is density.gram_greek,\n"
         "                  hasattr(modes, 'gram_latin')]))\n") == [True, True, False]
+
+
+def test_every_imported_name_is_read():
+    # Read as a name, as an attribute's base (also a name) or listed in __all__; an
+    # import kept for its effect says so with "noqa: F401" on its first line.
+    root = Path(__file__).resolve().parents[1]
+    unread = []
+    for path in sorted([*root.glob("src/schmidt/**/*.py"), *root.glob("tests/**/*.py")]):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.value for assign in ast.walk(tree) if isinstance(assign, ast.Assign)
+                 and any(isinstance(target, ast.Name) and target.id == "__all__"
+                         for target in assign.targets)
+                 for node in ast.walk(assign.value) if isinstance(node, ast.Constant)}
+        lines = text.splitlines()
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or "noqa: F401" in lines[node.lineno - 1]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read:
+                    unread.append(f"{path.relative_to(root)}:{node.lineno} {name}")
+    assert unread == []
