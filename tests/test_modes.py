@@ -19,7 +19,7 @@ from schmidt.modes import (
     schmidt_decompose,
     schmidt_number,
 )
-from states import AMPLITUDES, GREEK, LATIN, example, labelled_state
+from states import AMPLITUDES, GREEK, LATIN, example, labelled_state, random_unitary
 
 
 class TestBipartitePureState:
@@ -490,6 +490,52 @@ def test_memory_layout_does_not_change_a_state():
 
 
 class TestRandomStateProperties:
+    SHAPES = [(2, 2), (2, 4), (3, 3), (4, 2), (5, 6)]
+
+    def test_round_trip_spectra_and_bounds(self):
+        rng = np.random.default_rng(2024)
+        for rows, cols in self.SHAPES:
+            for _ in range(40):
+                state = labelled_state(rng.normal(size=(rows, cols))
+                                       + 1j * rng.normal(size=(rows, cols)))
+                d = schmidt_decompose(state)
+
+                assert np.sum(d.lambdas) == pytest.approx(1.0, abs=1e-10)
+                assert np.all(d.lambdas >= -1e-12)
+                assert np.all(d.lambdas <= 1.0 + 1e-12)
+
+                k = schmidt_number(d)
+                assert 1.0 - 1e-9 <= k <= min(rows, cols) + 1e-9
+
+                residual = np.max(np.abs(reconstruct(d) - state.amplitudes))
+                assert residual < 1e-9
+
+                # one mode pair per retained eigenvalue, never rows*cols
+                assert d.latin_modes.shape[1] == d.rank <= min(rows, cols)
+
+                # each family is orthonormal, including the derived one
+                for modes in (d.latin_modes, d.greek_modes):
+                    gram = modes.conj().T @ modes
+                    assert np.max(np.abs(gram - np.eye(d.rank))) < 1e-10
+
+                lam_l = np.linalg.eigvalsh(gram_latin(state).matrix)[::-1]
+                lam_g = np.linalg.eigvalsh(gram_greek(state).matrix)[::-1]
+                common = min(len(lam_l), len(lam_g))
+                np.testing.assert_allclose(lam_l[:common], lam_g[:common], atol=1e-10)
+
+    def test_local_unitary_invariance(self):
+        rng = np.random.default_rng(99)
+        for _ in range(25):
+            state = labelled_state(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+            d = schmidt_decompose(state)
+            u = random_unitary(rng, 3)
+            d2 = schmidt_decompose(labelled_state(u @ state.amplitudes))
+            np.testing.assert_allclose(d.lambdas, d2.lambdas, atol=1e-9)
+            assert schmidt_number(d) == pytest.approx(schmidt_number(d2), abs=1e-9)
+            assert entanglement_entropy(d) == pytest.approx(
+                entanglement_entropy(d2), abs=1e-9
+            )
+
     def test_equal_eigenvalues_count_exactly(self):
         for n in range(1, 7):
             d = schmidt_decompose(labelled_state(np.eye(n)))
