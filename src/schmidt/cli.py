@@ -129,7 +129,9 @@ class AnalysisReport(_Record):
     row counts are the state's shape (the decomposition fixes the eigenvalue
     count from them), then ConvergenceError unless the residual is at most
     RESIDUAL_LIMIT (a NaN residual is refused too). So a rank threshold that drops
-    modes of real weight ends in a refusal, never in a report that is wrong.
+    modes of real weight ends in a refusal, never in a report that is wrong; the
+    refusal then names the Schmidt weight the threshold dropped, the sum of the
+    eigenvalues past ``rank``, when that weight is above zero.
     """
 
     def __init__(self, state, decomposition):
@@ -140,8 +142,11 @@ class AnalysisReport(_Record):
                              f"{state.latin_dim} x {state.greek_dim} state")
         residual = float(np.max(np.abs(reconstruct(d) - state.amplitudes)))
         if not residual <= RESIDUAL_LIMIT:  # false for NaN too
-            raise ConvergenceError(
-                f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}")
+            message = f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}"
+            dropped = float(np.sum(d.lambdas[d.rank:]))
+            if dropped > 0.0:
+                message += f"; the rank threshold dropped Schmidt weight {dropped:.6g}"
+            raise ConvergenceError(message)
         padded = d.lambdas.tolist()
         padded += [0.0] * (max(state.latin_dim, state.greek_dim) - len(padded))
         # Keyword arguments run in order: format_state, then the three summaries.

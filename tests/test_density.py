@@ -268,13 +268,6 @@ class TestClassicalMixture:
 
 
 class TestPartialTrace:
-    def test_bell_reduces_to_maximal_mixture_on_both_sides(self):
-        rho = pure_density(example("bell"))
-        for keep in ("A", "B"):
-            reduced = partial_trace(rho, keep)
-            np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-10)
-            assert reduced.basis_labels == ("H", "V")
-
     def test_classical_mixture_reduces_identically(self):
         rho = classical_mixture([(0.5, "H", "V"), (0.5, "V", "H")])
         reduced = partial_trace(rho, "A")
@@ -316,14 +309,6 @@ class TestPurity:
 
 
 class TestConditionalState:
-    def test_entangled_and_classical_agree_on_projection(self):
-        for rho in (pure_density(example("bell")),
-                    classical_mixture([(0.5, "H", "V"), (0.5, "V", "H")])):
-            prob, cond = conditional_state(rho, [1.0, 0.0])
-            assert prob == pytest.approx(0.5, abs=1e-12)
-            np.testing.assert_allclose(cond.matrix, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
-            assert cond.basis_labels == ("H", "V")
-
     def test_result_is_labelled_with_the_greek_basis(self):
         _, cond = conditional_state(pure_density(example("psi0")), [1.0, 0.0])
         assert cond.basis_labels == ("alpha", "beta", "gamma")
@@ -376,11 +361,3 @@ class TestConditionalState:
         # Text and a ragged list are not vectors of numbers, and a column is not a vector.
         with pytest.raises(ShapeError, match="^" + re.escape(message)):
             conditional_state(pure_density(example("bell")), projector)
-
-
-def test_coherence_difference_sits_in_mixed_particle_positions():
-    rho_cl = classical_mixture([(0.5, "H", "V"), (0.5, "V", "H")])
-    rho_qm = pure_density(example("bell"))
-    diff = rho_qm.matrix - rho_cl.matrix
-    support = {(i, j) for i, j in zip(*np.nonzero(np.abs(diff) > 1e-15))}
-    assert support == {(1, 2), (2, 1)}

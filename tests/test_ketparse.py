@@ -344,19 +344,6 @@ class TestFormat:
         state = BipartitePureState(("a", "c"), ("b", "d"), np.array([[1, 0], [2, -3j]]))
         assert format_state(state) == "(|a> + 2|c>)(x)|b> - 3i|c>(x)|d>"
 
-    def test_random_states_round_trip(self):
-        rng = np.random.default_rng(512)
-        for trial in range(120):
-            rows = rng.integers(1, 5)
-            cols = rng.integers(1, 5)
-            amps = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-            state = labelled_state(amps)
-            again = parse_state(format_state(state))
-            assert again.latin_labels == state.latin_labels
-            assert again.greek_labels == state.greek_labels
-            assert np.max(np.abs(again.amplitudes - state.amplitudes)) < 1e-12
-
-
     @pytest.mark.parametrize("rows,cols", [(2, 2048), (4, 256), (24, 25), (300, 2)])
     def test_wide_states_round_trip_with_random_whitespace(self, rows, cols):
         rng = np.random.default_rng(rows * cols)

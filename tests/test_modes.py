@@ -150,11 +150,6 @@ class TestGramMatrices:
         rho = gram_latin(example("psi1"))
         np.testing.assert_allclose(rho.matrix, np.array([[6, 3], [3, 6]]) / 12.0, atol=1e-12)
 
-    def test_greek_gram_of_sign_flipped_state(self):
-        rho = gram_greek(example("psi1"))
-        expected = np.array([[5, 4, 1], [4, 5, -1], [1, -1, 2]]) / 12.0
-        np.testing.assert_allclose(rho.matrix, expected, atol=1e-12)
-
     def test_greek_gram_of_four_level_state(self):
         state = example("psi2")
         assert state.norm**2 == pytest.approx(14.0, abs=1e-12)
@@ -274,11 +269,6 @@ class TestSchmidtDecompose:
 
 
 class TestMeasures:
-    def test_entropy_of_bell_state_is_one_bit(self):
-        assert entanglement_entropy(schmidt_decompose(example("bell"))) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
     def test_entropy_of_product_state_is_zero(self):
         state = BipartitePureState.from_amplitudes(("a",), ("alpha",), [[1.0]])
         assert entanglement_entropy(schmidt_decompose(state)) == 0.0
@@ -304,11 +294,6 @@ class TestMeasures:
 
 
 class TestReconstruct:
-    def test_demo_state_round_trip(self):
-        state = example("psi0")
-        rebuilt = reconstruct(schmidt_decompose(state))
-        assert np.max(np.abs(rebuilt - state.amplitudes)) < 1e-9
-
     def test_complex_state_round_trip(self):
         state = example("psi3")
         rebuilt = reconstruct(schmidt_decompose(state))

@@ -2,10 +2,12 @@
 
 A state whose labels break the ket-v1 LABEL rule is refused by its
 constructor. Every other state either gets a report that meets the report's
-invariants or is refused with a SchmidtError. Its canonical text parses back
-to the same labels and amplitudes, and its schmidt-state-v1 document reads
-back to the same state, bit for bit. Labels are unique within each side, and
-some draws put one label on both sides.
+invariants or is refused with the one ConvergenceError a valid state can meet:
+the rank floor dropped Schmidt weight that the residual gate needs, and the
+message names that weight. Its canonical text parses back to the same labels
+and amplitudes, and its schmidt-state-v1 document reads back to the same
+state, bit for bit. Labels are unique within each side, and some draws put one
+label on both sides.
 """
 
 import json
@@ -18,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from schmidt import cli
-from schmidt.errors import SchmidtError, ValidationError
+from schmidt.errors import ConvergenceError, ValidationError
 from schmidt.ketparse import format_state, parse_state
 from schmidt.modes import LABEL, RESIDUAL_LIMIT, BipartitePureState
 
@@ -82,8 +84,9 @@ def test_every_state_is_reported_correctly_or_refused(case):
         return
     try:
         report = cli.build_report(state)
-    except SchmidtError:
-        report = None  # a refusal, allowed until the rank floor follows the residual limit
+    except ConvergenceError as exc:  # allowed until the rank floor follows the residual limit
+        assert "; the rank threshold dropped Schmidt weight " in str(exc)
+        report = None
     if report is not None:
         lambdas = np.array(report.lambdas)
         assert np.all(np.diff(lambdas) <= 0.0)

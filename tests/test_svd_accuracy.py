@@ -7,6 +7,7 @@ closed-form oracle at dimensions the package is now fast enough to reach.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,16 @@ class TestRankFloorRefusal:
         build, _ = self.STATES[name]
         report = build_report(build())
         assert report.reconstruction_residual <= 1e-9
+
+    @pytest.mark.parametrize("name", STATES)
+    def test_refusal_names_the_dropped_weight(self, name):
+        # The sum of the eigenvalues under the floor: 3.44e-12 + 1.38e-13 + ... for the
+        # double Gaussian, 1 / (1 + 1e10) for the two terms.
+        weight = {"double-gaussian-16": "3.57911e-12", "two-terms": "1e-10"}[name]
+        build, _ = self.STATES[name]
+        with pytest.raises(ConvergenceError, match=re.escape(
+                f"; the rank threshold dropped Schmidt weight {weight}") + "$"):
+            build_report(build())
 
     @pytest.mark.parametrize("name", STATES)
     def test_refusal_comes_from_the_floor_not_the_solver(self, name):
