@@ -70,7 +70,9 @@ def _amplitude_matrix(rows) -> np.ndarray:
     Raises ValueError unless ``rows`` is an array of arrays, then at the first
     fault met, a row's length before its entries: a row whose length differs
     from row 0's, or an entry that is not two numbers (a boolean is none) or
-    holds an integer beyond the float range, named by its row and column."""
+    holds an integer beyond the float range, named by its row and column. A bad
+    entry is quoted as the JSON it was read from (``null``, ``[true, false]``), or
+    by its repr when JSON cannot spell it (a library caller's ``1+2j``)."""
     # A JSON string or object iterates too, as characters or keys.
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError("amplitudes must be an array of rows")
@@ -91,8 +93,12 @@ def _amplitude_matrix(rows) -> np.ndarray:
                 raise ValueError(f"amplitude entry at row {i}, column {j} "
                                  "overflows the float range") from None
             except (TypeError, ValueError):
+                try:
+                    text = json.dumps(entry)
+                except (TypeError, ValueError):
+                    text = repr(entry)
                 raise ValueError(f"amplitude entry at row {i}, column {j} is not "
-                                 f"an [re, im] pair of numbers: {entry!r}") from None
+                                 f"an [re, im] pair of numbers: {text}") from None
         matrix.append(values)
     return np.array(matrix, dtype=complex).reshape(len(rows), width)
 

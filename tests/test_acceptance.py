@@ -32,7 +32,7 @@ from schmidt.modes import (
     schmidt_decompose,
     schmidt_number,
 )
-from states import AMPLITUDES, labelled_state, random_unitary
+from states import AMPLITUDES, LABELS, LATIN, labelled_state, random_unitary
 
 
 def criterion(number, description):
@@ -69,8 +69,14 @@ def eigvals_desc_2x2(a):
 @criterion(1, "2x3 demo state: shared spectrum, K = 144/122, expected mode pairs")
 def test_c01_demo_state_eigensystem():
     state = example_state("psi0")
-    lam_latin = eigvals_desc(gram_latin(state).matrix)
-    lam_greek = eigvals_desc(gram_greek(state).matrix)
+    latin, greek = gram_latin(state), gram_greek(state)
+    np.testing.assert_allclose(latin.matrix, np.array([[6, 5], [5, 6]]) / 12.0, rtol=0,
+                               atol=1e-12)
+    assert latin.basis_labels == LATIN
+    expected_greek = np.array([[5, 4, 3], [4, 5, 3], [3, 3, 2]]) / 12.0
+    np.testing.assert_allclose(greek.matrix, expected_greek, rtol=0, atol=1e-12)
+    lam_latin = eigvals_desc(latin.matrix)
+    lam_greek = eigvals_desc(greek.matrix)
     np.testing.assert_allclose(lam_latin, [11 / 12, 1 / 12], atol=1e-10)
     np.testing.assert_allclose(lam_greek, [11 / 12, 1 / 12, 0.0], atol=1e-10)
 
@@ -103,7 +109,9 @@ def test_c03_sign_flipped_state():
     np.testing.assert_allclose(lam, [0.75, 0.25, 0.0], atol=1e-10)
     assert schmidt_number(schmidt_decompose(state)) == pytest.approx(1.6, abs=1e-9)
     expected = np.array([[5, 4, 1], [4, 5, -1], [1, -1, 2]]) / 12.0
-    np.testing.assert_allclose(gram_greek(state).matrix, expected, atol=1e-12)
+    np.testing.assert_allclose(gram_greek(state).matrix, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gram_latin(state).matrix, np.array([[6, 3], [3, 6]]) / 12.0,
+                               rtol=0, atol=1e-12)
 
 
 @criterion(4, "four-level state: norm^2 = 14, rank 2, K = 196/106 vs 2x2 oracle")
@@ -118,6 +126,10 @@ def test_c04_four_level_state():
     assert k_oracle == pytest.approx(196 / 106, abs=1e-12)
     assert schmidt_number(d) == pytest.approx(k_oracle, abs=1e-9)
     assert schmidt_number(d) == pytest.approx(196 / 106, abs=1e-9)
+    expected = np.array(
+        [[5, 4, 1, -1], [4, 5, -1, 1], [1, -1, 2, -2], [-1, 1, -2, 2]]
+    ) / 14.0
+    np.testing.assert_allclose(gram_greek(state).matrix, expected, rtol=0, atol=1e-12)
 
 
 @criterion(5, "complex-coefficient state: K = 144/74")
@@ -144,10 +156,12 @@ def test_c06_bell_suite():
 def test_c07_classical_vs_quantum():
     rho_cl = opposite_polarization_mixture()
     rho_qm = pure_density(bell_state("psi_plus"))
-    np.testing.assert_allclose(rho_cl.matrix, np.diag([0.0, 0.5, 0.5, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(rho_cl.matrix, np.diag([0.0, 0.5, 0.5, 0.0]), rtol=0,
+                               atol=1e-15)
     expected_qm = np.zeros((4, 4))
     expected_qm[1:3, 1:3] = 0.5
-    np.testing.assert_allclose(rho_qm.matrix, expected_qm, atol=1e-12)
+    np.testing.assert_allclose(rho_qm.matrix, expected_qm, rtol=0, atol=1e-15)
+    assert rho_cl.basis_labels == rho_qm.basis_labels == ("HH", "HV", "VH", "VV")
 
     for rho in (rho_cl, rho_qm):
         prob, cond = conditional_state(rho, [1.0, 0.0])
@@ -202,9 +216,19 @@ def test_c09_equal_weights_count_exactly():
 
 @criterion(10, "parser: exact fixture matrices, 500 round trips")
 def test_c10_parser_suite():
-    for name, expression in EXPRESSIONS.items():
-        state = parse_state(expression)
-        np.testing.assert_allclose(state.amplitudes * state.norm, AMPLITUDES[name], atol=1e-12)
+    parsed = {name: parse_state(expression) for name, expression in EXPRESSIONS.items()}
+    for name, state in parsed.items():
+        np.testing.assert_allclose(state.amplitudes * state.norm, AMPLITUDES[name], rtol=0,
+                                   atol=1e-12)
+        assert (state.latin_labels, state.greek_labels) == LABELS[name]
+    for name in ("psi0", "psi3"):
+        assert parsed[name].norm == pytest.approx(np.sqrt(12.0), abs=1e-12)
+    # psi3's cross terms: 2*conj(i) + i*conj(2) + 1 = 1
+    np.testing.assert_allclose(gram_latin(parsed["psi3"]).matrix,
+                               np.array([[6, 1], [1, 6]]) / 12.0, rtol=0, atol=1e-12)
+    single = parse_state("|a>(x)|alpha>")
+    np.testing.assert_allclose(single.amplitudes * single.norm, [[1.0]], rtol=0, atol=1e-15)
+    assert single.norm == pytest.approx(1.0, abs=1e-15)
 
     rng = np.random.default_rng(99)
     for _ in range(500):

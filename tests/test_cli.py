@@ -204,6 +204,17 @@ class TestFileInput:
             ("entry0", "three-numbers"), ("entry1", "one-number"), ("10", "a-string"),
             ("None", "null"), ("entry4", "a-string-part"), ("entry5", "booleans"),
             ("entry6", "a-boolean-part"))})
+
+    def test_entry_that_json_cannot_spell_is_quoted_by_its_repr(self):
+        # The corpus cases quote a bad entry as JSON; a library caller's complex
+        # number has no JSON spelling.
+        doc = {"format": cli.STATE_FORMAT, "latin_labels": ["a"], "greek_labels": ["b"],
+               "amplitudes": [[1 + 2j]]}
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                "malformed schmidt-state-v1 document: amplitude entry at row 0, column 0 "
+                "is not an [re, im] pair of numbers: (1+2j)") + "$"):
+            cli.state_from_doc(doc)
+
     test_labels_must_be_arrays_of_strings = corpus_test({
         kind: tuple(f"exact/{side}-labels-{kind}" for side in ("latin", "greek"))
         for kind in ("string", "null", "object", "null-entry", "object-entry", "number-entry")})

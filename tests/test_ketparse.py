@@ -13,43 +13,11 @@ from schmidt.catalog import BELL_AMPLITUDES, EXPRESSIONS, bell_state
 from schmidt.errors import ParseError, ValidationError
 from schmidt.ketparse import KetExpression, KetTerm, format_state, parse_expression, parse_state
 from schmidt.modes import BipartitePureState
-from states import AMPLITUDES, labelled_state
+from states import labelled_state
 
 
 def raw(state):
     return np.asarray(state.amplitudes) * state.norm
-
-
-class TestParseFixtures:
-    def test_two_by_three_demo_expression(self):
-        state = parse_state(EXPRESSIONS["psi0"])
-        assert state.latin_labels == ("a", "b")
-        assert state.greek_labels == ("alpha", "beta", "gamma")
-        np.testing.assert_allclose(raw(state), AMPLITUDES["psi0"], atol=1e-12)
-        assert state.norm == pytest.approx(np.sqrt(12.0), abs=1e-12)
-
-    def test_sign_flip_expression(self):
-        state = parse_state(EXPRESSIONS["psi1"])
-        np.testing.assert_allclose(raw(state), AMPLITUDES["psi1"], atol=1e-12)
-
-    def test_product_of_combinations_expression(self):
-        state = parse_state(EXPRESSIONS["psi2"])
-        assert state.greek_labels == ("alpha", "beta", "gamma", "delta")
-        np.testing.assert_allclose(raw(state), AMPLITUDES["psi2"], atol=1e-12)
-        assert state.norm**2 == pytest.approx(14.0, abs=1e-12)
-
-    def test_complex_coefficients_expression(self):
-        state = parse_state(EXPRESSIONS["psi3"])
-        np.testing.assert_allclose(raw(state), AMPLITUDES["psi3"], atol=1e-12)
-        assert state.norm == pytest.approx(np.sqrt(12.0), abs=1e-12)
-        # the resulting Latin Gram matrix pins the cross terms: 2*conj(i)+i*conj(2)+1 = 1
-        gram = state.amplitudes @ state.amplitudes.conj().T
-        np.testing.assert_allclose(gram, np.array([[6, 1], [1, 6]]) / 12.0, atol=1e-12)
-
-    def test_single_product_ket(self):
-        state = parse_state("|a>(x)|alpha>")
-        np.testing.assert_allclose(raw(state), [[1.0]], atol=1e-15)
-        assert state.norm == pytest.approx(1.0)
 
 
 class TestScalarsAndSyntax:
