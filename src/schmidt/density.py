@@ -34,7 +34,10 @@ def product_labels(latin_labels: Sequence[str], greek_labels: Sequence[str]) -> 
     """Composite basis labels in row-major order (Latin outer, Greek inner).
 
     Single-character labels are concatenated (H, V -> HH, HV, VH, VV);
-    longer ones are joined with a comma to stay unambiguous.
+    longer ones are joined with a comma (a, alpha -> a,alpha). Labels that
+    themselves hold a comma can give two products the same label ("a,b" with
+    "c" and "a" with "b,c" both give "a,b,c"); a density matrix refuses such
+    a basis as not unique.
     """
     plain = all(len(str(l)) == 1 for l in latin_labels) and all(
         len(str(g)) == 1 for g in greek_labels

@@ -77,21 +77,23 @@ def test_c01_demo_state_eigensystem():
     np.testing.assert_allclose(greek.matrix, expected_greek, rtol=0, atol=1e-12)
     lam_latin = eigvals_desc(latin.matrix)
     lam_greek = eigvals_desc(greek.matrix)
-    np.testing.assert_allclose(lam_latin, [11 / 12, 1 / 12], atol=1e-10)
-    np.testing.assert_allclose(lam_greek, [11 / 12, 1 / 12, 0.0], atol=1e-10)
+    np.testing.assert_allclose(lam_latin, [11 / 12, 1 / 12], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(lam_greek, [11 / 12, 1 / 12, 0.0], rtol=0, atol=1e-10)
 
     d = schmidt_decompose(state)
-    np.testing.assert_allclose(d.lambdas, [11 / 12, 1 / 12], atol=1e-12)
+    np.testing.assert_allclose(d.lambdas, [11 / 12, 1 / 12], rtol=0, atol=1e-12)
     assert d.rank == 2
     assert schmidt_number(d) == pytest.approx(144 / 122, abs=1e-9)
 
-    np.testing.assert_allclose(d.latin_modes[:, 0], np.array([1, 1]) / np.sqrt(2), atol=1e-9)
-    np.testing.assert_allclose(d.latin_modes[:, 1], np.array([1, -1]) / np.sqrt(2), atol=1e-9)
+    np.testing.assert_allclose(d.latin_modes[:, 0], np.array([1, 1]) / np.sqrt(2), rtol=0,
+                               atol=1e-9)
+    np.testing.assert_allclose(d.latin_modes[:, 1], np.array([1, -1]) / np.sqrt(2), rtol=0,
+                               atol=1e-9)
     np.testing.assert_allclose(
-        d.greek_modes[:, 0], np.array([3, 3, 2]) / np.sqrt(22), atol=1e-9
+        d.greek_modes[:, 0], np.array([3, 3, 2]) / np.sqrt(22), rtol=0, atol=1e-9
     )
     np.testing.assert_allclose(
-        d.greek_modes[:, 1], np.array([1, -1, 0]) / np.sqrt(2), atol=1e-9
+        d.greek_modes[:, 1], np.array([1, -1, 0]) / np.sqrt(2), rtol=0, atol=1e-9
     )
 
 
@@ -106,7 +108,7 @@ def test_c02_demo_state_reconstruction():
 def test_c03_sign_flipped_state():
     state = example_state("psi1")
     lam = eigvals_desc(gram_greek(state).matrix)
-    np.testing.assert_allclose(lam, [0.75, 0.25, 0.0], atol=1e-10)
+    np.testing.assert_allclose(lam, [0.75, 0.25, 0.0], rtol=0, atol=1e-10)
     assert schmidt_number(schmidt_decompose(state)) == pytest.approx(1.6, abs=1e-9)
     expected = np.array([[5, 4, 1], [4, 5, -1], [1, -1, 2]]) / 12.0
     np.testing.assert_allclose(gram_greek(state).matrix, expected, rtol=0, atol=1e-12)
@@ -121,7 +123,7 @@ def test_c04_four_level_state():
     d = schmidt_decompose(state)
     assert d.rank == 2
     lam = eigvals_desc_2x2(gram_latin(state).matrix.real)
-    np.testing.assert_allclose(lam, [9 / 14, 5 / 14], atol=1e-12)
+    np.testing.assert_allclose(lam, [9 / 14, 5 / 14], rtol=0, atol=1e-12)
     k_oracle = 1.0 / np.sum(lam**2)
     assert k_oracle == pytest.approx(196 / 106, abs=1e-12)
     assert schmidt_number(d) == pytest.approx(k_oracle, abs=1e-9)
@@ -166,7 +168,7 @@ def test_c07_classical_vs_quantum():
     for rho in (rho_cl, rho_qm):
         prob, cond = conditional_state(rho, [1.0, 0.0])
         assert prob == pytest.approx(0.5, abs=1e-12)
-        np.testing.assert_allclose(cond.matrix, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
+        np.testing.assert_allclose(cond.matrix, [[0.0, 0.0], [0.0, 1.0]], rtol=0, atol=1e-12)
         assert cond.basis_labels == ("H", "V")
 
     diff = np.abs(rho_qm.matrix - rho_cl.matrix)
@@ -174,11 +176,13 @@ def test_c07_classical_vs_quantum():
     assert support == {(1, 2), (2, 1)}
 
 
-@criterion(8, "200 random states per shape: spectra, bounds, round trip, invariance")
+@criterion(8, "200 random states per shape: spectra, bounds, modes, round trip, invariance")
 def test_c08_random_state_properties():
+    # New shapes go at the end, so that the seeded draws of the earlier ones stay as they are.
     shapes = [
         (1, 1), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3),
         (4, 2), (4, 4), (5, 3), (5, 5), (6, 4), (6, 6),
+        (2, 4), (3, 4), (5, 6),
     ]
     rng = np.random.default_rng(20240817)
     for rows, cols in shapes:
@@ -188,22 +192,38 @@ def test_c08_random_state_properties():
             d = schmidt_decompose(state)
 
             assert abs(np.sum(d.lambdas) - 1.0) <= 1e-10
+            assert np.all(d.lambdas >= -1e-12)
+            assert np.all(d.lambdas <= 1.0 + 1e-12)
+
+            # One orthonormal mode pair per retained eigenvalue, never rows*cols.
+            assert d.latin_modes.shape[1] == d.rank <= min(rows, cols)
+            for modes in (d.latin_modes, d.greek_modes):
+                assert np.max(np.abs(modes.conj().T @ modes - np.eye(d.rank))) < 1e-10
 
             # Both reduced states have the Schmidt spectrum, padded with zeros.
-            for gram in (gram_latin(state), gram_greek(state)):
-                padded = np.pad(d.lambdas, (0, len(gram.basis_labels) - len(d.lambdas)))
-                np.testing.assert_allclose(eigvals_desc(gram.matrix), padded, atol=1e-10)
+            grams = (gram_latin(state), gram_greek(state))
+            spectra = [eigvals_desc(gram.matrix) for gram in grams]
+            for spectrum in spectra:
+                padded = np.pad(d.lambdas, (0, len(spectrum) - len(d.lambdas)))
+                np.testing.assert_allclose(spectrum, padded, rtol=0, atol=1e-10)
+            common = min(rows, cols)
+            np.testing.assert_allclose(spectra[0][:common], spectra[1][:common], rtol=0,
+                                       atol=1e-10)
 
             k = schmidt_number(d)
             assert 1.0 - 1e-9 <= k <= min(rows, cols) + 1e-9
 
-            assert np.max(np.abs(reconstruct(d) - state.amplitudes)) <= 1e-9
+            assert np.max(np.abs(reconstruct(d) - state.amplitudes)) < 1e-9
 
-            rotated = labelled_state(random_unitary(rng, rows) @ state.amplitudes)
-            assert schmidt_number(schmidt_decompose(rotated)) == pytest.approx(k, abs=1e-9)
+            rotated = schmidt_decompose(
+                labelled_state(random_unitary(rng, rows) @ state.amplitudes))
+            np.testing.assert_allclose(rotated.lambdas, d.lambdas, rtol=0, atol=1e-9)
+            assert schmidt_number(rotated) == pytest.approx(k, abs=1e-9)
+            assert entanglement_entropy(rotated) == pytest.approx(entanglement_entropy(d),
+                                                                  abs=1e-9)
 
-            assert purity(gram_latin(state)) == pytest.approx(1.0 / k, abs=1e-9)
-            assert purity(gram_greek(state)) == pytest.approx(1.0 / k, abs=1e-9)
+            for gram in grams:
+                assert purity(gram) == pytest.approx(1.0 / k, abs=1e-9)
 
 
 @criterion(9, "N equal Schmidt weights give K = N for N = 1..6")

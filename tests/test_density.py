@@ -175,7 +175,7 @@ class TestPureDensity:
         rho = pure_density(state)
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0  # the HV slot
-        np.testing.assert_allclose(rho.matrix, expected, atol=1e-15)
+        np.testing.assert_allclose(rho.matrix, expected, rtol=0, atol=1e-15)
 
     def test_projector_purity_is_one(self):
         assert purity(pure_density(example("psi0"))) == pytest.approx(1.0, abs=1e-10)
@@ -196,18 +196,18 @@ class TestPureDensity:
         state = BipartitePureState(("a", "b"), ("c",), np.array([[2.0 + 0j], [2.0j]]))
         assert state.norm == pytest.approx(np.sqrt(8.0), rel=1e-15)
         rho = pure_density(state)
-        np.testing.assert_allclose(rho.matrix, [[0.5, -0.5j], [0.5j, 0.5]], atol=1e-15)
+        np.testing.assert_allclose(rho.matrix, [[0.5, -0.5j], [0.5j, 0.5]], rtol=0, atol=1e-15)
 
 
 class TestClassicalMixture:
     def test_single_term_is_pure_projector(self):
         rho = classical_mixture([(1.0, "H", "V")])
-        np.testing.assert_allclose(rho.matrix, [[1.0]], atol=1e-15)
+        np.testing.assert_allclose(rho.matrix, [[1.0]], rtol=0, atol=1e-15)
         assert purity(rho) == pytest.approx(1.0)
 
     def test_uneven_weights(self):
         rho = classical_mixture([(0.25, "H", "V"), (0.75, "V", "H")])
-        np.testing.assert_allclose(rho.matrix, np.diag([0.0, 0.25, 0.75, 0.0]), atol=1e-15)
+        np.testing.assert_allclose(rho.matrix, np.diag([0.0, 0.25, 0.75, 0.0]), rtol=0, atol=1e-15)
 
     def test_weight_violations_rejected(self):
         with pytest.raises(ValidationError):
@@ -258,7 +258,7 @@ class TestPartialTrace:
     def test_classical_mixture_reduces_identically(self):
         rho = classical_mixture([(0.5, "H", "V"), (0.5, "V", "H")])
         reduced = partial_trace(rho, "A")
-        np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-10)
+        np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, rtol=0, atol=1e-10)
 
     def test_trace_is_preserved(self):
         rho = pure_density(example("psi0"))

@@ -45,26 +45,26 @@ class TestScalarsAndSyntax:
     @pytest.mark.parametrize("tensor", ["(x)", "x", "⊗", "( x )"])
     def test_tensor_spellings(self, tensor):
         state = parse_state(f"|a>{tensor}|alpha> + |b>{tensor}|beta>")
-        np.testing.assert_allclose(raw(state), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(raw(state), np.eye(2), rtol=0, atol=1e-15)
 
     def test_whitespace_insensitivity(self):
         dense = parse_state("(2|a>+|b>)(x)|alpha>+(|a>+2|b>)(x)|beta>")
         spaced = parse_state(" ( 2 |a> + |b> ) ( x ) |alpha> + ( |a> + 2 |b> ) ( x ) |beta> ")
-        np.testing.assert_allclose(dense.amplitudes, spaced.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(dense.amplitudes, spaced.amplitudes, rtol=0, atol=1e-15)
         assert dense.latin_labels == spaced.latin_labels
 
     def test_minus_binds_like_arithmetic(self):
         state = parse_state("(|a> - |b>)(x)|alpha>")
-        np.testing.assert_allclose(raw(state), [[1.0], [-1.0]], atol=1e-15)
+        np.testing.assert_allclose(raw(state), [[1.0], [-1.0]], rtol=0, atol=1e-15)
 
     def test_leading_minus_on_state_and_combination(self):
         state = parse_state("-|a>(x)|alpha> + (-|a> + 2|b>)(x)|beta>")
-        np.testing.assert_allclose(raw(state), [[-1.0, -1.0], [0.0, 2.0]], atol=1e-15)
+        np.testing.assert_allclose(raw(state), [[-1.0, -1.0], [0.0, 2.0]], rtol=0, atol=1e-15)
 
     def test_term_level_scalar_scales_whole_product(self):
         state = parse_state("2(|a> + |b>)(x)(|alpha> + |beta>) + |a>(x)|gamma>")
         np.testing.assert_allclose(
-            raw(state), [[2.0, 2.0, 1.0], [2.0, 2.0, 0.0]], atol=1e-15
+            raw(state), [[2.0, 2.0, 1.0], [2.0, 2.0, 0.0]], rtol=0, atol=1e-15
         )
 
     def test_basis_order_is_first_appearance(self):
@@ -77,7 +77,7 @@ class TestLabelOnBothSides:
     def test_shared_labels_build_the_state_their_kets_describe(self):
         state = parse_state("|a>(x)|a> + |b>(x)|b>")
         assert (state.latin_labels, state.greek_labels) == (("a", "b"), ("a", "b"))
-        np.testing.assert_allclose(state.amplitudes, np.eye(2) / np.sqrt(2.0), atol=1e-15)
+        np.testing.assert_allclose(state.amplitudes, np.eye(2) / np.sqrt(2.0), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("kind", sorted(BELL_AMPLITUDES))
     def test_bell_states_parse_back(self, kind):
@@ -181,7 +181,7 @@ class TestFormat:
     def test_distributed_form_still_round_trips(self):
         state = parse_state(EXPRESSIONS["psi2"])
         again = parse_state(format_state(state))
-        np.testing.assert_allclose(again.amplitudes, state.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(again.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
         assert again.latin_labels == state.latin_labels
         assert again.greek_labels == state.greek_labels
 
@@ -193,7 +193,7 @@ class TestFormat:
         assert "|beta>" in text
         again = parse_state(text)
         assert again.greek_labels == ("alpha", "beta")
-        np.testing.assert_allclose(again.amplitudes, state.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(again.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
 
     def test_zero_entry_in_first_group_preserves_latin_order(self):
         state = BipartitePureState.from_amplitudes(
@@ -201,7 +201,7 @@ class TestFormat:
         )
         again = parse_state(format_state(state))
         assert again.latin_labels == ("b", "a")
-        np.testing.assert_allclose(again.amplitudes, state.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(again.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("coef,text", [
         (1, "(|a> + |c>)(x)|b>"),
@@ -226,7 +226,8 @@ class TestFormat:
         # drops out, and other numbers keep 15 significant digits.
         state = BipartitePureState(("a", "c"), ("b",), np.array([[1], [coef]]))
         assert format_state(state) == text
-        np.testing.assert_allclose(parse_state(text).amplitudes, state.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(parse_state(text).amplitudes, state.amplitudes, rtol=0,
+                                   atol=1e-15)
 
     # Every case in one 3 x 8 block: +-0.0 parts, +-1, +-i, (x+-i), three-digit
     # exponents, groups that start negative, a later all-zero column (t), and
@@ -363,7 +364,8 @@ class TestExpressionTree:
                                       KetTerm(2 + 0j, ((1 + 0j, "b"),), ((1 + 0j, "a"),))))
         state = expr.to_state()
         assert (state.latin_labels, state.greek_labels) == (("a", "b"), ("a",))
-        np.testing.assert_allclose(state.amplitudes, np.array([[1], [2]]) / np.sqrt(5.0), atol=1e-15)
+        np.testing.assert_allclose(state.amplitudes, np.array([[1], [2]]) / np.sqrt(5.0), rtol=0,
+                                   atol=1e-15)
 
 
 @settings(max_examples=300, deadline=None)
@@ -392,7 +394,7 @@ def test_random_spacing_never_changes_the_parse(seed):
               "+", "(", "|a>", "-", "2", "*", "|b>", ")", "(x)", "|beta>"]
     spaced = "".join(t + " " * rng.integers(0, 3) for t in tokens)
     state = parse_state(spaced)
-    np.testing.assert_allclose(raw(state), [[2, 1], [1, -2]], atol=1e-12)
+    np.testing.assert_allclose(raw(state), [[2, 1], [1, -2]], rtol=0, atol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)

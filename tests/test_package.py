@@ -135,3 +135,19 @@ def test_every_imported_name_is_read():
                 if name != "*" and name not in read:
                     unread.append(f"{path.relative_to(root)}:{node.lineno} {name}")
     assert unread == []
+
+
+def test_every_array_comparison_states_rtol():
+    # assert_allclose adds its default rtol=1e-7 to atol, so an atol alone reads tighter
+    # than the bound it enforces on every nonzero entry.
+    root = Path(__file__).resolve().parents[1]
+    unstated = []
+    for path in sorted(root.glob("tests/**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "assert_allclose" and "rtol" not in {kw.arg for kw in node.keywords}:
+                unstated.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert unstated == []
