@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import sys
 from collections.abc import Iterable, Mapping
 
 import numpy as np
@@ -239,11 +240,12 @@ def schmidt_decompose(
     real and positive, which makes non-degenerate pairs unique, and the shared
     phase leaves the product f adj(g) unchanged. The state is unit-norm by
     construction, so only the threshold is checked: ValidationError unless it
-    is a finite positive real, not a bool.
+    is a positive real no greater than sys.float_info.max, not a bool (an int
+    beyond the float range would overflow the comparison with ``lambdas``).
     Raises ConvergenceError if LAPACK does not converge or returns a non-finite factor.
     """
     if isinstance(threshold, bool) or not (isinstance(threshold, numbers.Real)
-                                           and 0.0 < threshold < math.inf):  # NaN fails too
+                                           and 0.0 < threshold <= sys.float_info.max):  # NaN fails too
         raise ValidationError(f"rank threshold must be finite and positive, got {threshold!r}")
     try:
         # Thin factors: a full V of a 2 x 4096 state would hold 4096^2 entries.

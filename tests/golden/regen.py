@@ -8,7 +8,8 @@ COLUMNS=80, so that argparse wraps its text as in the tests and in CI. The
 case's exit code and stderr are written back into cases.json, and its stdout
 into the file the case names under tests/golden/. A case that names no file
 must print nothing, and cases that name one file must print the same bytes.
-Review the diff before committing it.
+A case name given twice in one section stops the script before it writes
+anything. Review the diff before committing it.
 """
 
 import json
@@ -21,8 +22,26 @@ GOLDEN = Path(__file__).resolve().parent
 CASES = GOLDEN / "cli" / "cases.json"
 
 
+def _refuse_repeated_keys(pairs):
+    """``json.loads`` keeps the last of two equal keys, which would drop a case unseen."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"{CASES.name} repeats the key {key!r} in one object")
+        doc[key] = value
+    return doc
+
+
+def load_cases():
+    """The corpus, {section: {name: case}}; ValueError on a repeated name or field."""
+    return json.loads(CASES.read_text(encoding="utf-8"), object_pairs_hook=_refuse_repeated_keys)
+
+
 def main():
-    sections = json.loads(CASES.read_text(encoding="utf-8"))
+    try:
+        sections = load_cases()
+    except ValueError as exc:
+        sys.exit(f"{exc}; nothing was written")
     src = str(GOLDEN.parents[1] / "src")
     env = dict(os.environ, COLUMNS="80",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -21,6 +21,7 @@ from schmidt.density import conditional_state, partial_trace, pure_density
 from schmidt.errors import ConvergenceError, ShapeError, ValidationError
 from schmidt.modes import (BipartitePureState, SchmidtDecomposition, entanglement_entropy,
                            is_entangled, reconstruct, schmidt_decompose, schmidt_number)
+from golden.regen import GOLDEN, load_cases
 from states import child_env, labelled_state
 
 PSI0 = EXPRESSIONS["psi0"]
@@ -49,8 +50,7 @@ def mask_roundoff(line):
     )
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-CASES = json.loads((GOLDEN / "cli" / "cases.json").read_text(encoding="utf-8"))
+CASES = load_cases()
 
 
 def assert_json_matches(actual, expected, path="report"):
@@ -84,65 +84,7 @@ def run_case(capsys, monkeypatch, case):
     return out, (GOLDEN / case["stdout"]).read_text(encoding="utf-8") if case["stdout"] else ""
 
 
-def check_cases(capsys, monkeypatch, names):
-    """Run each case of ``names`` ("section/name", one or a tuple) and compare its stdout
-    as its section says: a report table after ``mask_roundoff``, JSON through
-    ``assert_json_matches``, and any other text (help, the comparison table, whose
-    values are all 0, 0.5 or 1, and the empty stdout of a refusal) exactly."""
-    for name in (names,) if isinstance(names, str) else names:
-        section, case = name.split("/")
-        out, expected = run_case(capsys, monkeypatch, CASES[section][case])
-        if section == "table":
-            assert [mask_roundoff(line) for line in out.splitlines()] == [
-                mask_roundoff(line) for line in expected.splitlines()
-            ]
-        elif section == "json":
-            assert_json_matches(json.loads(out), json.loads(expected))
-        else:
-            assert out == expected
-
-
-def corpus_test(cases):
-    """A test, under an id from before the corpus, that runs the cases now holding its
-    check: ``cases`` is one "section/name" or a tuple of them, or maps each id of a
-    parametrized test to its cases."""
-    if not isinstance(cases, dict):
-        return lambda self, capsys, monkeypatch: check_cases(capsys, monkeypatch, cases)
-
-    @pytest.mark.parametrize("names", list(cases.values()), ids=list(cases))
-    def test(self, capsys, monkeypatch, names):
-        check_cases(capsys, monkeypatch, names)
-    return test
-
-
-# The classes below name each argv-only check by the corpus cases that hold it; a
-# check stays in Python where it needs a monkeypatch, a child process, hypothesis or
-# a library object, relates two outputs, or asserts what the case comparison masks.
 class TestAnalyze:
-    test_demo_expression_table = corpus_test("table/psi0-expression")
-    test_json_report_fields = corpus_test("json/psi0-expression")
-    test_product_state_is_not_entangled = corpus_test("table/product-state")
-    test_no_modes_flag = corpus_test(("table/psi0-no-modes", "json/psi0-no-modes"))
-    test_parse_error_exits_2_with_position = corpus_test("exact/unclosed-parenthesis")
-    test_overflowing_coefficient_exits_2 = corpus_test("exact/scalar-overflow")
-    test_overflowing_coefficient_product_exits_2 = corpus_test({
-        "later-term": "exact/product-overflow",
-        "after-a-sum-overflow": "exact/product-overflow-named-before-an-earlier-sum-overflow",
-        "first-of-two": "exact/first-of-two-product-overflows"})
-    test_overflowing_coefficient_sum_exits_2 = corpus_test("exact/sum-overflow")
-    # The expression, file and example paths go through one check, and an input
-    # error that the check would also report comes first.
-    test_strict_norm_rejects_scaled_expression = corpus_test((
-        "exact/strict-norm-expression", "table/unit-norm-strict-norm", "exact/strict-norm-file",
-        "table/psi0-file", "exact/strict-norm", "table/psi0",
-        "exact/all-zero-named-before-strict-norm"))
-    # A threshold that truncates real modes fails the reconstruction check, and the
-    # report is refused rather than emitted wrong.
-    test_rank_threshold_flag_is_a_noise_floor = corpus_test(
-        ("json/psi0-rank-threshold-1e-6", "exact/rank-threshold-0.5"))
-    test_non_finite_rank_threshold_exits_2 = corpus_test(
-        {"nan": "exact/rank-threshold-nan", "inf": "exact/rank-threshold-inf"})
-
     def test_table_and_json_agree_at_printed_precision(self, capsys):
         doc = run_json(capsys, "analyze", "--expr", PSI0)
         code, table, _ = run(capsys, "analyze", "--expr", PSI0)
@@ -191,20 +133,6 @@ class TestAnalyze:
 
 
 class TestFileInput:
-    test_state_document = corpus_test("table/psi0-file")
-    test_four_level_state_from_file = corpus_test("json/psi2-report")
-    # A JSON report fed back through --file reproduces itself. state.json's
-    # coefficients do not survive a rescaling to unit norm and back bit for bit.
-    test_report_reingestion_reproduces_the_report = corpus_test(
-        {"psi3": "json/psi3-report", "file": "json/state-report"})
-    test_wrong_format_field_rejected = corpus_test("exact/wrong-format")
-    test_malformed_amplitudes_rejected = corpus_test("exact/amplitude-entry-a-word")
-    test_amplitude_entry_must_be_a_pair_of_numbers = corpus_test({
-        key: f"exact/amplitude-entry-{name}" for key, name in (
-            ("entry0", "three-numbers"), ("entry1", "one-number"), ("10", "a-string"),
-            ("None", "null"), ("entry4", "a-string-part"), ("entry5", "booleans"),
-            ("entry6", "a-boolean-part"))})
-
     def test_entry_that_json_cannot_spell_is_quoted_by_its_repr(self):
         # The corpus cases quote a bad entry as JSON; a library caller's complex
         # number has no JSON spelling.
@@ -214,27 +142,6 @@ class TestFileInput:
                 "malformed schmidt-state-v1 document: amplitude entry at row 0, column 0 "
                 "is not an [re, im] pair of numbers: (1+2j)") + "$"):
             cli.state_from_doc(doc)
-
-    test_labels_must_be_arrays_of_strings = corpus_test({
-        kind: tuple(f"exact/{side}-labels-{kind}" for side in ("latin", "greek"))
-        for kind in ("string", "null", "object", "null-entry", "object-entry", "number-entry")})
-    test_integer_beyond_float_range_rejected = corpus_test(
-        {side: f"exact/integer-beyond-float-range-{side}" for side in ("real", "imag")})
-    # The amplitudes are read before their shape is checked against the labels.
-    # Of several faults, the first in row-major order is named, a row's length
-    # before its entries.
-    test_malformed_amplitude_rows_rejected = corpus_test({
-        kind: f"exact/amplitudes-{kind}" for kind in (
-            "ragged", "ragged-last", "number", "array-of-numbers", "null", "string",
-            "array-of-strings", "object", "array-of-empty-string",
-            "entry-before-later-row-length", "row-length-before-its-entries",
-            "overflow-before-later-boolean", "boolean-before-later-overflow")})
-    test_shape_checked_before_values = corpus_test({
-        "no-rows": "exact/no-rows", "empty-row": "exact/shape-of-an-empty-row",
-        "one-zero-entry": "exact/shape-named-before-an-all-zero-entry"})
-    test_nan_amplitude_rejected = corpus_test("exact/nan-amplitude")  # json.load reads NaN
-    test_invalid_json_rejected = corpus_test("exact/not-json")
-    test_missing_file_rejected = corpus_test("exact/missing-file")
 
     # Python's own text differs across versions in the long-integer message, and
     # 100,000 brackets are no file to commit, so these two stay here.
@@ -251,21 +158,6 @@ class TestFileInput:
 
 
 class TestExamples:
-    test_sign_flipped_example = corpus_test("json/psi1")
-    test_four_level_example_answers_the_rank_question = corpus_test("json/psi2")
-    test_complex_example = corpus_test("json/psi3")
-    test_bell_comparison_reduces_to_maximal_mixture = corpus_test("json/bell")
-    test_classical_comparison_table_mentions_both_matrices = corpus_test("exact/classical")
-    test_comparison_rejects_report_flags = corpus_test({
-        f"{flags}-{name}": tuple(f"exact/{name}-does-not-use-{words}-{format_}"
-                                 for format_ in ("table", "json"))
-        for name in ("bell", "classical")
-        for flags, words in (("--rank-threshold nan", "rank-threshold-nan"),
-                             ("--rank-threshold -1", "rank-threshold-minus-1"),
-                             ("--rank-threshold 1e-10", "rank-threshold-1e-10"),
-                             ("--strict-norm", "strict-norm"), ("--no-modes", "no-modes"))})
-    test_unknown_example_name_exits_2 = corpus_test("exact/unknown-example")
-
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_closed_stdout_exits_quietly(self, unbuffered):
         env = child_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
@@ -630,11 +522,6 @@ class TestTableText:
             "  B: -1i|p> + 2|q> + 1e-300|r> - 2.5e-300i|s> - 3i|d> + 0|t> + 1234.57|u> + 0|v>",
         ]
 
-    # Text holding such a label would not parse back, so no report is written.
-    test_labels_outside_the_label_rule_are_rejected = corpus_test((
-        "exact/latin-label-with-a-space", "exact/latin-label-with-a-percent-sign",
-        "exact/greek-label-with-a-ket-bracket", "exact/greek-label-empty"))
-
     def test_padded_eigenvalue_line(self):
         state = BipartitePureState.from_amplitudes(
             ("a", "c"), ("b", "d", "e", "f", "g"), [[1, 0, 2, 0, 1], [0, 3, 0, 1j, 0]]
@@ -644,24 +531,29 @@ class TestTableText:
         assert lines[7] == "mode 1 (eigenvalue 0.625):"
 
 
-
-
 class TestGoldenOutputs:
-    """Every case of tests/golden/cli/cases.json through ``cli.main`` (``check_cases``):
-    its exit code and stderr exactly, and its stdout against the file it names under
-    tests/golden (``regen.py`` there rewrites them)."""
+    """Every case of tests/golden/cli/cases.json through ``cli.main`` (``run_case``): its
+    exit code and stderr exactly, and its stdout against the file it names under
+    tests/golden (``regen.py`` there rewrites them), compared as its section says."""
 
     @pytest.mark.parametrize("name", CASES["table"])
     def test_table(self, capsys, monkeypatch, name):
-        check_cases(capsys, monkeypatch, f"table/{name}")
+        out, expected = run_case(capsys, monkeypatch, CASES["table"][name])
+        assert [mask_roundoff(line) for line in out.splitlines()] == [
+            mask_roundoff(line) for line in expected.splitlines()
+        ]
 
     @pytest.mark.parametrize("name", CASES["json"])
     def test_json(self, capsys, monkeypatch, name):
-        check_cases(capsys, monkeypatch, f"json/{name}")
+        out, expected = run_case(capsys, monkeypatch, CASES["json"][name])
+        assert_json_matches(json.loads(out), json.loads(expected))
 
     @pytest.mark.parametrize("name", CASES["exact"])
     def test_exact(self, capsys, monkeypatch, name):
-        check_cases(capsys, monkeypatch, f"exact/{name}")
+        # Help, the comparison table (its values are all 0, 0.5 or 1) and the empty
+        # stdout of a refusal.
+        out, expected = run_case(capsys, monkeypatch, CASES["exact"][name])
+        assert out == expected
 
     NAMED = Counter(case["stdout"] for cases in CASES.values() for case in cases.values())
 
@@ -684,7 +576,6 @@ class TestGoldenOutputs:
                  if path.is_file() and "__pycache__" not in path.parts}
         left = sorted(str(path.relative_to(GOLDEN)) for path in files - named)
         assert left == ["cli/cases.json", "regen.py"]
-
 
 
 class TestReadme:

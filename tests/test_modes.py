@@ -243,7 +243,7 @@ class TestSchmidtDecompose:
                                                   "positive, got True$"):
             schmidt_decompose(example("psi0"), threshold=True)
 
-    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf"), 10**400])
     def test_threshold_must_be_finite(self, threshold):
         with pytest.raises(ValidationError, match="finite and positive"):
             schmidt_decompose(example("psi0"), threshold=threshold)
