@@ -143,6 +143,19 @@ class TestFileInput:
                 "is not an [re, im] pair of numbers: (1+2j)") + "$"):
             cli.state_from_doc(doc)
 
+    @pytest.mark.parametrize("kind", ["string", "null", "object", "null-entry", "object-entry",
+                                      "number-entry"])
+    def test_labels_must_be_arrays_of_strings(self, capsys, monkeypatch, kind):
+        # Both label arrays go through one check: the two refusals differ only in the
+        # name of the side.
+        monkeypatch.chdir(GOLDEN / "input")
+        latin = run(capsys, "analyze", "--file", f"latin-labels-{kind}.json")
+        greek = run(capsys, "analyze", "--file", f"greek-labels-{kind}.json")
+        assert latin[:2] == greek[:2] == (2, "")
+        swapped = latin[2].replace("latin_labels", "greek_labels").replace("Latin", "Greek")
+        assert swapped != latin[2]
+        assert swapped == greek[2]
+
     # Python's own text differs across versions in the long-integer message, and
     # 100,000 brackets are no file to commit, so these two stay here.
     @pytest.mark.parametrize("content", [
@@ -179,6 +192,19 @@ class TestExamples:
             before = len(os.listdir("/proc/self/fd"))
             assert cli.main(["examples", "psi0"]) == cli.EXIT_CLOSED_STDOUT
             assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.parametrize("name", ["bell", "classical"])
+    @pytest.mark.parametrize("flags", ["--rank-threshold nan", "--rank-threshold -1",
+                                       "--rank-threshold 1e-10", "--strict-norm", "--no-modes"])
+    def test_comparison_rejects_report_flags(self, capsys, flags, name):
+        # The refusal comes before the format is read: the table and the JSON
+        # invocation are refused alike, naming the example and the flag.
+        table, json_ = (run(capsys, "examples", name, *flags.split(), "--format", format_)
+                        for format_ in ("table", "json"))
+        assert table == json_
+        assert table[:2] == (2, "")
+        assert f"examples {name} " in table[2]
+        assert table[2].endswith(f"does not use {flags.split()[0]}\n")
 
     @pytest.mark.parametrize("build,name,choices", [
         (example_state, "psi9", "['psi0', 'psi1', 'psi2', 'psi3']"),
