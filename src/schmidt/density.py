@@ -34,10 +34,8 @@ def product_labels(latin_labels: Sequence[str], greek_labels: Sequence[str]) -> 
     """Composite basis labels in row-major order (Latin outer, Greek inner).
 
     Single-character labels are concatenated (H, V -> HH, HV, VH, VV);
-    longer ones are joined with a comma (a, alpha -> a,alpha). Labels that
-    themselves hold a comma can give two products the same label ("a,b" with
-    "c" and "a" with "b,c" both give "a,b,c"); a density matrix refuses such
-    a basis as not unique.
+    longer ones are joined with a comma (a, alpha -> a,alpha), so labels that
+    hold a comma can print alike: "a,b" with "c" and "a" with "b,c" give "a,b,c".
     """
     plain = all(len(str(l)) == 1 for l in latin_labels) and all(
         len(str(g)) == 1 for g in greek_labels
@@ -49,9 +47,9 @@ def product_labels(latin_labels: Sequence[str], greek_labels: Sequence[str]) -> 
 class DensityMatrix(_Record):
     """Square, Hermitian, unit-trace matrix with labelled basis rows.
 
-    ``parts`` holds one basis of ``str`` labels per party, one or two of them. ``basis_labels`` is
-    derived: the single basis, the two bases' ``product_labels``, or "0", "1", ... with no part;
-    they must be unique. The checks run in this order: the matrix is square, every entry is a
+    ``parts`` holds one basis of unique ``str`` labels per party, one or two of them.
+    ``basis_labels`` is derived: the single basis, the two bases' ``product_labels``, or "0",
+    "1", ... with no part. The checks run in this order: the matrix is square, every entry is a
     number of magnitude at most 1 + ``TRACE_ATOL`` (as in a positive semidefinite matrix of
     trace 1), its Hermitian defect max |m - adj(m)| is within ``TRACE_ATOL``; then parts,
     labels and trace. Full positive semidefiniteness is left to the producer.
@@ -73,14 +71,14 @@ class DensityMatrix(_Record):
             for label in part:
                 if not isinstance(label, str):
                     raise ValidationError(f"parts[{i}] has a label that is not a str: {label!r}")
+            if len(set(part)) != len(part):
+                repeated = next(label for label in part if part.count(label) > 1)
+                raise ValidationError(f"parts[{i}] repeats the label {repeated!r}")
         labels = (product_labels(*parts) if len(parts) == 2 else parts[0] if parts
                   else tuple(str(i) for i in range(m.shape[0])))
         # Also catches parts whose sizes do not multiply to the dimension.
         if len(labels) != m.shape[0]:
             raise ShapeError(f"{len(labels)} basis labels for a {m.shape[0]}-dimensional matrix")
-        if len(set(labels)) != len(labels):
-            repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
-            raise ValidationError(f"basis label {repeated!r} is not unique")
         tr = complex(np.trace(m)).real
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")

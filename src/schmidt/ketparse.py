@@ -10,14 +10,16 @@ Grammar:
     ket     := '|' LABEL '>'            LABEL = letter (letter | digit | '_')*
     scalar  := real | real? 'i' | real '/' real | real '/sqrt(' real ')'
              | 'sqrt(' real ')' | '(' real ('+' | '-') real? 'i' ')'
-    TENSOR  := '(x)' | 'x' | '⊗'
+    real    := digit+ ['.' digit*] [('e' | 'E') ['+' | '-'] digit+]
+    TENSOR  := '(x)' | 'x' | '⊗'        digit = '0'..'9', letter = 'A'..'Z' | 'a'..'z'
 
 Kets left of the tensor operator belong to subsystem A (the Latin side), kets
 to the right to subsystem B (the Greek side). The side of a ket is where it
 stands, so one label may name a ket on each side: ``|H>(x)|H>``. Basis order
 is first appearance in the text, per side. Whitespace between tokens never
 matters. Reals may carry an exponent (``1.5e-3``), and a leading '-' on a
-state or parenthesized combination works as in ordinary arithmetic.
+state or parenthesized combination works as in ordinary arithmetic. Another
+script's digit, such as '٣' or '３', is a character outside the grammar.
 
 ``parse_state`` reports the first error in this order: a character outside
 the grammar, wherever it stands; a syntax error or a scalar that overflows the
@@ -58,22 +60,21 @@ FORMAT_VERSION = "ket-v1"
 # so importing the package compiles none of them, and a process that parses
 # only valid text compiles only _COMPOUND_TOKEN.
 _SYMBOLS = r"|><()+\-*/⊗"
-_NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
+_DIGITS = "0123456789"  # ket-v1 digits, for the number patterns and the scalar readers
+_NUMBER = rf"[{_DIGITS}]+(?:\.[{_DIGITS}]*)?(?:[eE][+-]?[{_DIGITS}]+)?"
 # One alternative per token kind, tried in this order; whitespace matches none
 # and is skipped. First three compound tokens, each a run of plain tokens that
 # the grammar reads in one place only: a whole ket, a bracketed complex scalar
 # '(re±im i)' and the tensor '(x)', whitespace inside included. Then the plain
-# tokens: a symbol, a number (it starts with a decimal digit) and a name (an
-# ASCII letter). The last alternative catches any other character so that a
-# lexical error keeps its place in the token list.
+# tokens: a symbol, a number and a name. The last alternative catches any other
+# character so that a lexical error keeps its place in the token list.
 _COMPOUND_TOKEN = (
     rf"\|\s*{LABEL}\s*>"
     rf"|\(\s*{_NUMBER}\s*[+-]\s*(?:{_NUMBER}\s*)?i\s*\)"
     rf"|\(\s*x\s*\)|[{_SYMBOLS}]|{_NUMBER}|{LABEL}|\S"
 )
-# Characters that start a token; a token starting with anything else is a
-# lexical error.
-_TOKEN_START = rf"[{_SYMBOLS}\dA-Za-z]"
+# Characters that start a token; a token starting with any other character is a lexical error.
+_TOKEN_START = rf"[{_SYMBOLS}{_DIGITS}A-Za-z]"
 _END = " "  # sentinel after the last token: whitespace, so never a token
 
 
@@ -173,7 +174,7 @@ def _overflow(text: str, index: int) -> _SyntaxError:
 
 def _number(tokens: list[str], i: int) -> float:
     token = tokens[i]
-    if not token[:1].isdecimal():
+    if token[0] not in _DIGITS:
         raise _SyntaxError(f"expected a number, found {_found(token)}", i)
     value = float(token)
     if value == math.inf:  # number tokens are unsigned
@@ -196,13 +197,13 @@ def _scalar(tokens: list[str], i: int) -> tuple[complex, int]:
     when there is none."""
     token = tokens[i]
     real = None
-    if token[:1].isdecimal():
+    if token[0] in _DIGITS:
         real = _number(tokens, i)
         start, i = i, i + 1
         if tokens[i] == "/":
             i += 1
             divisor_at = i
-            if tokens[i][:1].isdecimal():
+            if tokens[i][0] in _DIGITS:
                 divisor = _number(tokens, i)
                 i += 1
             elif tokens[i] == "sqrt":

@@ -1,9 +1,10 @@
 """The ket-v1 parser as it was before the one-loop rewrite of
 ``schmidt.ketparse``: a recursive descent with one method per grammar rule.
 
-Kept verbatim as the reference that ``test_ketparse.py`` compares the
-package's parser against: for any text both must give the same expression
-tree, or the same ``ParseError`` message at the same position.
+Kept as the reference that ``test_ketparse.py`` compares the package's
+parser against: for any text both must give the same expression tree, or the
+same ``ParseError`` message at the same position. Its one change since is
+ket-v1's digit rule, spelt here on its own: a digit is ASCII '0'..'9'.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from schmidt.ketparse import KetExpression, KetTerm
 from schmidt.modes import LABEL
 
 _SYMBOLS = r"|><()+\-*/⊗"
-_NUMBER = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
+_NUMBER = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"
 # One alternative per token kind, tried in this order; whitespace matches none
 # and is skipped. First three compound tokens, each a run of plain tokens that
 # the grammar reads in one place only: a whole ket, a bracketed complex scalar
 # '(re±im i)' and the tensor '(x)', whitespace inside included. Then the plain
-# tokens: a symbol, a number (it starts with a decimal digit) and a name (an
+# tokens: a symbol, a number (it starts with an ASCII digit) and a name (an
 # ASCII letter). The last alternative catches any other character so that a
 # lexical error keeps its place in the token list.
 _COMPOUND_TOKEN = (
@@ -32,7 +33,7 @@ _COMPOUND_TOKEN = (
 )
 # Characters that start a token; a token starting with anything else is a
 # lexical error.
-_TOKEN_START = rf"[{_SYMBOLS}\dA-Za-z]"
+_TOKEN_START = rf"[{_SYMBOLS}0-9A-Za-z]"
 _END = ""  # sentinel after the last token; never equal to a real token
 
 
@@ -83,7 +84,7 @@ class _Parser:
 
     def number(self, i: int) -> float:
         token = self.tokens[i]
-        if not token[:1].isdecimal():
+        if not "0" <= token[:1] <= "9":  # the end sentinel "" too
             raise _SyntaxError(f"expected a number, found {_found(token)}", i)
         value = float(token)
         if value == math.inf:  # number tokens are unsigned
@@ -104,13 +105,13 @@ class _Parser:
         tokens = self.tokens
         token = tokens[i]
         real = None
-        if token[:1].isdecimal():
+        if "0" <= token[:1] <= "9":
             real = self.number(i)
             start, i = i, i + 1
             if tokens[i] == "/":
                 i += 1
                 divisor_at = i
-                if tokens[i][:1].isdecimal():
+                if "0" <= tokens[i][:1] <= "9":
                     divisor = self.number(i)
                     i += 1
                 elif tokens[i] == "sqrt":

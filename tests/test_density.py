@@ -107,16 +107,21 @@ class TestDensityMatrixType:
                 DensityMatrix(build(offset))
 
     @pytest.mark.parametrize("dim,parts,message", [
-        (4, (["H", "V"], ["H", "H"]), r"^basis label 'HH' is not unique$"),
-        (2, (["H", "H"],), r"^basis label 'H' is not unique$"),
-        # Each side is unique, but "a,b" (x) "c" and "a" (x) "b,c" print alike.
-        (4, (["a,b", "a"], ["c", "b,c"]), r"^basis label 'a,b,c' is not unique$"),
+        (4, (["H", "V"], ["H", "H"]), r"^parts\[1\] repeats the label 'H'$"),
+        (2, (["H", "H"],), r"^parts\[0\] repeats the label 'H'$"),
         (2, ([1, None],), r"^parts\[0\] has a label that is not a str: 1$"),
         (4, (["H", "V"], ["H", b"V"]), r"^parts\[1\] has a label that is not a str: b'V'$"),
-    ], ids=["product", "one-part", "joined", "number", "bytes"])
+    ], ids=["product", "one-part", "number", "bytes"])
     def test_labels_must_be_unique_strings(self, dim, parts, message):
         with pytest.raises(ValidationError, match=message):
             DensityMatrix(np.eye(dim) / dim, parts)
+
+    def test_pairs_that_print_alike_are_a_basis(self):
+        # Each party's labels are unique; "a,b" (x) "c" and "a" (x) "b,c" print alike.
+        rho = DensityMatrix(np.eye(4) / 4, (["a,b", "a"], ["c", "b,c"]))
+        assert rho.basis_labels == ("a,b,c", "a,b,b,c", "a,c", "a,b,c")
+        mixed = classical_mixture([(0.5, "a,b", "c"), (0.5, "a", "b,c")])
+        assert mixed.parts == (("a", "a,b"), ("b,c", "c"))
 
     def test_validates_shape_and_labels(self):
         with pytest.raises(ShapeError):

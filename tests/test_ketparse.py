@@ -110,6 +110,11 @@ class TestParseErrors:
             ("|a>(x)|b>)", "unexpected trailing input ')'", 10),
             ("|a>(x)|b> + (1+2i|c>(x)|d>", "expected '|' opening a ket, found '+'", 15),
             ("sq@rt(2)|a>(x)|b>", "unexpected character '@'", 3),
+            # float() reads '٣' and '３' as 3, but ket-v1 digits are ASCII.
+            ("٣|a>(x)|b>", "unexpected character '٣'", 1),
+            ("３|a>(x)|b>", "unexpected character '３'", 1),
+            ("(1+٣i)|a>(x)|b>", "unexpected character '٣'", 4),
+            ("1e٣|a>(x)|b>", "unexpected character '٣'", 3),
             ("1e999|a>(x)|b>", "scalar '1e999' overflows the float range", 1),
             ("1/1e999|a>(x)|b>", "scalar '1e999' overflows the float range", 3),
             ("|a>(x)|b> + 1/1e-320|c>(x)|d>", "scalar '1/1e-320' overflows the float range", 13),
@@ -549,7 +554,10 @@ def _outcome_at(parse, text):
 @given(st.one_of(_written_text(), _written_text(misplace=True), _canonical_text(),
                  _mutated(st.one_of(_written_text(), _canonical_text())),
                  st.text(alphabet="0123456789.+-*/()|><xi sqrtabe_⊗", max_size=40)))
-@example("٣|a>(x)|b>")  # a Unicode decimal digit is a number
+@example("٣|a>(x)|b>")  # another script's digit is a character outside the grammar
+@example("３|a>(x)|b>")
+@example("(1+٣i)|a>(x)|b>")
+@example("1e٣|a>(x)|b>")
 @example("( 1 + 2i )|a>(x)(( 1 - i )|b> + |c>)")  # whitespace inside scalars
 @example("(|a> + (1e999+2i)|b> |c>)(x)|d>")  # the overflow comes first
 @example("(|a> - 1e999i|b>)(x)|d> +")
