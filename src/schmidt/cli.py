@@ -7,7 +7,8 @@ density-matrix comparison for the polarization pair.
 
 Exit codes: 0 success, 2 bad input (parse or validation failure), 3 numerical
 failure (LAPACK non-convergence or non-finite output, a reconstruction residual
-above 1e-9 or not a number), 141 stdout closed by its reader before the output was written.
+above 1e-9 or not a number, or two modes of one side that overlap by more than
+1e-9), 141 stdout closed by its reader before the output was written.
 
 ``main(argv)`` runs one command and returns its exit code; tests and other
 in-process callers use it. ``run()`` is the process entry point (the
@@ -28,12 +29,11 @@ import numpy as np
 
 from . import catalog
 from .density import conditional_state, partial_trace, pure_density
-from .errors import ConvergenceError, SchmidtError, ShapeError, ValidationError
+from .errors import ConvergenceError, SchmidtError, ValidationError
 from .ketparse import FORMAT_VERSION, format_state, parse_state, _signed_sum
 from .modes import (
     DEFAULT_RANK_THRESHOLD,
     NORM_ATOL,
-    RESIDUAL_LIMIT,
     BipartitePureState,
     _Record,
     entanglement_entropy,
@@ -41,6 +41,7 @@ from .modes import (
     reconstruct,
     schmidt_decompose,
     schmidt_number,
+    verify,
 )
 
 STATE_FORMAT = "schmidt-state-v1"
@@ -131,28 +132,13 @@ class AnalysisReport(_Record):
     residual ``max|reconstruct(decomposition) - amplitudes|``, the ket-v1
     expression and the summaries are derived. ``lambdas`` is padded with zeros
     up to the larger subsystem dimension, as the smaller reduced matrix can
-    always be embedded in the bigger space. Raises ShapeError unless the modes'
-    row counts are the state's shape (the decomposition fixes the eigenvalue
-    count from them), then ConvergenceError unless the residual is at most
-    RESIDUAL_LIMIT (a NaN residual is refused too). So a rank threshold that drops
-    modes of real weight ends in a refusal, never in a report that is wrong; the
-    refusal then names the Schmidt weight the threshold dropped, the sum of the
-    eigenvalues past ``rank``, when that weight is above zero.
+    always be embedded in the bigger space. ``modes.verify`` accepts the
+    decomposition or refuses it, so a report holds only accepted Schmidt data.
     """
 
     def __init__(self, state, decomposition):
         d = decomposition
-        rows = (len(d.latin_modes), len(d.greek_modes))
-        if rows != state.amplitudes.shape:
-            raise ShapeError(f"modes with {rows[0]} Latin and {rows[1]} Greek rows for a "
-                             f"{state.latin_dim} x {state.greek_dim} state")
-        residual = float(np.max(np.abs(reconstruct(d) - state.amplitudes)))
-        if not residual <= RESIDUAL_LIMIT:  # false for NaN too
-            message = f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}"
-            dropped = float(np.sum(d.lambdas[d.rank:]))
-            if dropped > 0.0:
-                message += f"; the rank threshold dropped Schmidt weight {dropped:.6g}"
-            raise ConvergenceError(message)
+        residual = verify(state, d, reconstruct(d))
         padded = d.lambdas.tolist()
         padded += [0.0] * (max(state.latin_dim, state.greek_dim) - len(padded))
         # Keyword arguments run in order: format_state, then the three summaries.

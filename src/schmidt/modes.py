@@ -187,7 +187,7 @@ class SchmidtDecomposition(_Record):
     modes that do not pair up, lambdas not in [0, 1], rising, zero for a kept pair or not summing
     to 1, a mode entry that is NaN or above 1 in magnitude, and mode columns not of norm 1, each
     within ``NORM_ATOL``: no summary sees a bad spectrum. Each refusal names the index and the
-    value. Nested lists are read as arrays. Orthogonality is the producer's.
+    value. Nested lists are read as arrays. ``verify`` checks that distinct columns are orthogonal.
     """
 
     def __init__(self, lambdas, latin_modes, greek_modes):
@@ -300,3 +300,32 @@ def reconstruct(decomposition: SchmidtDecomposition) -> np.ndarray:
     f_s and g_s column s of ``latin_modes`` and ``greek_modes``."""
     d = decomposition
     return (d.latin_modes * np.sqrt(d.lambdas[:d.rank])) @ d.greek_modes.conj().T
+
+
+def verify(state: BipartitePureState, decomposition: SchmidtDecomposition,
+           rebuilt: np.ndarray) -> float:
+    """Accept ``decomposition`` as the Schmidt data of ``state`` and return the residual
+    ``max|rebuilt - amplitudes|``, or raise: ShapeError unless the modes' row counts are the
+    state's shape, then ConvergenceError for a residual above RESIDUAL_LIMIT or NaN (naming the
+    weight the rank threshold dropped, when above zero), then for two distinct columns of one
+    side that overlap, ``|adj(M) M|``, by more than RESIDUAL_LIMIT: K and the entropy read only
+    ``lambdas``. ``rebuilt`` is ``reconstruct(decomposition)``, called by the caller under the
+    name that ``perfbench/tracing.py`` wraps; the argument can go when the tracer no longer does."""
+    d = decomposition
+    rows = (len(d.latin_modes), len(d.greek_modes))
+    if rows != state.amplitudes.shape:
+        raise ShapeError(f"modes with {rows[0]} Latin and {rows[1]} Greek rows for a "
+                         f"{state.latin_dim} x {state.greek_dim} state")
+    residual = float(np.max(np.abs(rebuilt - state.amplitudes)))
+    if not residual <= RESIDUAL_LIMIT:  # false for NaN too
+        message = f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}"
+        dropped = float(np.sum(d.lambdas[d.rank:]))
+        if dropped > 0.0:
+            message += f"; the rank threshold dropped Schmidt weight {dropped:.6g}"
+        raise ConvergenceError(message)
+    for name, modes in (("latin_modes", d.latin_modes), ("greek_modes", d.greek_modes)):
+        overlap = float(np.max(np.abs(np.triu(modes.conj().T @ modes, 1)), initial=0.0))
+        if overlap > RESIDUAL_LIMIT:
+            raise ConvergenceError(f"{name} are not orthogonal: overlap {overlap:.3e} "
+                                   f"exceeds {RESIDUAL_LIMIT:g}")
+    return residual

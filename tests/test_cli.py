@@ -19,8 +19,9 @@ from schmidt.catalog import (EXPRESSIONS, bell_state, example_state,
                              opposite_polarization_mixture)
 from schmidt.density import conditional_state, partial_trace, pure_density
 from schmidt.errors import ConvergenceError, ShapeError, ValidationError
-from schmidt.modes import (BipartitePureState, SchmidtDecomposition, entanglement_entropy,
-                           is_entangled, reconstruct, schmidt_decompose, schmidt_number)
+from schmidt.modes import (RESIDUAL_LIMIT, BipartitePureState, SchmidtDecomposition,
+                           entanglement_entropy, is_entangled, reconstruct, schmidt_decompose,
+                           schmidt_number)
 from golden.regen import GOLDEN, load_cases
 from states import child_env, labelled_state
 
@@ -322,7 +323,7 @@ class TestReportMatchesTheLibrary:
         d = SchmidtDecomposition([0.5 + 1e-12, 0.5 - 1e-12], np.eye(2), [[0, 1], [1, 0]])
         report = cli.AnalysisReport(state, d)
         residual = float(np.max(np.abs(reconstruct(d) - state.amplitudes)))
-        assert 0.0 < report.reconstruction_residual == residual <= cli.RESIDUAL_LIMIT
+        assert 0.0 < report.reconstruction_residual == residual <= RESIDUAL_LIMIT
         assert report.to_dict()["reconstruction_residual"] == residual
 
     def test_modes_that_do_not_rebuild_the_state_are_refused(self):
@@ -331,6 +332,18 @@ class TestReportMatchesTheLibrary:
         with pytest.raises(ConvergenceError,
                            match=r"^reconstruction residual 1\.000e\+00 exceeds 1e-09$"):
             cli.AnalysisReport(bell_state(), d)
+
+    @pytest.mark.parametrize("side", ["latin_modes", "greek_modes"])
+    def test_modes_that_are_not_orthogonal_are_refused(self, side):
+        # Both modes of one side are |a> (or |x>): they rebuild the product state |a>(x)|x> to
+        # roundoff, but their lambdas would report K = 2, one bit and "entangled: yes".
+        s = np.sqrt(0.5)
+        same, orthonormal = [[1, 1], [0, 0]], [[s, s], [s, -s]]
+        modes = (same, orthonormal) if side == "latin_modes" else (orthonormal, same)
+        state = BipartitePureState(("a", "b"), ("x", "y"), [[1, 0], [0, 0]])
+        with pytest.raises(ConvergenceError, match=rf"^{side} are not orthogonal: "
+                                                   r"overlap 1\.000e\+00 exceeds 1e-09$"):
+            cli.AnalysisReport(state, SchmidtDecomposition([0.5, 0.5], *modes))
 
     def test_nan_mode_is_refused(self):
         # A NaN in the modes would make the residual NaN; the record refuses it

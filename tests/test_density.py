@@ -109,9 +109,10 @@ class TestDensityMatrixType:
     @pytest.mark.parametrize("dim,parts,message", [
         (4, (["H", "V"], ["H", "H"]), r"^parts\[1\] repeats the label 'H'$"),
         (2, (["H", "H"],), r"^parts\[0\] repeats the label 'H'$"),
+        (3, (["H", "V", "V"],), r"^parts\[0\] repeats the label 'V'$"),
         (2, ([1, None],), r"^parts\[0\] has a label that is not a str: 1$"),
         (4, (["H", "V"], ["H", b"V"]), r"^parts\[1\] has a label that is not a str: b'V'$"),
-    ], ids=["product", "one-part", "number", "bytes"])
+    ], ids=["product", "one-part", "not-first", "number", "bytes"])
     def test_labels_must_be_unique_strings(self, dim, parts, message):
         with pytest.raises(ValidationError, match=message):
             DensityMatrix(np.eye(dim) / dim, parts)

@@ -12,7 +12,7 @@ from schmidt.density import (DensityMatrix, classical_mixture, conditional_state
                              gram_latin, partial_trace, pure_density, purity)
 from schmidt.errors import SchmidtError
 from schmidt.modes import (BipartitePureState, SchmidtDecomposition, entanglement_entropy,
-                           is_entangled, reconstruct, schmidt_decompose, schmidt_number)
+                           is_entangled, reconstruct, schmidt_decompose, schmidt_number, verify)
 
 EDGES = (0.0, 5e-324, 1e-300, 1e300, 1.7e308, math.inf, math.nan)
 TINY = (0.0, -0.0, 5e-324, -5e-324, 1e-300)
@@ -97,6 +97,8 @@ def test_every_public_function_returns_finite_values_or_refuses(data):
         if d is not None:
             for call in (schmidt_number, entanglement_entropy, is_entangled, reconstruct):
                 checked(call, d)
+            if state is not None:
+                checked(verify, state, d, reconstruct(d))
     tail = data.draw(st.lists(st.one_of(reals, st.floats(0.0, 0.5)), max_size=2))
     weights = [1.0 - sum(tail), *tail]  # sums to 1 unless a weight is an edge value
     terms = [(w, latin[i % latin_dim], greek[i % greek_dim]) for i, w in enumerate(weights)]

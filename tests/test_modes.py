@@ -11,6 +11,7 @@ from schmidt.density import DensityMatrix, classical_mixture, gram_greek, gram_l
 from schmidt.errors import ConvergenceError, SchmidtError, ShapeError, ValidationError
 from schmidt.ketparse import parse_expression, parse_state
 from schmidt.modes import (
+    RESIDUAL_LIMIT,
     BipartitePureState,
     SchmidtDecomposition,
     entanglement_entropy,
@@ -18,6 +19,7 @@ from schmidt.modes import (
     reconstruct,
     schmidt_decompose,
     schmidt_number,
+    verify,
 )
 from states import AMPLITUDES, GREEK, LATIN, example, labelled_state
 
@@ -233,6 +235,13 @@ class TestSchmidtDecompose:
         assert d.latin_modes.shape == (3, 1)
         assert d.greek_modes.shape == (3, 1)
 
+    def test_threshold_keeps_only_eigenvalues_above_it(self):
+        # Four equal terms: each eigenvalue is exactly 0.25.
+        state = parse_state("|a>(x)|w> + |b>(x)|x> + |c>(x)|y> + |d>(x)|z>")
+        assert schmidt_decompose(state).lambdas.tolist() == [0.25] * 4
+        assert schmidt_decompose(state, threshold=0.25).rank == 0
+        assert schmidt_decompose(state, threshold=np.nextafter(0.25, 0)).rank == 4
+
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValidationError):
             schmidt_decompose(example("psi0"), threshold=0.0)
@@ -247,6 +256,16 @@ class TestSchmidtDecompose:
     def test_threshold_must_be_finite(self, threshold):
         with pytest.raises(ValidationError, match="finite and positive"):
             schmidt_decompose(example("psi0"), threshold=threshold)
+
+
+def test_verify_accepts_a_residual_of_residual_limit_and_no_more():
+    # |a>(x)|x> in a 1 x 2 basis: the rebuilt zero entry carries the whole residual.
+    state = BipartitePureState(("a",), ("x", "y"), [[1, 0]])
+    d = schmidt_decompose(state)
+    assert verify(state, d, np.array([[1, RESIDUAL_LIMIT]])) == RESIDUAL_LIMIT
+    with pytest.raises(ConvergenceError,
+                       match=r"^reconstruction residual 1\.000e-09 exceeds 1e-09$"):
+        verify(state, d, np.array([[1, np.nextafter(RESIDUAL_LIMIT, 1)]]))
 
 
 class TestMeasures:
