@@ -66,25 +66,18 @@ _NUMBER = rf"[{_DIGITS}]+(?:\.[{_DIGITS}]*)?(?:[eE][+-]?[{_DIGITS}]+)?"
 # and is skipped. First three compound tokens, each a run of plain tokens that
 # the grammar reads in one place only: a whole ket, a bracketed complex scalar
 # '(re±im i)' and the tensor '(x)', whitespace inside included. Then the plain
-# tokens: a symbol, a number and a name. The last alternative catches any other
-# character so that a lexical error keeps its place in the token list.
-_COMPOUND_TOKEN = (
+# tokens: a symbol, a number and a name.
+_TOKEN = (
     rf"\|\s*{LABEL}\s*>"
     rf"|\(\s*{_NUMBER}\s*[+-]\s*(?:{_NUMBER}\s*)?i\s*\)"
-    rf"|\(\s*x\s*\)|[{_SYMBOLS}]|{_NUMBER}|{LABEL}|\S"
+    rf"|\(\s*x\s*\)|[{_SYMBOLS}]|{_NUMBER}|{LABEL}"
 )
-# Characters that start a token; a token starting with any other character is a lexical error.
-_TOKEN_START = rf"[{_SYMBOLS}{_DIGITS}A-Za-z]"
+_COMPOUND_TOKEN = _TOKEN + r"|\S"  # any other character alone: a lexical error keeps its place
 _END = " "  # sentinel after the last token: whitespace, so never a token
 
 
 class _SyntaxError(Exception):
-    """A rejected token, by index; parse_expression turns it into a ParseError."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.message = message
-        self.index = index
+    """A rejected token: args are its message and index, for parse_expression to report."""
 
 
 def _same(record: tuple, other: object) -> bool:
@@ -348,12 +341,12 @@ def parse_expression(text: str) -> KetExpression:
     try:
         return _read(tokens)
     except _SyntaxError as exc:
-        # A stray character can never be consumed, so any lexical error
-        # surfaces as some syntax error; report the first one instead.
-        message, failed_at = exc.message, exc.index
-        token_start = re.compile(_TOKEN_START)
+        # A stray character (a one-character token that _TOKEN does not read) is never
+        # consumed, so it surfaces as some syntax error; report the first one instead.
+        message, failed_at = exc.args
+        fullmatch = re.compile(_TOKEN).fullmatch
         for index, token in enumerate(tokens[:-1]):
-            if not token_start.match(token):
+            if len(token) == 1 and not fullmatch(token):
                 message, failed_at = f"unexpected character {token!r}", index
                 break
         # 1-based character offset of each token; the end sentinel's is len + 1

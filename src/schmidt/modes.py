@@ -134,7 +134,10 @@ class BipartitePureState(_Record):
                     raise ValidationError(f"{side} label {index} is not a ket-v1 label (a letter, "
                                           f"then letters, digits or '_'): {label!r}")
             if len(set(labels)) != len(labels):
-                raise ValidationError(f"{side} labels are not unique: {labels}")
+                first: dict[str, int] = {}
+                index, label = next((index, label) for index, label in enumerate(labels)
+                                    if first.setdefault(label, index) != index)
+                raise ValidationError(f"{side} label {index} repeats label {first[label]}: {label!r}")
         finite = np.isfinite(coefs)
         if not finite.all():
             i, j = (int(k) for k in np.argwhere(~finite)[0])

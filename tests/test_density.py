@@ -215,6 +215,13 @@ class TestClassicalMixture:
         rho = classical_mixture([(0.25, "H", "V"), (0.75, "V", "H")])
         np.testing.assert_allclose(rho.matrix, np.diag([0.0, 0.25, 0.75, 0.0]), rtol=0, atol=1e-15)
 
+    def test_generator_of_terms_reads_as_a_list(self):
+        # The terms are read more than once, so a generator is drained into a tuple first.
+        terms = [(0.25, "H", "V"), (0.5, "V", "H"), (0.25, "H", "V")]
+        rho, listed = classical_mixture(term for term in terms), classical_mixture(terms)
+        np.testing.assert_array_equal(rho.matrix, listed.matrix)
+        assert rho.parts == listed.parts == (("H", "V"), ("H", "V"))
+
     def test_weight_violations_rejected(self):
         with pytest.raises(ValidationError):
             classical_mixture([(0.9, "H", "V")])

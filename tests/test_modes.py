@@ -74,8 +74,10 @@ class TestBipartitePureState:
                 build(("a",), ("b",), [[0.0]])
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^Latin label 1 repeats label 0: 'a'$"):
             BipartitePureState.from_amplitudes(("a", "a"), GREEK, [[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(ValidationError, match=r"^Greek label 3 repeats label 1: 'y'$"):
+            BipartitePureState.from_amplitudes(LATIN, ("x", "y", "z", "y"), np.ones((2, 4)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):

@@ -25,9 +25,10 @@ SUBMODULES = ["density", "errors", "ketparse", "modes"]
 
 
 def in_child(code: str):
-    """Run ``code`` in a fresh interpreter that imports this ``schmidt``; its JSON stdout."""
-    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
-                          text=True, check=True)
+    """Run ``code`` in a fresh interpreter that imports this ``schmidt``; its JSON stdout.
+    ``-W error`` turns a warning raised at import into a failure."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=child_env(),
+                          capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
