@@ -128,17 +128,17 @@ def state_from_doc(doc) -> BipartitePureState:
 class AnalysisReport(_Record):
     """Everything the CLI prints about one state, modes as the decomposition's columns.
 
-    Built from the state and its decomposition alone: the reconstruction
-    residual ``max|reconstruct(decomposition) - amplitudes|``, the ket-v1
-    expression and the summaries are derived. ``lambdas`` is padded with zeros
-    up to the larger subsystem dimension, as the smaller reduced matrix can
-    always be embedded in the bigger space. ``modes.verify`` accepts the
-    decomposition or refuses it, so a report holds only accepted Schmidt data.
+    Built from the state and its decomposition alone: the reconstruction residual
+    ``max|reconstruct(decomposition) - amplitudes|``, the ket-v1 expression and the summaries
+    are derived. ``lambdas`` is padded with zeros up to the larger subsystem dimension, as the
+    smaller reduced matrix can always be embedded in the bigger space. ``modes.verify`` rebuilds
+    the state with this module's ``reconstruct``, the name the benchmark's tracer wraps, and
+    accepts or refuses the decomposition, so a report holds only accepted Schmidt data.
     """
 
     def __init__(self, state, decomposition):
         d = decomposition
-        residual = verify(state, d, reconstruct(d))
+        residual = verify(state, d, reconstruct)
         padded = d.lambdas.tolist()
         padded += [0.0] * (max(state.latin_dim, state.greek_dim) - len(padded))
         # Keyword arguments run in order: format_state, then the three summaries.

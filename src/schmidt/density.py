@@ -14,8 +14,8 @@ m - adj(m), so no sum this module takes can overflow.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from typing import Sequence
+from collections import Counter
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class DensityMatrix(_Record):
                 if not isinstance(label, str):
                     raise ValidationError(f"parts[{i}] has a label that is not a str: {label!r}")
             if len(set(part)) != len(part):
-                repeated = next(label for label in part if part.count(label) > 1)
+                repeated = next(label for label, n in Counter(part).items() if n > 1)
                 raise ValidationError(f"parts[{i}] repeats the label {repeated!r}")
         labels = (product_labels(*parts) if len(parts) == 2 else parts[0] if parts
                   else tuple(str(i) for i in range(m.shape[0])))

@@ -190,7 +190,7 @@ class SchmidtDecomposition(_Record):
     modes that do not pair up, lambdas not in [0, 1], rising, zero for a kept pair or not summing
     to 1, a mode entry that is NaN or above 1 in magnitude, and mode columns not of norm 1, each
     within ``NORM_ATOL``: no summary sees a bad spectrum. Each refusal names the index and the
-    value. Nested lists are read as arrays. ``verify`` checks that distinct columns are orthogonal.
+    value. Nested lists are read as arrays. ``verify(state, d)`` rebuilds state and checks overlaps.
     """
 
     def __init__(self, lambdas, latin_modes, greek_modes):
@@ -306,20 +306,20 @@ def reconstruct(decomposition: SchmidtDecomposition) -> np.ndarray:
 
 
 def verify(state: BipartitePureState, decomposition: SchmidtDecomposition,
-           rebuilt: np.ndarray) -> float:
+           rebuild=reconstruct) -> float:
     """Accept ``decomposition`` as the Schmidt data of ``state`` and return the residual
-    ``max|rebuilt - amplitudes|``, or raise: ShapeError unless the modes' row counts are the
-    state's shape, then ConvergenceError for a residual above RESIDUAL_LIMIT or NaN (naming the
-    weight the rank threshold dropped, when above zero), then for two distinct columns of one
-    side that overlap, ``|adj(M) M|``, by more than RESIDUAL_LIMIT: K and the entropy read only
-    ``lambdas``. ``rebuilt`` is ``reconstruct(decomposition)``, called by the caller under the
-    name that ``perfbench/tracing.py`` wraps; the argument can go when the tracer no longer does."""
+    ``max|rebuild(decomposition) - amplitudes|``, or raise: ShapeError unless the modes' row
+    counts are the state's shape, then ConvergenceError for a residual above RESIDUAL_LIMIT or NaN
+    (naming the weight the rank threshold dropped, when above zero), then for two distinct columns
+    of one side that overlap, ``|adj(M) M|``, by more than RESIDUAL_LIMIT: K and the entropy read
+    only ``lambdas``. ``rebuild`` is ``reconstruct``, which ``cli`` passes under its own name for
+    ``perfbench/tracing.py`` to wrap; the parameter can go when the tracer no longer patches it."""
     d = decomposition
     rows = (len(d.latin_modes), len(d.greek_modes))
     if rows != state.amplitudes.shape:
         raise ShapeError(f"modes with {rows[0]} Latin and {rows[1]} Greek rows for a "
                          f"{state.latin_dim} x {state.greek_dim} state")
-    residual = float(np.max(np.abs(rebuilt - state.amplitudes)))
+    residual = float(np.max(np.abs(rebuild(d) - state.amplitudes)))
     if not residual <= RESIDUAL_LIMIT:  # false for NaN too
         message = f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:g}"
         dropped = float(np.sum(d.lambdas[d.rank:]))

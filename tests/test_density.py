@@ -117,6 +117,23 @@ class TestDensityMatrixType:
         with pytest.raises(ValidationError, match=message):
             DensityMatrix(np.eye(dim) / dim, parts)
 
+    def test_a_repeated_label_is_found_in_one_pass(self):
+        # The repeat is last, so counting each label's occurrences would compare every pair.
+        calls = []
+
+        class Label(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                calls.append(other)
+                return str.__eq__(self, other)
+
+        n = 300
+        part = [Label(f"q{i}") for i in range(n)] + [Label(f"q{n - 1}")]
+        with pytest.raises(ValidationError, match=rf"^parts\[0\] repeats the label 'q{n - 1}'$"):
+            DensityMatrix(np.eye(n + 1) / (n + 1), (part,))
+        assert len(calls) <= 4 * n
+
     def test_pairs_that_print_alike_are_a_basis(self):
         # Each party's labels are unique; "a,b" (x) "c" and "a" (x) "b,c" print alike.
         rho = DensityMatrix(np.eye(4) / 4, (["a,b", "a"], ["c", "b,c"]))

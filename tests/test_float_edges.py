@@ -98,7 +98,7 @@ def test_every_public_function_returns_finite_values_or_refuses(data):
             for call in (schmidt_number, entanglement_entropy, is_entangled, reconstruct):
                 checked(call, d)
             if state is not None:
-                checked(verify, state, d, reconstruct(d))
+                checked(verify, state, d)
     tail = data.draw(st.lists(st.one_of(reals, st.floats(0.0, 0.5)), max_size=2))
     weights = [1.0 - sum(tail), *tail]  # sums to 1 unless a weight is an edge value
     terms = [(w, latin[i % latin_dim], greek[i % greek_dim]) for i, w in enumerate(weights)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import schmidt.modes
-from schmidt.catalog import example_state
+from schmidt.catalog import bell_state, example_state
 from schmidt.cli import AnalysisReport, build_report, render_report
 from schmidt.density import DensityMatrix, classical_mixture, gram_greek, gram_latin, pure_density
 from schmidt.errors import ConvergenceError, SchmidtError, ShapeError, ValidationError
@@ -261,13 +261,22 @@ class TestSchmidtDecompose:
 
 
 def test_verify_accepts_a_residual_of_residual_limit_and_no_more():
-    # |a>(x)|x> in a 1 x 2 basis: the rebuilt zero entry carries the whole residual.
+    # |a>(x)|x> in a 1 x 2 basis: a Greek mode (1, e) rebuilds the zero entry as exactly e.
     state = BipartitePureState(("a",), ("x", "y"), [[1, 0]])
-    d = schmidt_decompose(state)
-    assert verify(state, d, np.array([[1, RESIDUAL_LIMIT]])) == RESIDUAL_LIMIT
+    accepted, refused = (SchmidtDecomposition([1.0], [[1]], [[1], [e]])
+                         for e in (RESIDUAL_LIMIT, np.nextafter(RESIDUAL_LIMIT, 1)))
+    assert verify(state, accepted) == RESIDUAL_LIMIT
     with pytest.raises(ConvergenceError,
                        match=r"^reconstruction residual 1\.000e-09 exceeds 1e-09$"):
-        verify(state, d, np.array([[1, np.nextafter(RESIDUAL_LIMIT, 1)]]))
+        verify(state, refused)
+
+
+def test_verify_rebuilds_the_state_itself():
+    # The Bell state's labels with the modes of the product state |H>(x)|H>.
+    d = SchmidtDecomposition([1.0, 0.0], [[1], [0]], [[1], [0]])
+    with pytest.raises(ConvergenceError,
+                       match=r"^reconstruction residual 1\.000e\+00 exceeds 1e-09$"):
+        verify(bell_state(), d)
 
 
 class TestMeasures:
