@@ -26,21 +26,21 @@ BELL_AMPLITUDES = {
 }
 
 
+def _lookup(table: dict, what: str, name: str):
+    """``table[name]``, or a KeyError that names the unknown ``what`` and lists the choices."""
+    if name not in table:
+        raise KeyError(f"unknown {what} {name!r}; choose from {sorted(table)}")
+    return table[name]
+
+
 def example_state(name: str) -> BipartitePureState:
     """One of the ket-expression examples, parsed: psi0, psi1, psi2 or psi3."""
-    try:
-        expression = EXPRESSIONS[name]
-    except KeyError:
-        raise KeyError(f"unknown example {name!r}; choose from {sorted(EXPRESSIONS)}") from None
-    return parse_state(expression)
+    return parse_state(_lookup(EXPRESSIONS, "example", name))
 
 
 def bell_state(kind: str = "psi_plus") -> BipartitePureState:
     """A two-qubit Bell state in the H/V polarization basis."""
-    try:
-        amps = BELL_AMPLITUDES[kind]
-    except KeyError:
-        raise KeyError(f"unknown Bell state {kind!r}; choose from {sorted(BELL_AMPLITUDES)}") from None
+    amps = _lookup(BELL_AMPLITUDES, "Bell state", kind)
     scaled = [[entry / math.sqrt(2.0) for entry in row] for row in amps]
     return BipartitePureState.from_amplitudes(("H", "V"), ("H", "V"), scaled)
 

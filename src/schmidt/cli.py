@@ -67,13 +67,12 @@ def state_to_doc(state: BipartitePureState) -> dict:
 
 
 def _amplitude_matrix(rows) -> np.ndarray:
-    """Rows of [re, im] pairs as a complex matrix, read in one row-major pass.
-    Raises ValueError unless ``rows`` is an array of arrays, then at the first
-    fault met, a row's length before its entries: a row whose length differs
-    from row 0's, or an entry that is not two numbers (a boolean is none) or
-    holds an integer beyond the float range, named by its row and column. A bad
-    entry is quoted as the JSON it was read from (``null``, ``[true, false]``), or
-    by its repr when JSON cannot spell it (a library caller's ``1+2j``)."""
+    """Rows of [re, im] pairs as a complex matrix, read in one row-major pass. Raises ValueError
+    unless ``rows`` is an array of arrays, then at the first fault met, a row's length before its
+    entries: a row whose length differs from row 0's, or an entry that is not two numbers (each an
+    int that is not a bool, or a float) or holds an int beyond the float range, named by its row
+    and column. A bad entry is quoted as the JSON it was read from (``null``, ``[true, false]``),
+    or by its repr when JSON cannot spell it (a library caller's ``1+2j`` or ``[1j, 1j]``)."""
     # A JSON string or object iterates too, as characters or keys.
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ValueError("amplitudes must be an array of rows")
@@ -87,8 +86,11 @@ def _amplitude_matrix(rows) -> np.ndarray:
         for j, entry in enumerate(row):
             try:
                 re, im = entry
-                if type(re) is bool or type(im) is bool:  # complex(True, False) is 1+0j
-                    raise TypeError("a boolean is not a number")
+                if not ((type(re) is float or type(re) is int  # a float64 is a float
+                         or isinstance(re, (int, float)) and type(re) is not bool)
+                        and (type(im) is float or type(im) is int
+                             or isinstance(im, (int, float)) and type(im) is not bool)):
+                    raise TypeError("not two numbers")  # complex() takes True, 1j, np.True_
                 values.append(complex(re, im))
             except OverflowError:  # a JSON integer such as 10**330
                 raise ValueError(f"amplitude entry at row {i}, column {j} "
@@ -109,8 +111,8 @@ def state_from_doc(doc) -> BipartitePureState:
     ``state`` holds one: a report fed back through ``--file`` reproduces itself, since
     ``state_to_doc`` writes the coefficients as given (unit-norm amplitudes scaled back
     by the norm would not restore them bit for bit). The amplitudes are read first, by
-    ``_amplitude_matrix``; the constructor then checks their shape against the labels
-    before any value, so a NaN, which ``json.load`` reads, is refused by its entry."""
+    ``_amplitude_matrix``; the constructor then checks the labels, and the shape before any
+    value, so a NaN, which ``json.load`` reads, is refused by its entry."""
     if isinstance(doc, dict) and doc.get("format") != STATE_FORMAT:
         nested = doc.get("state")
         if isinstance(nested, dict):

@@ -14,7 +14,6 @@ m - adj(m), so no sum this module takes can overflow.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -37,9 +36,7 @@ def product_labels(latin_labels: Sequence[str], greek_labels: Sequence[str]) -> 
     longer ones are joined with a comma (a, alpha -> a,alpha), so labels that
     hold a comma can print alike: "a,b" with "c" and "a" with "b,c" give "a,b,c".
     """
-    plain = all(len(str(l)) == 1 for l in latin_labels) and all(
-        len(str(g)) == 1 for g in greek_labels
-    )
+    plain = all(len(str(label)) == 1 for label in (*latin_labels, *greek_labels))
     sep = "" if plain else ","
     return tuple(f"{l}{sep}{g}" for l in latin_labels for g in greek_labels)
 
@@ -51,8 +48,8 @@ class DensityMatrix(_Record):
     ``basis_labels`` is derived: the single basis, the two bases' ``product_labels``, or "0",
     "1", ... with no part. The checks run in this order: the matrix is square, every entry is a
     number of magnitude at most 1 + ``TRACE_ATOL`` (as in a positive semidefinite matrix of
-    trace 1), its Hermitian defect max |m - adj(m)| is within ``TRACE_ATOL``; then parts,
-    labels and trace. Full positive semidefiniteness is left to the producer.
+    trace 1), its Hermitian defect max |m - adj(m)| is within ``TRACE_ATOL``; then each part's
+    labels, the part and label counts, the trace; full positive semidefiniteness is the producer's.
     """
 
     def __init__(self, matrix, parts=()):
@@ -64,16 +61,9 @@ class DensityMatrix(_Record):
         if defect > TRACE_ATOL:
             raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
         parts = tuple(_label_tuple(part, f"parts[{i}]")
-                      for i, part in enumerate(_label_tuple(parts, "parts")))
+                      for i, part in enumerate(_label_tuple(parts, "parts", labels=False)))
         if len(parts) > 2:
             raise ShapeError(f"a density matrix has one or two parts, got {len(parts)}")
-        for i, part in enumerate(parts):
-            for label in part:
-                if not isinstance(label, str):
-                    raise ValidationError(f"parts[{i}] has a label that is not a str: {label!r}")
-            if len(set(part)) != len(part):
-                repeated = next(label for label, n in Counter(part).items() if n > 1)
-                raise ValidationError(f"parts[{i}] repeats the label {repeated!r}")
         labels = (product_labels(*parts) if len(parts) == 2 else parts[0] if parts
                   else tuple(str(i) for i in range(m.shape[0])))
         # Also catches parts whose sizes do not multiply to the dimension.
@@ -129,10 +119,8 @@ def classical_mixture(terms: Sequence[tuple[float, str, str]]) -> DensityMatrix:
 def _two_party(rho: DensityMatrix, what: str) -> np.ndarray:
     """``rho.matrix`` as a (latin, greek, latin, greek) tensor."""
     if len(rho.parts) != 2:
-        raise ShapeError(
-            f"{what} needs a two-party density matrix, as built by pure_density "
-            "or classical_mixture"
-        )
+        raise ShapeError(f"{what} needs a two-party density matrix, as built by pure_density "
+                         "or classical_mixture")
     latin_dim, greek_dim = (len(part) for part in rho.parts)
     return rho.matrix.reshape(latin_dim, greek_dim, latin_dim, greek_dim)
 

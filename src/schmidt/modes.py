@@ -16,11 +16,11 @@ modes are stored as V's columns, so for complex amplitudes they are the
 conjugates of the kets Phi^s. The state factorizes exactly when a single
 term survives.
 
-``_frozen_array``, ``_label_tuple`` and ``_refuse_above_one`` are the records' intakes of
-arrays, labels and entries bounded by 1, and ``_Record`` their read-only base, which also
-freezes arrays a pickle or copy restores. The SVD in ``schmidt_decompose`` is the one
-factorization; ``hermitian_eigen`` only raises, and its name stays because the benchmark's
-tracer wraps it.
+``_frozen_array``, ``_label_tuple`` and ``_refuse_above_one`` are the records' intakes of arrays,
+labels (the one label rule, for a state's sides and a density matrix's parts) and entries bounded
+by 1, and ``_Record`` their read-only base, which also freezes arrays a pickle or copy restores.
+The SVD in ``schmidt_decompose`` is the one factorization; ``hermitian_eigen`` only raises, and
+its name stays because the benchmark's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -61,12 +61,27 @@ def _frozen_array(value, dtype, ndim: int, name: str) -> np.ndarray:
     return array.astype(dtype)
 
 
-def _label_tuple(value, name: str) -> tuple:
-    """A label field as a tuple. ShapeError names the field for a value that does not
-    iterate, and for text, bytes or a mapping, which iterate as characters or keys."""
+def _label_tuple(value, name: str, side: str = "", labels: bool = True) -> tuple:
+    """A label field as a tuple. ShapeError names the field for a value that does not iterate,
+    and for text, bytes or a mapping, which iterate as characters or keys. With ``labels``,
+    ValidationError names by index the first label of a state's ``side``, or else of the field,
+    that is not a str (with a ``side``, a ``LABEL``), then the first to repeat an earlier one."""
     if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
         raise ShapeError(f"{name} is not an array of strings: {value!r}")
-    return tuple(value)
+    entries, who = tuple(value), side or name
+    if not labels:
+        return entries
+    fullmatch = re.compile(LABEL if side else "(?s).*").fullmatch  # any str in a density part
+    for index, label in enumerate(entries):
+        if not (isinstance(label, str) and fullmatch(label)):
+            rule = "a ket-v1 label (a letter, then letters, digits or '_')" if side else "a str"
+            raise ValidationError(f"{who} label {index} is not {rule}: {label!r}")
+    if len(set(entries)) != len(entries):
+        seen: dict[str, int] = {}
+        for index, label in enumerate(entries):
+            if seen.setdefault(label, index) != index:
+                raise ValidationError(f"{who} label {index} repeats label {seen[label]}: {label!r}")
+    return entries
 
 
 def _refuse_above_one(values: np.ndarray, name: str, atol: float) -> np.ndarray:
@@ -111,33 +126,22 @@ class BipartitePureState(_Record):
     """Two-party pure state in a fixed product basis, unit-norm by construction.
 
     ``amplitudes[i, j]`` multiplies ``|latin_labels[i]> (x) |greek_labels[j]>``.
-    The constructor takes raw coefficients. It checks the shape, that the labels on
-    each side are unique strings matching ``LABEL`` and, naming the ket, that every
+    The constructor takes raw coefficients. It checks that the labels on each side are
+    unique strings matching ``LABEL``, then the shape and, naming the ket, that every
     coefficient is finite; it stores them rescaled to unit norm and read-only. Two
     fields are derived, not passed: ``coefficients``, a read-only complex copy of
     the coefficients given, and ``norm``, their Euclidean norm.
     """
 
     def __init__(self, latin_labels, greek_labels, amplitudes):
-        latin = _label_tuple(latin_labels, "latin_labels")
-        greek = _label_tuple(greek_labels, "greek_labels")
+        latin = _label_tuple(latin_labels, "latin_labels", "Latin")
+        greek = _label_tuple(greek_labels, "greek_labels", "Greek")
         coefs = _frozen_array(amplitudes, complex, 2, "amplitudes")
         if coefs.shape != (len(latin), len(greek)):
             raise ShapeError(
                 f"amplitude matrix is {coefs.shape[0]}x{coefs.shape[1]} but there are "
                 f"{len(latin)} Latin and {len(greek)} Greek labels"
             )
-        fullmatch = re.compile(LABEL).fullmatch  # compiled on first use, then cached by re
-        for side, labels in (("Latin", latin), ("Greek", greek)):
-            for index, label in enumerate(labels):
-                if not (isinstance(label, str) and fullmatch(label)):
-                    raise ValidationError(f"{side} label {index} is not a ket-v1 label (a letter, "
-                                          f"then letters, digits or '_'): {label!r}")
-            if len(set(labels)) != len(labels):
-                first: dict[str, int] = {}
-                index, label = next((index, label) for index, label in enumerate(labels)
-                                    if first.setdefault(label, index) != index)
-                raise ValidationError(f"{side} label {index} repeats label {first[label]}: {label!r}")
         finite = np.isfinite(coefs)
         if not finite.all():
             i, j = (int(k) for k in np.argwhere(~finite)[0])

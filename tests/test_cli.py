@@ -135,14 +135,16 @@ class TestAnalyze:
 
 class TestFileInput:
     def test_entry_that_json_cannot_spell_is_quoted_by_its_repr(self):
-        # The corpus cases quote a bad entry as JSON; a library caller's complex
-        # number has no JSON spelling.
-        doc = {"format": cli.STATE_FORMAT, "latin_labels": ["a"], "greek_labels": ["b"],
-               "amplitudes": [[1 + 2j]]}
-        with pytest.raises(ValidationError, match="^" + re.escape(
-                "malformed schmidt-state-v1 document: amplitude entry at row 0, column 0 "
-                "is not an [re, im] pair of numbers: (1+2j)") + "$"):
-            cli.state_from_doc(doc)
+        # The corpus cases quote a bad entry as JSON; a library caller's complex number or
+        # NumPy bool has no JSON spelling. complex() would read [1j, 1j] as -1+1j and
+        # [np.True_, 0] as 1+0j: each part must be an int that is not a bool, or a float.
+        for entry in (1 + 2j, [1j, 1j], [np.True_, 0]):
+            doc = {"format": cli.STATE_FORMAT, "latin_labels": ["a", "b"], "greek_labels": ["x"],
+                   "amplitudes": [[[1, 0]], [entry]]}
+            with pytest.raises(ValidationError, match="^" + re.escape(
+                    "malformed schmidt-state-v1 document: amplitude entry at row 1, column 0 "
+                    f"is not an [re, im] pair of numbers: {entry!r}") + "$"):
+                cli.state_from_doc(doc)
 
     @pytest.mark.parametrize("kind", ["string", "null", "object", "null-entry", "object-entry",
                                       "number-entry"])

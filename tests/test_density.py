@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from schmidt.density import (
+    OUTCOME_ATOL,
     TRACE_ATOL,
     DensityMatrix,
     classical_mixture,
@@ -106,12 +107,25 @@ class TestDensityMatrixType:
             with pytest.raises(ValidationError, match=f"^density matrix {message}$"):
                 DensityMatrix(build(offset))
 
+    @pytest.mark.parametrize("accepted,refused,message", [
+        ([[0.5, 0], [TRACE_ATOL, 0.5]], [[0.5, 0], [np.nextafter(TRACE_ATOL, 1), 0.5]],
+         r"is not Hermitian \(defect 1\.000e-10\)"),
+        (np.diag([1 + TRACE_ATOL, -TRACE_ATOL]),
+         np.diag([np.nextafter(1 + TRACE_ATOL, 2), -TRACE_ATOL]),
+         r"entry \(0, 0\) has magnitude 1\.0000000001000002, above 1"),
+    ], ids=["hermiticity", "entry"])
+    def test_a_defect_or_entry_exactly_on_the_bound_passes(self, accepted, refused, message):
+        # The bound itself passes and the next float above it fails.
+        DensityMatrix(accepted)
+        with pytest.raises(ValidationError, match=f"^density matrix {message}$"):
+            DensityMatrix(refused)
+
     @pytest.mark.parametrize("dim,parts,message", [
-        (4, (["H", "V"], ["H", "H"]), r"^parts\[1\] repeats the label 'H'$"),
-        (2, (["H", "H"],), r"^parts\[0\] repeats the label 'H'$"),
-        (3, (["H", "V", "V"],), r"^parts\[0\] repeats the label 'V'$"),
-        (2, ([1, None],), r"^parts\[0\] has a label that is not a str: 1$"),
-        (4, (["H", "V"], ["H", b"V"]), r"^parts\[1\] has a label that is not a str: b'V'$"),
+        (4, (["H", "V"], ["H", "H"]), r"^parts\[1\] label 1 repeats label 0: 'H'$"),
+        (2, (["H", "H"],), r"^parts\[0\] label 1 repeats label 0: 'H'$"),
+        (3, (["H", "V", "V"],), r"^parts\[0\] label 2 repeats label 1: 'V'$"),
+        (2, ([1, None],), r"^parts\[0\] label 0 is not a str: 1$"),
+        (4, (["H", "V"], ["H", b"V"]), r"^parts\[1\] label 1 is not a str: b'V'$"),
     ], ids=["product", "one-part", "not-first", "number", "bytes"])
     def test_labels_must_be_unique_strings(self, dim, parts, message):
         with pytest.raises(ValidationError, match=message):
@@ -130,7 +144,8 @@ class TestDensityMatrixType:
 
         n = 300
         part = [Label(f"q{i}") for i in range(n)] + [Label(f"q{n - 1}")]
-        with pytest.raises(ValidationError, match=rf"^parts\[0\] repeats the label 'q{n - 1}'$"):
+        with pytest.raises(ValidationError,
+                           match=rf"^parts\[0\] label {n} repeats label {n - 1}: 'q{n - 1}'$"):
             DensityMatrix(np.eye(n + 1) / (n + 1), (part,))
         assert len(calls) <= 4 * n
 
@@ -264,6 +279,14 @@ class TestClassicalMixture:
     def test_unreadable_weight_rejected(self, weight):
         with pytest.raises(ShapeError, match="^mixture weights is not a rectangular array of"):
             classical_mixture([(0.5, "H", "V"), (weight, "V", "H")])
+
+    def test_a_weight_of_minus_outcome_atol_passes_and_no_lower(self):
+        rho = classical_mixture([(1 + OUTCOME_ATOL, "H", "H"), (-OUTCOME_ATOL, "V", "V")])
+        assert rho.matrix[3, 3] == -OUTCOME_ATOL
+        with pytest.raises(ValidationError, match=re.escape(
+                "mixture weights must be non-negative, got -1.0000000000000002e-12")):
+            classical_mixture([(1 + OUTCOME_ATOL, "H", "H"),
+                               (np.nextafter(-OUTCOME_ATOL, -1), "V", "V")])
 
     def test_negative_weight_is_printed_as_a_python_float(self):
         with pytest.raises(ValidationError, match=re.escape(

@@ -1,4 +1,6 @@
 import inspect
+import json
+import math
 import re
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 import schmidt.modes
 from schmidt.catalog import bell_state, example_state
-from schmidt.cli import AnalysisReport, build_report, render_report
+from schmidt.cli import AnalysisReport, build_report, main, render_report
 from schmidt.density import DensityMatrix, classical_mixture, gram_greek, gram_latin, pure_density
 from schmidt.errors import ConvergenceError, SchmidtError, ShapeError, ValidationError
 from schmidt.ketparse import parse_expression, parse_state
@@ -78,6 +80,13 @@ class TestBipartitePureState:
             BipartitePureState.from_amplitudes(("a", "a"), GREEK, [[1, 0, 0], [0, 1, 0]])
         with pytest.raises(ValidationError, match=r"^Greek label 3 repeats label 1: 'y'$"):
             BipartitePureState.from_amplitudes(LATIN, ("x", "y", "z", "y"), np.ones((2, 4)))
+
+    def test_a_bad_label_is_named_before_a_shape_mismatch(self):
+        # The labels are read first, so a call with both faults names the label.
+        with pytest.raises(ValidationError, match=r"^Latin label 1 repeats label 0: 'a'$"):
+            BipartitePureState.from_amplitudes(("a", "a"), GREEK, np.ones((3, 5)))
+        with pytest.raises(ValidationError, match=r"^Greek label 0 is not a ket-v1 label"):
+            BipartitePureState.from_amplitudes(LATIN, (None,), np.ones(7))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -271,6 +280,18 @@ def test_verify_accepts_a_residual_of_residual_limit_and_no_more():
         verify(state, refused)
 
 
+def test_verify_accepts_an_overlap_of_residual_limit_and_no_more():
+    # Latin modes (1, 0) and (e, sqrt(1 - e^2)) overlap by exactly e; the Greek modes are e_0, e_1.
+    accepted, refused = (SchmidtDecomposition([0.5, 0.5], [[1, e], [0, math.sqrt(1 - e * e)]],
+                                              np.eye(2))
+                         for e in (RESIDUAL_LIMIT, np.nextafter(RESIDUAL_LIMIT, 1)))
+    assert verify(BipartitePureState(("a", "b"), ("x", "y"), reconstruct(accepted)),
+                  accepted) <= RESIDUAL_LIMIT
+    with pytest.raises(ConvergenceError, match=r"^latin_modes are not orthogonal: overlap "
+                                               r"1\.000e-09 exceeds 1e-09$"):
+        verify(BipartitePureState(("a", "b"), ("x", "y"), reconstruct(refused)), refused)
+
+
 def test_verify_rebuilds_the_state_itself():
     # The Bell state's labels with the modes of the product state |H>(x)|H>.
     d = SchmidtDecomposition([1.0, 0.0], [[1], [0]], [[1], [0]])
@@ -455,6 +476,28 @@ def test_label_fields_are_read_by_one_intake(name, value):
     with pytest.raises(ShapeError, match="^" + re.escape(
             f"{name} is not an array of strings: {value!r}") + "$"):
         LABEL_FIELDS[name](value)
+
+
+@pytest.mark.parametrize("labels,fault", [
+    (["a", "b", 5], "label 2 is not {rule}: 5"),
+    (["a", "b", "c", "b"], "label 3 repeats label 1: 'b'"),
+], ids=["not-a-str", "repeat"])
+def test_a_label_fault_reads_alike_in_a_state_a_density_matrix_and_a_file(
+        tmp_path, capsys, labels, fault):
+    # One rule names the index, and for a repeat the earlier one too; only the field's name
+    # differs, and a state's labels must also be ket-v1 labels.
+    state_fault = "Latin " + fault.format(rule="a ket-v1 label (a letter, then letters, "
+                                               "digits or '_')")
+    with pytest.raises(ValidationError, match="^" + re.escape(state_fault) + "$"):
+        BipartitePureState(labels, ("x",), np.ones((len(labels), 1)))
+    with pytest.raises(ValidationError, match="^" + re.escape(
+            "parts[0] " + fault.format(rule="a str")) + "$"):
+        DensityMatrix(np.eye(len(labels)) / len(labels), (labels,))
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"format": "schmidt-state-v1", "latin_labels": labels,
+                                "greek_labels": ["x"], "amplitudes": [[[1, 0]]] * len(labels)}))
+    assert main(["analyze", "--file", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {state_fault}\n")
 
 
 @pytest.mark.parametrize("call,message", [
