@@ -7,8 +7,8 @@ density-matrix comparison for the polarization pair.
 
 Exit codes: 0 success, 2 bad input (parse or validation failure), 3 numerical
 failure (LAPACK non-convergence or non-finite output, a reconstruction residual
-above 1e-9 or not a number, or two modes of one side that overlap by more than
-1e-9), 141 stdout closed by its reader before the output was written.
+above 1e-9 or not a number, or modes not orthonormal on one side, max|adj(M) M - I|
+above 1e-9), 141 stdout closed by its reader before the output was written.
 
 ``main(argv)`` runs one command and returns its exit code; tests and other
 in-process callers use it. ``run()`` is the process entry point (the

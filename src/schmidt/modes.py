@@ -40,7 +40,7 @@ DEFAULT_RANK_THRESHOLD = 1e-10
 RESIDUAL_LIMIT = 1e-9
 # ket-v1's LABEL rule, which the constructor applies and the ket tokens embed.
 LABEL = r"[A-Za-z][A-Za-z0-9_]*"
-# --strict-norm input and projection vectors must have unit norm to within this.
+# Within this: unit norms (--strict-norm, projections), the lambdas' sum of 1, entries at most 1.
 NORM_ATOL = 1e-9
 
 
@@ -67,7 +67,8 @@ def _label_tuple(value, name: str, side: str = "", labels: bool = True) -> tuple
     ValidationError names by index the first label of a state's ``side``, or else of the field,
     that is not a str (with a ``side``, a ``LABEL``), then the first to repeat an earlier one."""
     if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
-        raise ShapeError(f"{name} is not an array of strings: {value!r}")
+        raise ShapeError(f"{name} is not an array of "
+                         f"{'strings' if labels else 'label arrays'}: {value!r}")
     entries, who = tuple(value), side or name
     if not labels:
         return entries
@@ -84,9 +85,9 @@ def _label_tuple(value, name: str, side: str = "", labels: bool = True) -> tuple
     return entries
 
 
-def _refuse_above_one(values: np.ndarray, name: str, atol: float) -> np.ndarray:
-    """``np.abs(values)``; ValidationError names the first entry that is NaN or above 1 + ``atol``.
-    Entries that pass can be squared and summed without overflow."""
+def _refuse_above_one(values: np.ndarray, name: str, atol: float) -> None:
+    """ValidationError names the first entry of ``values`` that is NaN or above 1 + ``atol`` in
+    magnitude. Entries that pass can be squared and summed without overflow."""
     magnitude = np.abs(values)
     if not (magnitude <= 1.0 + atol).all():  # no unit vector or density matrix has such an entry
         index = tuple(int(k) for k in np.argwhere(~(magnitude <= 1.0 + atol))[0])  # row-major
@@ -94,7 +95,6 @@ def _refuse_above_one(values: np.ndarray, name: str, atol: float) -> np.ndarray:
         if np.isnan(magnitude[index]):
             raise ValidationError(f"{where} is not a number: {complex(values[index])!r}")
         raise ValidationError(f"{where} has magnitude {float(magnitude[index])!r}, above 1")
-    return magnitude
 
 
 class _Record:
@@ -192,9 +192,9 @@ class SchmidtDecomposition(_Record):
     the Schmidt kets F^s; the Greek modes are the columns of V in C = U diag(s) adj(V), the
     conjugates of kets Phi^s. Other shapes and counts raise ShapeError. ValidationError refuses
     modes that do not pair up, lambdas not in [0, 1], rising, zero for a kept pair or not summing
-    to 1, a mode entry that is NaN or above 1 in magnitude, and mode columns not of norm 1, each
-    within ``NORM_ATOL``: no summary sees a bad spectrum. Each refusal names the index and the
-    value. Nested lists are read as arrays. ``verify(state, d)`` rebuilds state and checks overlaps.
+    to 1, and a mode entry that is NaN or above 1 in magnitude, each within ``NORM_ATOL``: no
+    summary sees a bad spectrum. Each refusal names the index and the value. Nested lists are read
+    as arrays. ``verify(state, d)`` rebuilds the state and checks that each side is orthonormal.
     """
 
     def __init__(self, lambdas, latin_modes, greek_modes):
@@ -218,10 +218,7 @@ class SchmidtDecomposition(_Record):
         if not abs(math.fsum(values) - 1.0) <= NORM_ATOL:
             raise ValidationError(f"lambdas sum to {math.fsum(values)!r}, expected 1")
         for name, modes in (("latin_modes", f), ("greek_modes", g)):
-            magnitude = _refuse_above_one(modes, f"{name} entry", NORM_ATOL)
-            for s, norm in enumerate(np.linalg.norm(magnitude, axis=0).tolist()):
-                if abs(norm - 1.0) > NORM_ATOL:
-                    raise ValidationError(f"{name} column {s} has norm {norm!r}, expected 1")
+            _refuse_above_one(modes, f"{name} entry", NORM_ATOL)  # bounds verify's products
         self.__setstate__(dict(lambdas=lam, latin_modes=f, greek_modes=g))
 
     @property
@@ -314,8 +311,8 @@ def verify(state: BipartitePureState, decomposition: SchmidtDecomposition,
     """Accept ``decomposition`` as the Schmidt data of ``state`` and return the residual
     ``max|rebuild(decomposition) - amplitudes|``, or raise: ShapeError unless the modes' row
     counts are the state's shape, then ConvergenceError for a residual above RESIDUAL_LIMIT or NaN
-    (naming the weight the rank threshold dropped, when above zero), then for two distinct columns
-    of one side that overlap, ``|adj(M) M|``, by more than RESIDUAL_LIMIT: K and the entropy read
+    (naming the weight the rank threshold dropped, when above zero), then for a side M not
+    orthonormal, its defect ``max|adj(M) M - I|`` above RESIDUAL_LIMIT: K and the entropy read
     only ``lambdas``. ``rebuild`` is ``reconstruct``, which ``cli`` passes under its own name for
     ``perfbench/tracing.py`` to wrap; the parameter can go when the tracer no longer patches it."""
     d = decomposition
@@ -331,8 +328,8 @@ def verify(state: BipartitePureState, decomposition: SchmidtDecomposition,
             message += f"; the rank threshold dropped Schmidt weight {dropped:.6g}"
         raise ConvergenceError(message)
     for name, modes in (("latin_modes", d.latin_modes), ("greek_modes", d.greek_modes)):
-        overlap = float(np.max(np.abs(np.triu(modes.conj().T @ modes, 1)), initial=0.0))
-        if overlap > RESIDUAL_LIMIT:
-            raise ConvergenceError(f"{name} are not orthogonal: overlap {overlap:.3e} "
+        defect = float(np.max(np.abs(modes.conj().T @ modes - np.eye(d.rank)), initial=0.0))
+        if defect > RESIDUAL_LIMIT:
+            raise ConvergenceError(f"{name} are not orthonormal: defect {defect:.3e} "
                                    f"exceeds {RESIDUAL_LIMIT:g}")
     return residual

@@ -343,8 +343,8 @@ class TestReportMatchesTheLibrary:
         same, orthonormal = [[1, 1], [0, 0]], [[s, s], [s, -s]]
         modes = (same, orthonormal) if side == "latin_modes" else (orthonormal, same)
         state = BipartitePureState(("a", "b"), ("x", "y"), [[1, 0], [0, 0]])
-        with pytest.raises(ConvergenceError, match=rf"^{side} are not orthogonal: "
-                                                   r"overlap 1\.000e\+00 exceeds 1e-09$"):
+        with pytest.raises(ConvergenceError, match=rf"^{side} are not orthonormal: "
+                                                   r"defect 1\.000e\+00 exceeds 1e-09$"):
             cli.AnalysisReport(state, SchmidtDecomposition([0.5, 0.5], *modes))
 
     def test_nan_mode_is_refused(self):

@@ -371,7 +371,8 @@ class TestConditionalState:
 
     def test_projector_must_be_normalized(self):
         rho = pure_density(example("bell"))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^projection vector must have unit norm, "
+                                                  r"got 1\.41421$"):
             conditional_state(rho, [1.0, 1.0])
 
     def test_nan_projector_rejected(self):

@@ -287,9 +287,23 @@ def test_verify_accepts_an_overlap_of_residual_limit_and_no_more():
                          for e in (RESIDUAL_LIMIT, np.nextafter(RESIDUAL_LIMIT, 1)))
     assert verify(BipartitePureState(("a", "b"), ("x", "y"), reconstruct(accepted)),
                   accepted) <= RESIDUAL_LIMIT
-    with pytest.raises(ConvergenceError, match=r"^latin_modes are not orthogonal: overlap "
+    with pytest.raises(ConvergenceError, match=r"^latin_modes are not orthonormal: defect "
                                                r"1\.000e-09 exceeds 1e-09$"):
         verify(BipartitePureState(("a", "b"), ("x", "y"), reconstruct(refused)), refused)
+
+
+def test_verify_refuses_orthogonal_modes_that_are_not_unit_length():
+    # Greek mode 1 halved still rebuilds its weight-1e-20 term to within 5e-11 and overlaps
+    # nothing: only the diagonal of adj(M) M - I, 0.25 - 1, sees it.
+    state = BipartitePureState(("a", "b"), ("x", "y"), [[1, 0], [0, 1e-10]])
+    d = schmidt_decompose(state, threshold=1e-30)
+    np.testing.assert_allclose(d.lambdas, [1.0, 1e-20], rtol=1e-12)
+    halved = SchmidtDecomposition(d.lambdas, d.latin_modes, d.greek_modes * [1, 0.5])
+    assert halved.rank == 2
+    assert np.max(np.abs(reconstruct(halved) - state.amplitudes)) <= RESIDUAL_LIMIT
+    with pytest.raises(ConvergenceError, match=r"^greek_modes are not orthonormal: defect "
+                                               r"7\.500e-01 exceeds 1e-09$"):
+        verify(state, halved)
 
 
 def test_verify_rebuilds_the_state_itself():
@@ -375,11 +389,10 @@ class TestReconstruct:
         ([1.0, 0.0], np.eye(2), np.eye(2), "lambda 1 is 0.0, but its mode pair is kept"),
         ([0.4, 0.6], np.eye(2), np.eye(2), "lambda 1 is 0.6, above lambda 0"),
         ([0.5, 0.25], np.eye(2), np.eye(2), "lambdas sum to 0.75, expected 1"),
-        ([1.0, 0.0], [[1], [0]], [[0.5], [0.5]], "greek_modes column 0 has norm 0.7071"),
         ([0.5, 0.5], np.eye(2), [[1, 0], [0, np.nan]],
          "greek_modes entry (1, 1) is not a number: (nan+0j)"),
     ], ids=["nan", "huge", "negative", "inf", "huge-mode", "kept-zero", "increasing",
-            "sum", "mode-norm", "nan-greek-mode"])
+            "sum", "nan-greek-mode"])
     def test_values_that_break_a_summary_are_refused(self, lambdas, latin, greek, message):
         with pytest.raises(ValidationError, match="^" + re.escape(message)):
             SchmidtDecomposition(lambdas, latin, greek)
@@ -473,8 +486,9 @@ LABEL_FIELDS = {
                          ids=["text", "mapping", "none", "number"])
 def test_label_fields_are_read_by_one_intake(name, value):
     # Text and a mapping iterate as characters and keys, which would pass as labels.
+    kind = "label arrays" if name == "parts" else "strings"  # parts holds one array per party
     with pytest.raises(ShapeError, match="^" + re.escape(
-            f"{name} is not an array of strings: {value!r}") + "$"):
+            f"{name} is not an array of {kind}: {value!r}") + "$"):
         LABEL_FIELDS[name](value)
 
 
