@@ -33,7 +33,7 @@ from .errors import ConvergenceError, SchmidtError, ValidationError
 from .ketparse import FORMAT_VERSION, format_state, parse_state, _signed_sum
 from .modes import (
     DEFAULT_RANK_THRESHOLD,
-    NORM_ATOL,
+    RESIDUAL_LIMIT,
     BipartitePureState,
     _Record,
     entanglement_entropy,
@@ -296,7 +296,7 @@ def _emit_report(state: BipartitePureState, args) -> None:
     Expressions, files and examples all end here, so ``--strict-norm`` is one check for
     each, and an input error it would also report, such as an all-zero state, is refused
     first, where the state is built."""
-    if args.unit_norm and abs(state.norm - 1.0) > NORM_ATOL:
+    if args.unit_norm and abs(state.norm - 1.0) > RESIDUAL_LIMIT:
         raise ValidationError(
             f"strict normalization requested but the amplitude norm is {state.norm!r}"
         )
@@ -344,7 +344,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--strict-norm", action="store_true", dest="unit_norm",
         help="reject input whose amplitude norm differs from 1 by more than "
-        + np.format_float_scientific(NORM_ATOL, trim="-", exp_digits=1),
+        + np.format_float_scientific(RESIDUAL_LIMIT, trim="-", exp_digits=1),
     )
     sub.add_argument("--no-modes", action="store_true", help="suppress eigenvector output")
 

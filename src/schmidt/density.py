@@ -19,13 +19,12 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, ShapeError, ValidationError
-from .modes import (NORM_ATOL, BipartitePureState, _frozen_array, _label_tuple, _Record,
+from .modes import (RESIDUAL_LIMIT, BipartitePureState, _frozen_array, _label_tuple, _Record,
                     _refuse_above_one)
 
 # The one tolerance of a density matrix: its Hermitian defect, its entry bound and its trace.
 TRACE_ATOL = 1e-10
-# Below this, a measurement outcome counts as impossible and cannot be
-# conditioned on.
+# Below this, a measurement outcome counts as impossible and cannot be conditioned on.
 OUTCOME_ATOL = 1e-12
 
 
@@ -162,20 +161,20 @@ def conditional_state(rho: DensityMatrix, projector_on_a) -> tuple[float, Densit
 
     Returns ``(probability, state)``, the state labelled with the Greek basis. ValidationError
     refuses a projection vector that is not a unit vector, a component that is NaN or above
-    1 + ``NORM_ATOL`` in magnitude before the norm is taken, and ImpossibleOutcomeError an
+    1 + ``RESIDUAL_LIMIT`` in magnitude before the norm is taken, and ImpossibleOutcomeError an
     outcome probability below ``OUTCOME_ATOL``, which the measurement can essentially never give.
     """
     t = _two_party(rho, "a conditional state")
     p = _frozen_array(projector_on_a, complex, 1, "projection vector")
     if p.size != t.shape[0]:
         raise ShapeError(f"projection vector has {p.size} components, expected {t.shape[0]}")
-    _refuse_above_one(p, "projection vector component", NORM_ATOL)  # or the norm overflows
+    _refuse_above_one(p, "projection vector component", RESIDUAL_LIMIT)  # or the norm overflows
     norm = float(np.linalg.norm(p))
-    if abs(norm - 1.0) > NORM_ATOL:
+    if abs(norm - 1.0) > RESIDUAL_LIMIT:
         raise ValidationError(f"projection vector must have unit norm, got {norm:.6g}")
     reduced = np.einsum("i,iajb,j->ab", p.conj(), t, p)
     probability = float(np.trace(reduced).real)
     if probability < OUTCOME_ATOL:
-        raise ImpossibleOutcomeError(f"outcome probability {probability:.3e} is below "
+        raise ImpossibleOutcomeError(f"outcome probability {probability!r} is below "
                                      f"{OUTCOME_ATOL:g}; cannot condition on it")
     return probability, DensityMatrix(reduced / probability, rho.parts[1:])

@@ -36,12 +36,11 @@ import numpy as np
 from .errors import ConvergenceError, ShapeError, ValidationError
 
 DEFAULT_RANK_THRESHOLD = 1e-10
-# The reconstruction accuracy a report needs; no smaller component sets a mode's phase.
+# The one accuracy tolerance: verify's residual and orthonormality defect, the lambdas' range and
+# sum, unit norms (--strict-norm, projections), entries at most 1, which component sets a phase.
 RESIDUAL_LIMIT = 1e-9
 # ket-v1's LABEL rule, which the constructor applies and the ket tokens embed.
 LABEL = r"[A-Za-z][A-Za-z0-9_]*"
-# Within this: unit norms (--strict-norm, projections), the lambdas' sum of 1, entries at most 1.
-NORM_ATOL = 1e-9
 
 
 def _frozen_array(value, dtype, ndim: int, name: str) -> np.ndarray:
@@ -89,8 +88,9 @@ def _refuse_above_one(values: np.ndarray, name: str, atol: float) -> None:
     """ValidationError names the first entry of ``values`` that is NaN or above 1 + ``atol`` in
     magnitude. Entries that pass can be squared and summed without overflow."""
     magnitude = np.abs(values)
-    if not (magnitude <= 1.0 + atol).all():  # no unit vector or density matrix has such an entry
-        index = tuple(int(k) for k in np.argwhere(~(magnitude <= 1.0 + atol))[0])  # row-major
+    outside = ~(magnitude <= 1.0 + atol)  # NaN too; no unit vector or density matrix has one
+    if outside.any():
+        index = tuple(int(k) for k in np.argwhere(outside)[0])  # row-major
         where = f"{name} {index if len(index) > 1 else index[0]}"
         if np.isnan(magnitude[index]):
             raise ValidationError(f"{where} is not a number: {complex(values[index])!r}")
@@ -192,7 +192,7 @@ class SchmidtDecomposition(_Record):
     the Schmidt kets F^s; the Greek modes are the columns of V in C = U diag(s) adj(V), the
     conjugates of kets Phi^s. Other shapes and counts raise ShapeError. ValidationError refuses
     modes that do not pair up, lambdas not in [0, 1], rising, zero for a kept pair or not summing
-    to 1, and a mode entry that is NaN or above 1 in magnitude, each within ``NORM_ATOL``: no
+    to 1, and a mode entry that is NaN or above 1 in magnitude, each within ``RESIDUAL_LIMIT``: no
     summary sees a bad spectrum. Each refusal names the index and the value. Nested lists are read
     as arrays. ``verify(state, d)`` rebuilds the state and checks that each side is orthonormal.
     """
@@ -209,16 +209,16 @@ class SchmidtDecomposition(_Record):
                              "Greek rows: one per row of the shorter side")
         values, rank = lam.tolist(), f.shape[1]
         for s, value in enumerate(values):
-            if not 0.0 <= value <= 1.0 + NORM_ATOL:  # false for NaN too
+            if not 0.0 <= value <= 1.0 + RESIDUAL_LIMIT:  # false for NaN too
                 raise ValidationError(f"lambda {s} is {value!r}, outside [0, 1]")
             if s and value > values[s - 1]:
                 raise ValidationError(f"lambda {s} is {value!r}, above lambda {s - 1}")
             if s < rank and value == 0.0:
                 raise ValidationError(f"lambda {s} is {value!r}, but its mode pair is kept")
-        if not abs(math.fsum(values) - 1.0) <= NORM_ATOL:
+        if not abs(math.fsum(values) - 1.0) <= RESIDUAL_LIMIT:
             raise ValidationError(f"lambdas sum to {math.fsum(values)!r}, expected 1")
         for name, modes in (("latin_modes", f), ("greek_modes", g)):
-            _refuse_above_one(modes, f"{name} entry", NORM_ATOL)  # bounds verify's products
+            _refuse_above_one(modes, f"{name} entry", RESIDUAL_LIMIT)  # bounds verify's products
         self.__setstate__(dict(lambdas=lam, latin_modes=f, greek_modes=g))
 
     @property

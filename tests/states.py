@@ -46,6 +46,16 @@ def labelled_state(amplitudes):
                               amplitudes)
 
 
+def product_state(a, b):
+    """The state of amplitudes ``np.kron(a, b)``, psi (x) phi for amplitude matrices ``a`` and
+    ``b``. Each side is labelled by its pair of indices: Latin ``xa0_ya1`` is row 0 of ``a``
+    with row 1 of ``b``, and Greek ``xb0_yb1`` is column 0 of ``a`` with column 1 of ``b``."""
+    (a_rows, a_cols), (b_rows, b_cols) = np.shape(a), np.shape(b)
+    return BipartitePureState([f"xa{i}_ya{k}" for i in range(a_rows) for k in range(b_rows)],
+                              [f"xb{j}_yb{l}" for j in range(a_cols) for l in range(b_cols)],
+                              np.kron(a, b))
+
+
 def random_unitary(rng, n):
     """A Haar-random n x n unitary: QR of a complex Gaussian matrix, R's phases moved into Q."""
     q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))

@@ -363,6 +363,15 @@ class TestConditionalState:
         with pytest.raises(ImpossibleOutcomeError):
             conditional_state(rho, [0.0, 1.0])
 
+    def test_an_outcome_probability_of_outcome_atol_passes_and_no_lower(self):
+        rho = classical_mixture([(OUTCOME_ATOL, "H", "H"), (1 - OUTCOME_ATOL, "V", "V")])
+        assert conditional_state(rho, [1, 0])[0] == OUTCOME_ATOL
+        below = float(np.nextafter(OUTCOME_ATOL, 0))
+        rho = classical_mixture([(below, "H", "H"), (1 - below, "V", "V")])
+        with pytest.raises(ImpossibleOutcomeError, match=re.escape(
+                f"outcome probability {below!r} is below 1e-12; cannot condition on it")):
+            conditional_state(rho, [1, 0])
+
     def test_probabilities_over_a_basis_sum_to_one(self):
         rho = pure_density(example("psi0"))
         basis = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]

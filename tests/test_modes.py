@@ -9,7 +9,8 @@ import pytest
 import schmidt.modes
 from schmidt.catalog import bell_state, example_state
 from schmidt.cli import AnalysisReport, build_report, main, render_report
-from schmidt.density import DensityMatrix, classical_mixture, gram_greek, gram_latin, pure_density
+from schmidt.density import (TRACE_ATOL, DensityMatrix, classical_mixture, conditional_state,
+                              gram_greek, gram_latin, pure_density)
 from schmidt.errors import ConvergenceError, SchmidtError, ShapeError, ValidationError
 from schmidt.ketparse import parse_expression, parse_state
 from schmidt.modes import (
@@ -304,6 +305,24 @@ def test_verify_refuses_orthogonal_modes_that_are_not_unit_length():
     with pytest.raises(ConvergenceError, match=r"^greek_modes are not orthonormal: defect "
                                                r"7\.500e-01 exceeds 1e-09$"):
         verify(state, halved)
+
+
+@pytest.mark.parametrize("build,atol,where", [
+    (lambda on, above: SchmidtDecomposition([1.0, 0.0], [[on], [above]], [[1], [0]]),
+     RESIDUAL_LIMIT, "latin_modes entry (1, 0)"),
+    (lambda on, above: conditional_state(pure_density(example("bell")), [on, above]),
+     RESIDUAL_LIMIT, "projection vector component 1"),
+    (lambda on, above: DensityMatrix([[on, above], [0, 0]]), TRACE_ATOL,
+     "density matrix entry (0, 1)"),
+], ids=["latin-modes", "projection-vector", "density-matrix"])
+def test_an_entry_on_the_bound_passes_and_the_next_one_above_it_is_named(build, atol, where):
+    # An entry exactly on 1 + atol passes, so the refusal names the entry after it, one float
+    # above: the mask that refuses is the one that finds the entry to name.
+    on = 1.0 + atol
+    above = float(np.nextafter(on, 2))
+    with pytest.raises(ValidationError, match=f"^{re.escape(where)} has magnitude "
+                                              f"{re.escape(repr(above))}, above 1$"):
+        build(on, above)
 
 
 def test_verify_rebuilds_the_state_itself():
