@@ -14,13 +14,13 @@ m - adj(m), so no sum this module takes can overflow.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, ShapeError, ValidationError
-from .modes import (RESIDUAL_LIMIT, BipartitePureState, _frozen_array, _label_tuple, _Record,
-                    _refuse_above_one)
+from .modes import (RESIDUAL_LIMIT, BipartitePureState, _entries, _frozen_array, _label_tuple,
+                    _Record, _refuse_above_one)
 
 # The one tolerance of a density matrix: its Hermitian defect, its entry bound and its trace.
 TRACE_ATOL = 1e-10
@@ -60,7 +60,7 @@ class DensityMatrix(_Record):
         if defect > TRACE_ATOL:
             raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
         parts = tuple(_label_tuple(part, f"parts[{i}]")
-                      for i, part in enumerate(_label_tuple(parts, "parts", labels=False)))
+                      for i, part in enumerate(_entries(parts, "parts", "label arrays")))
         if len(parts) > 2:
             raise ShapeError(f"a density matrix has one or two parts, got {len(parts)}")
         labels = (product_labels(*parts) if len(parts) == 2 else parts[0] if parts
@@ -88,10 +88,7 @@ def classical_mixture(terms: Sequence[tuple[float, str, str]]) -> DensityMatrix:
     and labels must be strings. Each side's basis is the sorted labels that
     occur on it in ``terms``; the weights of a repeated pair add, as Python floats.
     """
-    if not isinstance(terms, Iterable):
-        raise ValidationError(
-            f"mixture terms is not an iterable of (weight, a, b) triples: {terms!r}")
-    terms = tuple(terms)
+    terms = _entries(terms, "mixture terms", "(weight, a, b) triples")
     if not terms:
         raise ValidationError("a classical mixture needs at least one term")
     for term in terms:

@@ -16,9 +16,10 @@ modes are stored as V's columns, so for complex amplitudes they are the
 conjugates of the kets Phi^s. The state factorizes exactly when a single
 term survives.
 
-``_frozen_array``, ``_label_tuple`` and ``_refuse_above_one`` are the records' intakes of arrays,
-labels (the one label rule, for a state's sides and a density matrix's parts) and entries bounded
-by 1, and ``_Record`` their read-only base, which also freezes arrays a pickle or copy restores.
+``_frozen_array``, ``_entries``, ``_label_tuple`` and ``_refuse_above_one`` read number arrays,
+containers (the one rule for state labels, density parts and mixture terms), labels (a state's
+sides, a density matrix's parts) and entries bounded by 1; ``_Record`` is the records' read-only
+base, which also freezes arrays a pickle or copy restores.
 The SVD in ``schmidt_decompose`` is the one factorization; ``hermitian_eigen`` only raises, and
 its name stays because the benchmark's tracer wraps it.
 """
@@ -60,17 +61,18 @@ def _frozen_array(value, dtype, ndim: int, name: str) -> np.ndarray:
     return array.astype(dtype)
 
 
-def _label_tuple(value, name: str, side: str = "", labels: bool = True) -> tuple:
-    """A label field as a tuple. ShapeError names the field for a value that does not iterate,
-    and for text, bytes or a mapping, which iterate as characters or keys. With ``labels``,
-    ValidationError names by index the first label of a state's ``side``, or else of the field,
-    that is not a str (with a ``side``, a ``LABEL``), then the first to repeat an earlier one."""
+def _entries(value, name: str, what: str) -> tuple:
+    """A caller's array as a tuple. ShapeError names ``name``, an array of ``what``, for text,
+    bytes or a mapping, which iterate as characters or keys, and for a value that does not."""
     if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
-        raise ShapeError(f"{name} is not an array of "
-                         f"{'strings' if labels else 'label arrays'}: {value!r}")
-    entries, who = tuple(value), side or name
-    if not labels:
-        return entries
+        raise ShapeError(f"{name} is not an array of {what}: {value!r}")
+    return tuple(value)
+
+
+def _label_tuple(value, name: str, side: str = "") -> tuple:
+    """A label field read by ``_entries``. ValidationError names by index the first label of a
+    state's ``side`` not a ``LABEL`` (of another field, not a str), then the first repeat."""
+    entries, who = _entries(value, name, "strings"), side or name
     fullmatch = re.compile(LABEL if side else "(?s).*").fullmatch  # any str in a density part
     for index, label in enumerate(entries):
         if not (isinstance(label, str) and fullmatch(label)):

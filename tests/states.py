@@ -46,6 +46,12 @@ def labelled_state(amplitudes):
                               amplitudes)
 
 
+def circulant_state(c):
+    """The d x d circulant state ``C[j, k] = c[(j - k) mod d]``, labelled as ``labelled_state``."""
+    d = len(c)
+    return labelled_state(np.asarray(c)[np.subtract.outer(np.arange(d), np.arange(d)) % d])
+
+
 def product_state(a, b):
     """The state of amplitudes ``np.kron(a, b)``, psi (x) phi for amplitude matrices ``a`` and
     ``b``. Each side is labelled by its pair of indices: Latin ``xa0_ya1`` is row 0 of ``a``

@@ -19,7 +19,7 @@ from schmidt.density import (
     purity,
 )
 from schmidt.catalog import example_state
-from schmidt.errors import ImpossibleOutcomeError, SchmidtError, ShapeError, ValidationError
+from schmidt.errors import ImpossibleOutcomeError, ShapeError, ValidationError
 from schmidt.modes import BipartitePureState, schmidt_number, schmidt_decompose
 from states import example
 
@@ -293,17 +293,24 @@ class TestClassicalMixture:
                 "mixture weights must be non-negative, got -0.5")):
             classical_mixture([(1.5, "H", "V"), (-0.5, "V", "H")])
 
-    @pytest.mark.parametrize("terms,message", [
-        ([(0.5, "H", "V"), (0.5, 1, "H")],
+    @pytest.mark.parametrize("terms,error,message", [
+        ([(0.5, "H", "V"), (0.5, 1, "H")], ValidationError,
          "mixture term (0.5, 1, 'H') has a label that is not a str: 1"),
-        ([(1.0, ["H"], "V")],
+        ([(1.0, ["H"], "V")], ValidationError,
          "mixture term (1.0, ['H'], 'V') has a label that is not a str: ['H']"),
-        ([(1.0, None, "H")], "mixture term (1.0, None, 'H') has a label that is not a str: None"),
-        (5, "mixture terms is not an iterable of (weight, a, b) triples: 5"),
-    ], ids=["mixed-label-types", "list-label", "none-label", "not-iterable"])
-    def test_unreadable_terms_name_the_argument(self, terms, message):
-        # Unchecked, each ends in Python's own TypeError or in a 'None,H' basis.
-        with pytest.raises(SchmidtError, match="^" + re.escape(message) + "$"):
+        ([(1.0, None, "H")], ValidationError,
+         "mixture term (1.0, None, 'H') has a label that is not a str: None"),
+        (5, ShapeError, "mixture terms is not an array of (weight, a, b) triples: 5"),
+        ("ab", ShapeError, "mixture terms is not an array of (weight, a, b) triples: 'ab'"),
+        (b"ab", ShapeError, "mixture terms is not an array of (weight, a, b) triples: b'ab'"),
+        ({(1.0, "H", "V"): 0}, ShapeError,
+         "mixture terms is not an array of (weight, a, b) triples: {(1.0, 'H', 'V'): 0}"),
+    ], ids=["mixed-label-types", "list-label", "none-label", "not-iterable", "text", "bytes",
+            "mapping-of-triples"])
+    def test_unreadable_terms_name_the_argument(self, terms, error, message):
+        # Unchecked, a bad label ends in Python's own TypeError or in a 'None,H' basis, text and
+        # bytes are read item by item, and a mapping builds a state from its keys.
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
             classical_mixture(terms)
 
 
