@@ -226,7 +226,7 @@ def render_report(report: AnalysisReport, include_modes: bool = True) -> str:
         f"rank: {report.rank}",
         f"entangled: {'yes' if report.entangled else 'no'}",
     ]
-    if include_modes and d.rank:
+    if include_modes:
         lines.append(_mode_lines(lambdas[:d.rank], state.latin_labels, d.latin_modes,
                                  state.greek_labels, d.greek_modes))
     lines.append(f"reconstruction residual: {report.reconstruction_residual:.3e}")

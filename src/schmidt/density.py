@@ -9,7 +9,8 @@ Product-basis convention: the composite index of |n> (x) |nu> is ``n * greek_dim
 ``DensityMatrix.parts``; ``partial_trace`` and ``conditional_state`` read the split from
 there, give their one-party result the kept basis, and raise ShapeError for a one-party
 matrix. ``DensityMatrix`` refuses a NaN entry or one above 1 in magnitude before it takes
-m - adj(m), so no sum this module takes can overflow.
+m - adj(m), so no sum this module takes can overflow; that bound, the Hermitian defect and the
+trace are read within ``modes.RESIDUAL_LIMIT``, as a Schmidt spectrum is, so diag(lambda) passes.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .errors import ImpossibleOutcomeError, ShapeError, ValidationError
 from .modes import (RESIDUAL_LIMIT, BipartitePureState, _entries, _frozen_array, _label_tuple,
                     _Record, _refuse_above_one)
 
-# The one tolerance of a density matrix: its Hermitian defect, its entry bound and its trace.
-TRACE_ATOL = 1e-10
 # Below this, a measurement outcome counts as impossible and cannot be conditioned on.
 OUTCOME_ATOL = 1e-12
 
@@ -46,18 +45,18 @@ class DensityMatrix(_Record):
     ``parts`` holds one basis of unique ``str`` labels per party, one or two of them.
     ``basis_labels`` is derived: the single basis, the two bases' ``product_labels``, or "0",
     "1", ... with no part. The checks run in this order: the matrix is square, every entry is a
-    number of magnitude at most 1 + ``TRACE_ATOL`` (as in a positive semidefinite matrix of
-    trace 1), its Hermitian defect max |m - adj(m)| is within ``TRACE_ATOL``; then each part's
-    labels, the part and label counts, the trace; full positive semidefiniteness is the producer's.
+    number of magnitude at most 1 (as in a positive semidefinite matrix of trace 1), its Hermitian
+    defect max |m - adj(m)| is 0; then each part's labels, the part and label counts, the trace is
+    1; each bound within ``RESIDUAL_LIMIT``. Full positive semidefiniteness is the producer's.
     """
 
     def __init__(self, matrix, parts=()):
         m = _frozen_array(matrix, complex, 2, "matrix")
         if m.shape[0] != m.shape[1]:
             raise ShapeError(f"density matrix must be square, got shape {m.shape}")
-        _refuse_above_one(m, "density matrix entry", TRACE_ATOL)  # bounds every sum below
+        _refuse_above_one(m, "density matrix entry")  # bounds every sum below
         defect = float(np.max(np.abs(m - m.conj().T), initial=0.0))
-        if defect > TRACE_ATOL:
+        if defect > RESIDUAL_LIMIT:
             raise ValidationError(f"density matrix is not Hermitian (defect {defect:.3e})")
         parts = tuple(_label_tuple(part, f"parts[{i}]")
                       for i, part in enumerate(_entries(parts, "parts", "label arrays")))
@@ -69,7 +68,7 @@ class DensityMatrix(_Record):
         if len(labels) != m.shape[0]:
             raise ShapeError(f"{len(labels)} basis labels for a {m.shape[0]}-dimensional matrix")
         tr = complex(np.trace(m)).real
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if abs(tr - 1.0) > RESIDUAL_LIMIT:
             raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
         self.__setstate__(dict(matrix=m, parts=parts, basis_labels=labels))
 
@@ -165,7 +164,7 @@ def conditional_state(rho: DensityMatrix, projector_on_a) -> tuple[float, Densit
     p = _frozen_array(projector_on_a, complex, 1, "projection vector")
     if p.size != t.shape[0]:
         raise ShapeError(f"projection vector has {p.size} components, expected {t.shape[0]}")
-    _refuse_above_one(p, "projection vector component", RESIDUAL_LIMIT)  # or the norm overflows
+    _refuse_above_one(p, "projection vector component")  # or the norm overflows
     norm = float(np.linalg.norm(p))
     if abs(norm - 1.0) > RESIDUAL_LIMIT:
         raise ValidationError(f"projection vector must have unit norm, got {norm:.6g}")

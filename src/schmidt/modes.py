@@ -38,7 +38,7 @@ from .errors import ConvergenceError, ShapeError, ValidationError
 
 DEFAULT_RANK_THRESHOLD = 1e-10
 # The one accuracy tolerance: verify's residual and orthonormality defect, the lambdas' range and
-# sum, unit norms (--strict-norm, projections), entries at most 1, which component sets a phase.
+# sum, unit norms, entries at most 1, a density matrix's Hermitian defect and trace, phase pivots.
 RESIDUAL_LIMIT = 1e-9
 # ket-v1's LABEL rule, which the constructor applies and the ket tokens embed.
 LABEL = r"[A-Za-z][A-Za-z0-9_]*"
@@ -53,8 +53,8 @@ def _frozen_array(value, dtype, ndim: int, name: str) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:  # a ragged list, ...
         raise ShapeError(f"{name} is not a rectangular array of numbers: {exc}") from None
     if array.dtype.kind not in ("biuf" if dtype is float else "biufc"):  # text, a dict, ...
-        numbers = "real numbers" if array.dtype.kind == "c" else "numbers"
-        raise ShapeError(f"{name} is not a rectangular array of {numbers}: dtype {array.dtype}")
+        kind = "real numbers" if array.dtype.kind == "c" else "numbers"
+        raise ShapeError(f"{name} is not a rectangular array of {kind}: dtype {array.dtype}")
     if array.ndim != ndim:
         raise ShapeError(f"{name} must be a {ndim}-d {'matrix' if ndim == 2 else 'array'}, "
                          f"got shape {array.shape}")
@@ -86,11 +86,11 @@ def _label_tuple(value, name: str, side: str = "") -> tuple:
     return entries
 
 
-def _refuse_above_one(values: np.ndarray, name: str, atol: float) -> None:
-    """ValidationError names the first entry of ``values`` that is NaN or above 1 + ``atol`` in
-    magnitude. Entries that pass can be squared and summed without overflow."""
+def _refuse_above_one(values: np.ndarray, name: str) -> None:
+    """ValidationError names the first entry of ``values`` that is NaN or above 1 +
+    ``RESIDUAL_LIMIT`` in magnitude. Entries that pass square and sum without overflow."""
     magnitude = np.abs(values)
-    outside = ~(magnitude <= 1.0 + atol)  # NaN too; no unit vector or density matrix has one
+    outside = ~(magnitude <= 1.0 + RESIDUAL_LIMIT)  # NaN too, and no valid input has one
     if outside.any():
         index = tuple(int(k) for k in np.argwhere(outside)[0])  # row-major
         where = f"{name} {index if len(index) > 1 else index[0]}"
@@ -220,7 +220,7 @@ class SchmidtDecomposition(_Record):
         if not abs(math.fsum(values) - 1.0) <= RESIDUAL_LIMIT:
             raise ValidationError(f"lambdas sum to {math.fsum(values)!r}, expected 1")
         for name, modes in (("latin_modes", f), ("greek_modes", g)):
-            _refuse_above_one(modes, f"{name} entry", RESIDUAL_LIMIT)  # bounds verify's products
+            _refuse_above_one(modes, f"{name} entry")  # bounds verify's products
         self.__setstate__(dict(lambdas=lam, latin_modes=f, greek_modes=g))
 
     @property

@@ -7,7 +7,6 @@ import pytest
 
 from schmidt.density import (
     OUTCOME_ATOL,
-    TRACE_ATOL,
     DensityMatrix,
     classical_mixture,
     conditional_state,
@@ -20,7 +19,8 @@ from schmidt.density import (
 )
 from schmidt.catalog import example_state
 from schmidt.errors import ImpossibleOutcomeError, ShapeError, ValidationError
-from schmidt.modes import BipartitePureState, schmidt_number, schmidt_decompose
+from schmidt.modes import (RESIDUAL_LIMIT, BipartitePureState, SchmidtDecomposition,
+                           schmidt_number, schmidt_decompose)
 from states import example
 
 NEEDS_TWO_PARTIES = ("needs a two-party density matrix, "
@@ -93,32 +93,46 @@ class TestDensityMatrixType:
                                                   f"magnitude {magnitude}, above 1$"):
             DensityMatrix(matrix)
 
-    # TRACE_ATOL is the one tolerance of each check: 0.9e-10 past exact passes, 1.1e-10 fails.
+    # RESIDUAL_LIMIT is the one tolerance of each check: 0.9e-9 past exact passes, 1.1e-9 fails.
     @pytest.mark.parametrize("build,message", [
-        (lambda d: [[0.5, 0.25], [0.25 + d, 0.5]], r"is not Hermitian \(defect 1\.100e-10\)"),
-        (lambda d: np.diag([1 + d, -d]), r"entry \(0, 0\) has magnitude 1\.00000000011, above 1"),
-        (lambda d: np.diag([0.5, 0.5 + d]), r"trace is 1\.00000000011, expected 1"),
+        (lambda d: [[0.5, 0.25], [0.25 + d, 0.5]], r"is not Hermitian \(defect 1\.100e-09\)"),
+        (lambda d: np.diag([1 + d, -d]), r"entry \(0, 0\) has magnitude 1\.0000000011, above 1"),
+        (lambda d: np.diag([0.5, 0.5 + d]), r"trace is 1\.0000000011, expected 1"),
     ], ids=["hermiticity", "entry", "trace"])
-    @pytest.mark.parametrize("offset", [0.9e-10, 1.1e-10], ids=["inside", "outside"])
+    @pytest.mark.parametrize("offset", [0.9e-9, 1.1e-9], ids=["inside", "outside"])
     def test_each_check_allows_trace_atol(self, build, message, offset):
-        if offset < TRACE_ATOL:
+        if offset < RESIDUAL_LIMIT:
             DensityMatrix(build(offset))
         else:
             with pytest.raises(ValidationError, match=f"^density matrix {message}$"):
                 DensityMatrix(build(offset))
 
     @pytest.mark.parametrize("accepted,refused,message", [
-        ([[0.5, 0], [TRACE_ATOL, 0.5]], [[0.5, 0], [np.nextafter(TRACE_ATOL, 1), 0.5]],
-         r"is not Hermitian \(defect 1\.000e-10\)"),
-        (np.diag([1 + TRACE_ATOL, -TRACE_ATOL]),
-         np.diag([np.nextafter(1 + TRACE_ATOL, 2), -TRACE_ATOL]),
-         r"entry \(0, 0\) has magnitude 1\.0000000001000002, above 1"),
+        ([[0.5, 0], [RESIDUAL_LIMIT, 0.5]], [[0.5, 0], [np.nextafter(RESIDUAL_LIMIT, 1), 0.5]],
+         r"is not Hermitian \(defect 1\.000e-09\)"),
+        (np.diag([1 + RESIDUAL_LIMIT, -RESIDUAL_LIMIT]),
+         np.diag([np.nextafter(1 + RESIDUAL_LIMIT, 2), -RESIDUAL_LIMIT]),
+         r"entry \(0, 0\) has magnitude 1\.0000000010000003, above 1"),
     ], ids=["hermiticity", "entry"])
     def test_a_defect_or_entry_exactly_on_the_bound_passes(self, accepted, refused, message):
         # The bound itself passes and the next float above it fails.
         DensityMatrix(accepted)
         with pytest.raises(ValidationError, match=f"^density matrix {message}$"):
             DensityMatrix(refused)
+
+    def test_an_accepted_schmidt_spectrum_is_an_accepted_reduced_state(self):
+        # Either reduced state of a pure state is diag(lambdas) in its Schmidt basis, so both
+        # records read the spectrum's sum within the same tolerance.
+        labels = ("H", "V")
+        lambdas = [0.5 + 5e-10, 0.5]
+        SchmidtDecomposition(lambdas, np.eye(2), np.eye(2))
+        DensityMatrix(np.diag(lambdas), (labels,))
+        lambdas = [0.5 + 2e-9, 0.5]
+        with pytest.raises(ValidationError, match=r"^lambdas sum to 1\.0000000020000002, "):
+            SchmidtDecomposition(lambdas, np.eye(2), np.eye(2))
+        with pytest.raises(ValidationError, match=r"^density matrix trace is 1\.0000000020000002, "
+                                                  r"expected 1$"):
+            DensityMatrix(np.diag(lambdas), (labels,))
 
     @pytest.mark.parametrize("dim,parts,message", [
         (4, (["H", "V"], ["H", "H"]), r"^parts\[1\] label 1 repeats label 0: 'H'$"),

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import schmidt
+from schmidt import density, modes
 from states import child_env
 
 # The public names, as the package exported them when it imported every module eagerly.
@@ -109,6 +110,15 @@ def test_gram_matrices_live_in_density():
         "print(json.dumps([schmidt.gram_latin is density.gram_latin,\n"
         "                  schmidt.gram_greek is density.gram_greek,\n"
         "                  hasattr(modes, 'gram_latin')]))\n") == [True, True, False]
+
+
+def test_each_module_defines_only_its_tolerances():
+    # The module-level floats that each module defines rather than imports: a new one fails here.
+    defined = {module.__name__: sorted(name for name, value in vars(module).items()
+                                       if isinstance(value, float) and name not in imported)
+               for module, imported in ((modes, {}), (density, vars(modes)))}
+    assert defined == {"schmidt.modes": ["DEFAULT_RANK_THRESHOLD", "RESIDUAL_LIMIT"],
+                       "schmidt.density": ["OUTCOME_ATOL"]}
 
 
 def test_every_imported_name_is_read():
