@@ -9,8 +9,8 @@ Product-basis convention: the composite index of |n> (x) |nu> is ``n * greek_dim
 ``DensityMatrix.parts``; ``partial_trace`` and ``conditional_state`` read the split from
 there, give their one-party result the kept basis, and raise ShapeError for a one-party
 matrix. ``DensityMatrix`` refuses a NaN entry or one above 1 in magnitude before it takes
-m - adj(m), so no sum this module takes can overflow; that bound, the Hermitian defect and the
-trace are read within ``modes.RESIDUAL_LIMIT``, as a Schmidt spectrum is, so diag(lambda) passes.
+m - adj(m), so no sum this module takes can overflow. Every bound here is ``modes.RESIDUAL_LIMIT``,
+and a trace is summed by the rule that sums a Schmidt spectrum, so diag(lambda) passes with lambda.
 """
 
 from __future__ import annotations
@@ -21,10 +21,7 @@ import numpy as np
 
 from .errors import ImpossibleOutcomeError, ShapeError, ValidationError
 from .modes import (RESIDUAL_LIMIT, BipartitePureState, _entries, _frozen_array, _label_tuple,
-                    _Record, _refuse_above_one)
-
-# Below this, a measurement outcome counts as impossible and cannot be conditioned on.
-OUTCOME_ATOL = 1e-12
+                    _Record, _refuse_above_one, _refuse_unless_one)
 
 
 def product_labels(latin_labels: Sequence[str], greek_labels: Sequence[str]) -> tuple[str, ...]:
@@ -47,7 +44,7 @@ class DensityMatrix(_Record):
     "1", ... with no part. The checks run in this order: the matrix is square, every entry is a
     number of magnitude at most 1 (as in a positive semidefinite matrix of trace 1), its Hermitian
     defect max |m - adj(m)| is 0; then each part's labels, the part and label counts, the trace is
-    1; each bound within ``RESIDUAL_LIMIT``. Full positive semidefiniteness is the producer's.
+    1, summed exactly; each within ``RESIDUAL_LIMIT``. Positive semidefiniteness is the producer's.
     """
 
     def __init__(self, matrix, parts=()):
@@ -67,9 +64,7 @@ class DensityMatrix(_Record):
         # Also catches parts whose sizes do not multiply to the dimension.
         if len(labels) != m.shape[0]:
             raise ShapeError(f"{len(labels)} basis labels for a {m.shape[0]}-dimensional matrix")
-        tr = complex(np.trace(m)).real
-        if abs(tr - 1.0) > RESIDUAL_LIMIT:
-            raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
+        _refuse_unless_one(m.diagonal().real.tolist(), "density matrix trace is")
         self.__setstate__(dict(matrix=m, parts=parts, basis_labels=labels))
 
 
@@ -83,8 +78,8 @@ def classical_mixture(terms: Sequence[tuple[float, str, str]]) -> DensityMatrix:
     """Statistical mixture of product states |a>(x)|b>, one per (weight, a, b).
 
     The result is diagonal in the product basis: classically correlated, with
-    no cross-particle coherences. Weights must be non-negative and sum to 1,
-    and labels must be strings. Each side's basis is the sorted labels that
+    no cross-particle coherences. Weights must be non-negative and sum to 1, within
+    ``RESIDUAL_LIMIT``; labels must be strings. Each side's basis is the sorted labels that
     occur on it in ``terms``; the weights of a repeated pair add, as Python floats.
     """
     terms = _entries(terms, "mixture terms", "(weight, a, b) triples")
@@ -101,7 +96,7 @@ def classical_mixture(terms: Sequence[tuple[float, str, str]]) -> DensityMatrix:
                     f"mixture term {term!r} has a label that is not a str: {label!r}")
     weights = _frozen_array([w for w, _, _ in terms], float, 1, "mixture weights")
     low = float(weights.min())
-    if not low >= -OUTCOME_ATOL:  # false for NaN too
+    if not low >= -RESIDUAL_LIMIT:  # false for NaN too
         raise ValidationError(f"mixture weights must be non-negative, got {low!r}")
     latin = tuple(sorted({a for _, a, _ in terms}))
     greek = tuple(sorted({b for _, _, b in terms}))
@@ -158,7 +153,7 @@ def conditional_state(rho: DensityMatrix, projector_on_a) -> tuple[float, Densit
     Returns ``(probability, state)``, the state labelled with the Greek basis. ValidationError
     refuses a projection vector that is not a unit vector, a component that is NaN or above
     1 + ``RESIDUAL_LIMIT`` in magnitude before the norm is taken, and ImpossibleOutcomeError an
-    outcome probability below ``OUTCOME_ATOL``, which the measurement can essentially never give.
+    outcome probability below ``RESIDUAL_LIMIT``, which the accuracy of ``rho`` cannot tell from 0.
     """
     t = _two_party(rho, "a conditional state")
     p = _frozen_array(projector_on_a, complex, 1, "projection vector")
@@ -170,7 +165,7 @@ def conditional_state(rho: DensityMatrix, projector_on_a) -> tuple[float, Densit
         raise ValidationError(f"projection vector must have unit norm, got {norm:.6g}")
     reduced = np.einsum("i,iajb,j->ab", p.conj(), t, p)
     probability = float(np.trace(reduced).real)
-    if probability < OUTCOME_ATOL:
+    if probability < RESIDUAL_LIMIT:
         raise ImpossibleOutcomeError(f"outcome probability {probability!r} is below "
-                                     f"{OUTCOME_ATOL:g}; cannot condition on it")
+                                     f"{RESIDUAL_LIMIT:g}; cannot condition on it")
     return probability, DensityMatrix(reduced / probability, rho.parts[1:])

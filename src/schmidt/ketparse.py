@@ -226,7 +226,10 @@ def _scalar(tokens: list[str], i: int) -> tuple[complex, int]:
 def _complex(token: str, i: int) -> complex:
     """The value of a '(re±im i)' token; complex() reads each part as float()
     does, but allows no whitespace around the sign."""
-    value = complex("".join(token.replace("i", "j").split()))
+    try:
+        value = complex(token.replace("i", "j"))
+    except ValueError:  # whitespace inside the brackets
+        value = complex("".join(token.replace("i", "j").split()))
     if not cmath.isfinite(value):
         raise _overflow("".join(token.split()), i)
     return value
@@ -247,7 +250,7 @@ def _read(tokens: list[str]) -> KetExpression:
     """The sum of terms the tokens spell: a pass of the outer loop reads a
     factor, one of the inner loop a combination's scalar and ket. The helpers
     above read the rarer scalar forms and word the errors."""
-    one, isfinite, new_term = 1 + 0j, cmath.isfinite, tuple.__new__
+    one, new_term = 1 + 0j, tuple.__new__
     terms = []
     latin = None  # the Latin factor's items while the Greek factor is read
     negate = tokens[0] == "-"
@@ -266,12 +269,7 @@ def _read(tokens: list[str]) -> KetExpression:
             while True:
                 token = tokens[i]
                 if token[0] == "(" and "i" in token:  # only a compound '(re±im i)' is both
-                    try:  # _complex, less its whitespace pass
-                        value = complex(token.replace("i", "j"))
-                    except ValueError:
-                        value = _complex(token, i)
-                    if not isfinite(value):
-                        raise _overflow("".join(token.split()), i)
+                    value = _complex(token, i)
                     i += 1
                     token = tokens[i]
                     if token == "*":

@@ -16,10 +16,10 @@ modes are stored as V's columns, so for complex amplitudes they are the
 conjugates of the kets Phi^s. The state factorizes exactly when a single
 term survives.
 
-``_frozen_array``, ``_entries``, ``_label_tuple`` and ``_refuse_above_one`` read number arrays,
-containers (the one rule for state labels, density parts and mixture terms), labels (a state's
-sides, a density matrix's parts) and entries bounded by 1; ``_Record`` is the records' read-only
-base, which also freezes arrays a pickle or copy restores.
+``_frozen_array``, ``_entries``, ``_label_tuple``, ``_refuse_above_one`` and ``_refuse_unless_one``
+read number arrays, containers (the one rule for state labels, density parts and mixture terms),
+labels (a state's sides, a density matrix's parts), entries bounded by 1 and sums of 1 (lambdas, a
+trace); ``_Record`` is the records' read-only base, and it freezes arrays pickle or copy restore.
 The SVD in ``schmidt_decompose`` is the one factorization; ``hermitian_eigen`` only raises, and
 its name stays because the benchmark's tracer wraps it.
 """
@@ -37,8 +37,8 @@ import numpy as np
 from .errors import ConvergenceError, ShapeError, ValidationError
 
 DEFAULT_RANK_THRESHOLD = 1e-10
-# The one accuracy tolerance: verify's residual and orthonormality defect, the lambdas' range and
-# sum, unit norms, entries at most 1, a density matrix's Hermitian defect and trace, phase pivots.
+# The one accuracy tolerance: verify's residual and orthonormality defect, the lambdas' range, sums
+# of 1, unit norms, entries at most 1, Hermitian defects, phase pivots, weight and outcome floors.
 RESIDUAL_LIMIT = 1e-9
 # ket-v1's LABEL rule, which the constructor applies and the ket tokens embed.
 LABEL = r"[A-Za-z][A-Za-z0-9_]*"
@@ -97,6 +97,14 @@ def _refuse_above_one(values: np.ndarray, name: str) -> None:
         if np.isnan(magnitude[index]):
             raise ValidationError(f"{where} is not a number: {complex(values[index])!r}")
         raise ValidationError(f"{where} has magnitude {float(magnitude[index])!r}, above 1")
+
+
+def _refuse_unless_one(values, what: str) -> None:
+    """ValidationError ``{what} {total!r}, expected 1`` unless the exact sum (``math.fsum``) of
+    ``values`` is within ``RESIDUAL_LIMIT`` of 1; a NaN sum fails too."""
+    total = math.fsum(values)
+    if not abs(total - 1.0) <= RESIDUAL_LIMIT:
+        raise ValidationError(f"{what} {total!r}, expected 1")
 
 
 class _Record:
@@ -217,8 +225,7 @@ class SchmidtDecomposition(_Record):
                 raise ValidationError(f"lambda {s} is {value!r}, above lambda {s - 1}")
             if s < rank and value == 0.0:
                 raise ValidationError(f"lambda {s} is {value!r}, but its mode pair is kept")
-        if not abs(math.fsum(values) - 1.0) <= RESIDUAL_LIMIT:
-            raise ValidationError(f"lambdas sum to {math.fsum(values)!r}, expected 1")
+        _refuse_unless_one(values, "lambdas sum to")
         for name, modes in (("latin_modes", f), ("greek_modes", g)):
             _refuse_above_one(modes, f"{name} entry")  # bounds verify's products
         self.__setstate__(dict(lambdas=lam, latin_modes=f, greek_modes=g))

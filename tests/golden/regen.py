@@ -37,6 +37,16 @@ def load_cases():
     return json.loads(CASES.read_text(encoding="utf-8"), object_pairs_hook=_refuse_repeated_keys)
 
 
+def dump_cases(sections):
+    """The text of cases.json for ``sections``: one case a line, so that a diff names the cases
+    whose output changed."""
+    return "{\n" + ",\n".join(
+        f"  {json.dumps(section)}: {{\n" + ",\n".join(
+            f"    {json.dumps(name)}: {json.dumps(case)}" for name, case in cases.items()
+        ) + "\n  }" for section, cases in sections.items()
+    ) + "\n}\n"
+
+
 def main():
     try:
         sections = load_cases()
@@ -59,12 +69,7 @@ def main():
             if printed.setdefault(path, child.stdout) != child.stdout:
                 sys.exit(f"{section}/{name} and an earlier case name {path} but print other text")
             (GOLDEN / path).write_text(child.stdout, encoding="utf-8")
-    # One case a line, so that a diff names the cases whose output changed.
-    CASES.write_text("{\n" + ",\n".join(
-        f"  {json.dumps(section)}: {{\n" + ",\n".join(
-            f"    {json.dumps(name)}: {json.dumps(case)}" for name, case in cases.items()
-        ) + "\n  }" for section, cases in sections.items()
-    ) + "\n}\n", encoding="utf-8")
+    CASES.write_text(dump_cases(sections), encoding="utf-8")
 
 
 if __name__ == "__main__":

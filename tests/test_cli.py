@@ -22,7 +22,7 @@ from schmidt.errors import ConvergenceError, ShapeError, ValidationError
 from schmidt.modes import (RESIDUAL_LIMIT, BipartitePureState, SchmidtDecomposition,
                            entanglement_entropy, is_entangled, reconstruct, schmidt_decompose,
                            schmidt_number)
-from golden.regen import GOLDEN, load_cases
+from golden.regen import CASES as CASES_FILE, GOLDEN, dump_cases, load_cases
 from states import child_env, labelled_state
 
 PSI0 = EXPRESSIONS["psi0"]
@@ -617,6 +617,11 @@ class TestGoldenOutputs:
                  if path.is_file() and "__pycache__" not in path.parts}
         left = sorted(str(path.relative_to(GOLDEN)) for path in files - named)
         assert left == ["cli/cases.json", "regen.py"]
+
+    def test_the_corpus_is_laid_out_as_regen_writes_it(self):
+        # One case a line, as regen.py writes it, so that a hand edit cannot merge the lines
+        # that a diff should name one by one.
+        assert CASES_FILE.read_text(encoding="utf-8") == dump_cases(load_cases())
 
 
 class TestReadme:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from schmidt.density import (
-    OUTCOME_ATOL,
     DensityMatrix,
     classical_mixture,
     conditional_state,
@@ -122,17 +121,42 @@ class TestDensityMatrixType:
 
     def test_an_accepted_schmidt_spectrum_is_an_accepted_reduced_state(self):
         # Either reduced state of a pure state is diag(lambdas) in its Schmidt basis, so both
-        # records read the spectrum's sum within the same tolerance.
+        # records read the spectrum's sum by the same rule. The second spectrum's exact sum is
+        # 1.0000000009999999, while np.trace rounded it to 1.000000001, above 1 + RESIDUAL_LIMIT.
+        for lambdas in ([0.5 + 5e-10, 0.5], [0.25000000025] + [0.25000000024999997] * 3):
+            SchmidtDecomposition(lambdas, np.eye(len(lambdas)), np.eye(len(lambdas)))
+            DensityMatrix(np.diag(lambdas))
         labels = ("H", "V")
-        lambdas = [0.5 + 5e-10, 0.5]
-        SchmidtDecomposition(lambdas, np.eye(2), np.eye(2))
-        DensityMatrix(np.diag(lambdas), (labels,))
         lambdas = [0.5 + 2e-9, 0.5]
         with pytest.raises(ValidationError, match=r"^lambdas sum to 1\.0000000020000002, "):
             SchmidtDecomposition(lambdas, np.eye(2), np.eye(2))
         with pytest.raises(ValidationError, match=r"^density matrix trace is 1\.0000000020000002, "
                                                   r"expected 1$"):
             DensityMatrix(np.diag(lambdas), (labels,))
+
+    def test_a_spectrum_and_its_diagonal_agree_at_the_sum_bound(self):
+        # Seeded descending spectra whose sums lie a few ulps either side of 1 -/+ RESIDUAL_LIMIT:
+        # both records accept, or both refuse, each spectrum, and each verdict occurs.
+        def accepts(record, *args):
+            try:
+                record(*args)
+            except ValidationError:
+                return False
+            return True
+
+        rng = np.random.default_rng(54)
+        verdicts = set()
+        for n in range(1, 41):
+            for edge in (1 - RESIDUAL_LIMIT, 1 + RESIDUAL_LIMIT):
+                spectrum = np.sort(rng.random(n))[::-1]
+                spectrum *= edge / math.fsum(spectrum)
+                for ulps in range(-4, 5):
+                    lam = spectrum.copy()
+                    lam[0] += ulps * np.spacing(lam[0])
+                    verdict = accepts(SchmidtDecomposition, lam, np.zeros((n, 0)), np.zeros((n, 0)))
+                    assert accepts(DensityMatrix, np.diag(lam)) == verdict, lam
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("dim,parts,message", [
         (4, (["H", "V"], ["H", "H"]), r"^parts\[1\] label 1 repeats label 0: 'H'$"),
@@ -294,13 +318,13 @@ class TestClassicalMixture:
         with pytest.raises(ShapeError, match="^mixture weights is not a rectangular array of"):
             classical_mixture([(0.5, "H", "V"), (weight, "V", "H")])
 
-    def test_a_weight_of_minus_outcome_atol_passes_and_no_lower(self):
-        rho = classical_mixture([(1 + OUTCOME_ATOL, "H", "H"), (-OUTCOME_ATOL, "V", "V")])
-        assert rho.matrix[3, 3] == -OUTCOME_ATOL
+    def test_a_weight_of_minus_residual_limit_passes_and_no_lower(self):
+        rho = classical_mixture([(1 + RESIDUAL_LIMIT, "H", "H"), (-RESIDUAL_LIMIT, "V", "V")])
+        assert rho.matrix[3, 3] == -RESIDUAL_LIMIT
         with pytest.raises(ValidationError, match=re.escape(
-                "mixture weights must be non-negative, got -1.0000000000000002e-12")):
-            classical_mixture([(1 + OUTCOME_ATOL, "H", "H"),
-                               (np.nextafter(-OUTCOME_ATOL, -1), "V", "V")])
+                "mixture weights must be non-negative, got -1.0000000000000003e-09")):
+            classical_mixture([(1 + RESIDUAL_LIMIT, "H", "H"),
+                               (np.nextafter(-RESIDUAL_LIMIT, -1), "V", "V")])
 
     def test_negative_weight_is_printed_as_a_python_float(self):
         with pytest.raises(ValidationError, match=re.escape(
@@ -384,13 +408,25 @@ class TestConditionalState:
         with pytest.raises(ImpossibleOutcomeError):
             conditional_state(rho, [0.0, 1.0])
 
-    def test_an_outcome_probability_of_outcome_atol_passes_and_no_lower(self):
-        rho = classical_mixture([(OUTCOME_ATOL, "H", "H"), (1 - OUTCOME_ATOL, "V", "V")])
-        assert conditional_state(rho, [1, 0])[0] == OUTCOME_ATOL
-        below = float(np.nextafter(OUTCOME_ATOL, 0))
+    def test_a_probability_of_residual_limit_passes_and_no_lower(self):
+        rho = classical_mixture([(RESIDUAL_LIMIT, "H", "H"), (1 - RESIDUAL_LIMIT, "V", "V")])
+        assert conditional_state(rho, [1, 0])[0] == RESIDUAL_LIMIT
+        below = float(np.nextafter(RESIDUAL_LIMIT, 0))
         rho = classical_mixture([(below, "H", "H"), (1 - below, "V", "V")])
         with pytest.raises(ImpossibleOutcomeError, match=re.escape(
-                f"outcome probability {below!r} is below 1e-12; cannot condition on it")):
+                f"outcome probability {below!r} is below 1e-09; cannot condition on it")):
+            conditional_state(rho, [1, 0])
+
+    def test_an_outcome_within_the_accuracy_of_rho_is_impossible(self):
+        # |VV><VV| plus a Hermitian error E of entries at most 4e-10, which DensityMatrix accepts.
+        # Outcome H has probability 4e-10, all of it from E: its normalised block, read at a 1e-12
+        # floor, was [[0.75, 0.5], [0.5, 0.25]], of eigenvalues -0.059 and 1.059.
+        error = np.zeros((4, 4))
+        error[0, 0], error[1, 1], error[3, 3] = 3e-10, 1e-10, -4e-10
+        error[0, 1] = error[1, 0] = 2e-10
+        rho = DensityMatrix(np.diag([0.0, 0.0, 0.0, 1.0]) + error, (("H", "V"), ("H", "V")))
+        with pytest.raises(ImpossibleOutcomeError, match=re.escape(
+                "outcome probability 4e-10 is below 1e-09; cannot condition on it")):
             conditional_state(rho, [1, 0])
 
     def test_probabilities_over_a_basis_sum_to_one(self):

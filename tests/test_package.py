@@ -2,7 +2,9 @@
 imports of the package's and the suite's modules."""
 
 import ast
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import schmidt
-from schmidt import density, modes
+from schmidt import modes
 from states import child_env
 
 # The public names, as the package exported them when it imported every module eagerly.
@@ -113,12 +115,16 @@ def test_gram_matrices_live_in_density():
 
 
 def test_each_module_defines_only_its_tolerances():
-    # The module-level floats that each module defines rather than imports: a new one fails here.
-    defined = {module.__name__: sorted(name for name, value in vars(module).items()
-                                       if isinstance(value, float) and name not in imported)
-               for module, imported in ((modes, {}), (density, vars(modes)))}
-    assert defined == {"schmidt.modes": ["DEFAULT_RANK_THRESHOLD", "RESIDUAL_LIMIT"],
-                       "schmidt.density": ["OUTCOME_ATOL"]}
+    # The module-level floats that each submodule defines rather than imports from modes: a new
+    # one in any module fails here, and modes owns the two tolerances.
+    modules = [importlib.import_module(f"schmidt.{info.name}")
+               for info in pkgutil.iter_modules(schmidt.__path__)]
+    defined = {module.__name__: sorted(
+        name for name, value in vars(module).items() if isinstance(value, float)
+        and (module is modes or getattr(modes, name, None) is not value)) for module in modules}
+    assert defined == {"schmidt.catalog": [], "schmidt.cli": [], "schmidt.density": [],
+                       "schmidt.errors": [], "schmidt.ketparse": [],
+                       "schmidt.modes": ["DEFAULT_RANK_THRESHOLD", "RESIDUAL_LIMIT"]}
 
 
 def test_every_imported_name_is_read():
